@@ -1,6 +1,13 @@
 """Hypergraph-regularized dictionary learning with sparse attention weighting."""
 
-from .attention import AdmmParams, AttentionSolution, soft_threshold, solve_attention
+from .attention import (
+    AdmmParams,
+    AttentionBatch,
+    AttentionSolution,
+    soft_threshold,
+    solve_attention,
+    solve_attention_batch,
+)
 from .data import (
     DatasetBundle,
     apply_mask,

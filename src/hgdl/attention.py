@@ -7,19 +7,22 @@ nearest neighbors, the attention weights solve the lasso problem
 
 with the alternating direction method of multipliers. The splitting
 introduces a twin variable q for z; each iteration solves a damped
-normal-equation system for z (one Cholesky factorization per problem,
-cached), soft-thresholds the dual-shifted copy of z into q, and takes a
-dual ascent step on the multiplier m. q is the canonical solution
-because the threshold step gives it exact zeros.
+normal-equation system for z (the inverse of P^T P + rho I is computed
+once per problem and cached), soft-thresholds the dual-shifted copy of z
+into q, and takes a dual ascent step on the multiplier m. q is the
+canonical solution because the threshold step gives it exact zeros.
+
+The problem only enters through P^T P and P^T x, so a whole stack of
+equally sized problems is solved at once by one vectorized iteration;
+each problem stops on its own residuals and keeps the iterates it had
+when it stopped, exactly as if it were solved alone.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InputError, NumericalError, ParameterError
 
@@ -67,6 +70,17 @@ class AttentionSolution:
     objective_trace: np.ndarray
 
 
+@dataclass
+class AttentionBatch:
+    """Result of a batch of attention solves, one row per problem."""
+
+    z: np.ndarray
+    q: np.ndarray
+    m: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+
+
 def soft_threshold(v, t):
     """Entrywise shrinkage max(v - t, 0) + min(v + t, 0).
 
@@ -85,17 +99,97 @@ def attention_objective(x, P, q, epsilon):
     return float(r @ r + 2.0 * epsilon * np.sum(np.abs(q)))
 
 
+def solve_attention_batch(gram, ptx, params: AdmmParams,
+                          on_iterate=None) -> AttentionBatch:
+    """Solve a stack of attention problems given their normal equations.
+
+    gram is the (n, k, k) stack of P^T P and ptx the (n, k) stack of
+    P^T x. z, q and m start at zero. The z step applies a cached inverse
+    of P^T P + rho I; the q step is a soft threshold at eps/rho; the m
+    step adds theta*(z - q). A problem converges once both residuals are
+    small: max|z - q| <= tol and max|q - q_prev| <= tol. The split
+    residual alone can hit exact zero while the iterates are still far
+    from optimal (the threshold step is affine wherever no entry sits
+    inside the dead zone), so the dual residual must vanish too. A
+    converged problem is frozen, so every row follows the iterates it
+    would follow alone; a problem that reaches max_iter keeps its last
+    iterate and reports converged False. on_iterate, if given, is called
+    with the (running, k) q rows after every iteration. Identical inputs
+    produce bit-identical outputs, whatever the batch around them.
+    """
+    gram = np.asarray(gram, dtype=float)
+    ptx = np.asarray(ptx, dtype=float)
+    if ptx.ndim != 2 or ptx.shape[1] < 1:
+        raise ParameterError("ptx must be 2-d (problems x neighbors)")
+    n, k = ptx.shape
+    if gram.shape != (n, k, k):
+        raise ParameterError(
+            f"gram has shape {gram.shape}, expected {(n, k, k)}"
+        )
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(ptx))):
+        raise InputError("non-finite entries in attention problem")
+
+    rho = params.rho
+    theta = params.theta
+    eps = params.epsilon
+    z_out = np.zeros((n, k))
+    q_out = np.zeros((n, k))
+    m_out = np.zeros((n, k))
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+
+    # The working arrays put the problems last, on the running ones only:
+    # inverse[j, i, c] is entry (i, j) of problem c's inverse, so the
+    # z step sums k slices in ascending j, elementwise. Each problem's
+    # bits then depend on nothing but its own data.
+    rows = np.arange(n)
+    inverse = np.ascontiguousarray(
+        np.linalg.inv(gram + rho * np.eye(k)).transpose(2, 1, 0)
+    )
+    rhs = np.ascontiguousarray(ptx.T)
+    q = np.zeros((k, n))
+    m = np.zeros((k, n))
+    for iteration in range(1, params.max_iter + 1):
+        z = np.sum(inverse * (rhs + rho * q - m)[:, None, :], axis=0)
+        q_prev = q
+        q = soft_threshold(z + m / rho, eps / rho)
+        m = m + theta * (z - q)
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(m))):
+            raise NumericalError(
+                f"attention solver diverged at iteration {iteration}"
+            )
+        if on_iterate is not None:
+            on_iterate(q.T)
+        done = ((np.max(np.abs(z - q), axis=0) <= params.tol)
+                & (np.max(np.abs(q - q_prev), axis=0) <= params.tol))
+        if iteration == params.max_iter:
+            stop = np.ones(rows.size, dtype=bool)
+        elif done.any():
+            stop = done
+        else:
+            continue
+        stopped = rows[stop]
+        z_out[stopped] = z[:, stop].T
+        q_out[stopped] = q[:, stop].T
+        m_out[stopped] = m[:, stop].T
+        iterations[stopped] = iteration
+        converged[stopped] = done[stop]
+        keep = ~stop
+        if not keep.any():
+            break
+        rows, inverse, rhs = rows[keep], inverse[:, :, keep], rhs[:, keep]
+        q, m = q[:, keep], m[:, keep]
+
+    return AttentionBatch(z=z_out, q=q_out, m=m_out,
+                          iterations=iterations, converged=converged)
+
+
 def solve_attention(x, P, params: AdmmParams) -> AttentionSolution:
     """Solve min_z ||x - P z||^2 + 2 eps ||z||_1 for the given center.
 
-    z, q and m start at zero. The z step reuses a cached Cholesky
-    factorization of P^T P + rho I; the q step is a soft threshold at
-    eps/rho; the m step adds theta*(z - q). Convergence requires both
-    residuals small: max|z - q| <= tol and max|q - q_prev| <= tol. The
-    split residual alone can hit exact zero while the iterates are still
-    far from optimal (the threshold step is affine wherever no entry
-    sits inside the dead zone), so the dual residual must vanish too.
-    Identical inputs produce bit-identical outputs.
+    A batch of one for solve_attention_batch, plus the objective of q
+    after every iteration. Identical inputs produce bit-identical
+    outputs.
     """
     x = np.asarray(x, dtype=float).ravel()
     P = np.asarray(P, dtype=float)
@@ -109,45 +203,18 @@ def solve_attention(x, P, params: AdmmParams) -> AttentionSolution:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(P))):
         raise InputError("non-finite entries in attention problem")
 
-    rho = params.rho
-    theta = params.theta
     eps = params.epsilon
-    factor = cho_factor(P.T @ P + rho * np.eye(n_cols))
-    ptx = P.T @ x
-
-    z = np.zeros(n_cols)
-    q = np.zeros(n_cols)
-    m = np.zeros(n_cols)
     trace = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, params.max_iter + 1):
-        z = cho_solve(factor, ptx + rho * q - m)
-        q_prev = q
-        q = soft_threshold(z + m / rho, eps / rho)
-        m = m + theta * (z - q)
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(m))):
-            raise NumericalError(
-                f"attention solver diverged at iteration {iterations}"
-            )
-        trace.append(attention_objective(x, P, q, eps))
-        split_gap = float(np.max(np.abs(z - q)))
-        dual_gap = float(np.max(np.abs(q - q_prev)))
-        if split_gap <= params.tol and dual_gap <= params.tol:
-            converged = True
-            break
-
+    batch = solve_attention_batch(
+        (P.T @ P)[None], (P.T @ x)[None], params,
+        on_iterate=lambda q: trace.append(attention_objective(x, P, q[0], eps)),
+    )
     return AttentionSolution(
-        z=z,
-        q=q,
-        m=m,
-        iterations=iterations,
-        converged=converged,
+        z=batch.z[0],
+        q=batch.q[0],
+        m=batch.m[0],
+        iterations=int(batch.iterations[0]),
+        converged=bool(batch.converged[0]),
         objective=trace[-1],
         objective_trace=np.asarray(trace),
     )
-
-
-def solver_config(params: AdmmParams) -> dict:
-    """Plain-dict echo of the solver settings, for report serialization."""
-    return dataclasses.asdict(params)

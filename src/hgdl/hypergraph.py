@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .attention import AdmmParams, solve_attention
+from .attention import AdmmParams, solve_attention_batch
 from .errors import InputError, InternalError, ParameterError
 
 SAF = "saf"  # sparse-attention feature modal
@@ -122,6 +122,28 @@ def knn_neighbors(X, k):
     return order[:, :k]
 
 
+def _normal_equations(Xt, neighbors):
+    """P^T P and P^T x of every center x, P holding its neighbors' columns.
+
+    Xt is X transposed and C-ordered. The stacks are filled one pair of
+    neighbor ranks at a time with row sums over the contiguous feature
+    axis: memory stays at a few (n, dim) arrays, the k x k blocks are
+    exactly symmetric, and no BLAS product is called. (A multithreaded
+    X^T X left OpenBLAS workers spinning, which made the solve that
+    follows twice as slow on a 2-core machine.)
+    """
+    n, k = neighbors.shape
+    gram = np.empty((n, k, k))
+    ptx = np.empty((n, k))
+    for a in range(k):
+        pa = Xt[neighbors[:, a]]
+        ptx[:, a] = np.sum(pa * Xt, axis=1)
+        for b in range(a, k):
+            pb = Xt[neighbors[:, b]]
+            gram[:, a, b] = gram[:, b, a] = np.sum(pa * pb, axis=1)
+    return gram, ptx
+
+
 def build_saf_hypergraph(X, k, attention_params: AdmmParams,
                          use_attention: bool = True) -> Hypergraph:
     """One hyperedge per sample over its knn neighborhood.
@@ -130,33 +152,41 @@ def build_saf_hypergraph(X, k, attention_params: AdmmParams,
     where sigma_c is the mean distance from c to its k neighbors (1.0
     when all neighbors coincide with c) and w_v is the attention weight
     of v clamped at zero. The center's own entry is 1, so every vertex
-    has positive degree. Centers are independent of one another, so the
-    loop could run in parallel; it is kept sequential for determinism.
+    has positive degree. All centers' attention problems are solved as
+    one batch. A solve that hits max_iter keeps its last iterate; one
+    warning per call counts them.
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim == 2 and not 1 <= k < X.shape[1]:
+        raise ParameterError(
+            f"k_nn (--knn) must be at least 1 and below the number of "
+            f"hypergraph vertices ({X.shape[1]}), got {k}"
+        )
     neighbors = knn_neighbors(X, k)
     n = X.shape[1]
+    # one C-ordered copy, so that results do not depend on X's layout
+    Xt = np.ascontiguousarray(X.T)
+    dist = np.empty((n, k))
+    for j in range(k):
+        diffs = Xt[neighbors[:, j]] - Xt
+        dist[:, j] = np.sqrt(np.sum(diffs * diffs, axis=1))
+    sigma = np.mean(dist, axis=1)
+    sigma[sigma == 0.0] = 1.0
+    entries = np.exp(-((dist / sigma[:, None]) ** 2))
+    if use_attention:
+        sol = solve_attention_batch(*_normal_equations(Xt, neighbors),
+                                    attention_params)
+        capped = int(np.count_nonzero(~sol.converged))
+        if capped:
+            warnings.warn(
+                f"{capped} of {n} attention solves hit max_iter "
+                f"({attention_params.max_iter}); they keep their last iterate",
+                RuntimeWarning,
+            )
+        entries *= np.maximum(sol.q, 0.0)
     H = np.zeros((n, n))
-    for c in range(n):
-        idx = neighbors[c]
-        diffs = X[:, idx] - X[:, c : c + 1]
-        dist = np.sqrt(np.sum(diffs * diffs, axis=0))
-        sigma = float(np.mean(dist))
-        if sigma == 0.0:
-            sigma = 1.0
-        if use_attention:
-            sol = solve_attention(X[:, c], X[:, idx], attention_params)
-            if not sol.converged:
-                warnings.warn(
-                    f"attention solve for center {c} hit max_iter "
-                    f"({sol.iterations}); using best iterate",
-                    RuntimeWarning,
-                )
-            weights = np.maximum(sol.q, 0.0)
-        else:
-            weights = np.ones(k)
-        H[idx, c] = np.exp(-((dist / sigma) ** 2)) * weights
-        H[c, c] = 1.0
+    H[neighbors, np.arange(n)[:, None]] = entries
+    np.fill_diagonal(H, 1.0)
     return Hypergraph(H, np.ones(n), np.asarray([SAF] * n))
 
 

@@ -1,8 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately written the slow, obvious way and shares
-no code with the library: cyclic coordinate descent for the lasso,
-brute-force neighbor search, pure-Python degree sums, a graph-Laplacian
+no code with the library: cyclic coordinate descent for the lasso, the
+attention ADMM one problem at a time, brute-force neighbor search, pure-Python degree sums, a graph-Laplacian
 reference, the literal pairwise expansion of the manifold penalty and a
 golden-section scalar minimizer.
 """
@@ -38,6 +38,33 @@ def cd_lasso(x, P, eps, tol=1e-10, max_sweeps=20000):
         if biggest < tol:
             break
     return z
+
+
+def admm_lasso(x, P, eps, rho=1.0, max_iter=200, tol=1e-6):
+    """The attention ADMM for one problem, with a Cholesky z step.
+
+    Same splitting, start and stopping rule as the library: z solves
+    (P^T P + rho I) z = P^T x + rho q - m, q = shrink(z + m/rho, eps/rho),
+    m += rho (z - q), until max|z - q| and max|q - q_prev| are both at
+    most tol. Returns (q, iterations, converged).
+    """
+    from scipy.linalg import cho_factor, cho_solve
+
+    x = np.asarray(x, dtype=float)
+    P = np.asarray(P, dtype=float)
+    k = P.shape[1]
+    factor = cho_factor(P.T @ P + rho * np.eye(k))
+    z = q = m = np.zeros(k)
+    for iteration in range(1, max_iter + 1):
+        z = cho_solve(factor, P.T @ x + rho * q - m)
+        q_prev = q
+        v = z + m / rho
+        q = np.sign(v) * np.maximum(np.abs(v) - eps / rho, 0.0)
+        m = m + rho * (z - q)
+        if (np.max(np.abs(z - q)) <= tol
+                and np.max(np.abs(q - q_prev)) <= tol):
+            return q, iteration, True
+    return q, max_iter, False
 
 
 def lasso_objective(x, P, z, eps):

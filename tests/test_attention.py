@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from hgdl import AdmmParams, ParameterError, solve_attention, soft_threshold
+from hgdl import (
+    AdmmParams,
+    InputError,
+    ParameterError,
+    solve_attention,
+    solve_attention_batch,
+    soft_threshold,
+)
 from hgdl.attention import attention_objective
 
-from oracles import cd_lasso, lasso_objective
+from oracles import admm_lasso, cd_lasso, lasso_objective
 
 
 def test_soft_threshold_known_values():
@@ -172,3 +179,104 @@ def test_parameter_validation():
 def test_theta_defaults_to_rho():
     params = AdmmParams(epsilon=0.1, rho=2.5)
     assert params.theta == 2.5
+
+
+# ---------------------------------------------------------------- batches
+
+
+def _random_problems(rng, n, dim, k, duplicate=False):
+    """n (x, P) pairs of one size; duplicate=True copies a column of P."""
+    problems = []
+    for _ in range(n):
+        P = rng.normal(size=(dim, k)) * rng.choice([0.1, 1.0, 3.0])
+        if duplicate and k > 1:
+            P[:, 1] = P[:, 0]
+        problems.append((rng.normal(size=dim), P))
+    return problems
+
+
+def _normal_equations(problems):
+    return (np.stack([P.T @ P for _, P in problems]),
+            np.stack([P.T @ x for x, P in problems]))
+
+
+def _assert_batch_matches_single_solves(problems, params):
+    """Each row of the batch matches solve_attention (q to 1e-12) and the
+    one-problem Cholesky loop (q to 1e-11 relative, since the z steps
+    factor differently), with the same iterations and flag."""
+    batch = solve_attention_batch(*_normal_equations(problems), params)
+    for i, (x, P) in enumerate(problems):
+        single = solve_attention(x, P, params)
+        q_ref, iterations, converged = admm_lasso(
+            x, P, params.epsilon, max_iter=params.max_iter)
+        np.testing.assert_allclose(batch.q[i], single.q, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch.q[i], q_ref, rtol=1e-11, atol=1e-12)
+        assert batch.iterations[i] == single.iterations == iterations
+        assert batch.converged[i] == single.converged == converged
+    return batch
+
+
+def test_batch_matches_single_solves():
+    rng = np.random.default_rng(12)
+    problems = (_random_problems(rng, 6, 12, 5)
+                + _random_problems(rng, 4, 12, 5, duplicate=True))
+    # a center whose neighbors all coincide with it
+    x = rng.normal(size=12)
+    problems.append((x, np.repeat(x[:, None], 5, axis=1)))
+    problems.append((np.zeros(12), np.zeros((12, 5))))
+    batch = _assert_batch_matches_single_solves(
+        problems, AdmmParams(epsilon=0.05))
+    assert len(set(batch.iterations.tolist())) > 1  # rows stop apart
+    capped = _assert_batch_matches_single_solves(
+        problems, AdmmParams(epsilon=0.05, max_iter=2))
+    # only the all-zero problem, the last one, settles within two iterations
+    assert capped.converged.tolist() == [False] * (len(problems) - 1) + [True]
+
+
+def test_batch_equals_batches_of_one_bitwise():
+    rng = np.random.default_rng(13)
+    problems = _random_problems(rng, 9, 15, 7, duplicate=True)
+    for params in (AdmmParams(epsilon=0.03), AdmmParams(epsilon=0.03, max_iter=5)):
+        gram, ptx = _normal_equations(problems)
+        whole = solve_attention_batch(gram, ptx, params)
+        for i in range(len(problems)):
+            one = solve_attention_batch(gram[i:i + 1], ptx[i:i + 1], params)
+            for field in ("z", "q", "m", "iterations", "converged"):
+                assert np.array_equal(getattr(one, field)[0],
+                                      getattr(whole, field)[i])
+
+
+def test_batch_validation():
+    params = AdmmParams(epsilon=0.1)
+    with pytest.raises(ParameterError):
+        solve_attention_batch(np.ones((2, 3, 3)), np.ones((2, 4)), params)
+    with pytest.raises(ParameterError):
+        solve_attention_batch(np.ones((1, 0, 0)), np.ones((1, 0)), params)
+    gram = np.ones((2, 3, 3))
+    gram[1, 0, 0] = np.inf
+    with pytest.raises(InputError):
+        solve_attention_batch(gram, np.ones((2, 3)), params)
+
+
+def test_batch_matches_single_solves_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n=st.integers(1, 8),
+        k=st.integers(1, 6),
+        dim=st.integers(1, 12),
+        eps=st.sampled_from([0.01, 0.05, 0.3]),
+        max_iter=st.sampled_from([2, 200]),
+        duplicate=st.booleans(),
+    )
+    def check(seed, n, k, dim, eps, max_iter, duplicate):
+        rng = np.random.default_rng(seed)
+        problems = _random_problems(rng, n, dim, k, duplicate)
+        _assert_batch_matches_single_solves(
+            problems, AdmmParams(epsilon=eps, max_iter=max_iter))
+
+    check()

@@ -307,6 +307,20 @@ def test_cli_exit_code_2_on_bad_parameters(cli_data, capsys):
     assert code == 2
 
 
+def test_cli_knn_too_large_names_the_flag(tmp_path, capsys):
+    prefix = str(tmp_path / "six")
+    assert cli.main([
+        "synth", "--out", prefix, "--classes", "2", "--per-class-train", "3",
+        "--per-class-test", "2", "--dim", "5", "--seed", "1",
+    ]) == 0
+    capsys.readouterr()
+    code = cli.main(["train", "--train", f"{prefix}_train.csv",
+                     "--out", str(tmp_path / "never.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--knn" in err and "hypergraph vertices (6), got 10" in err
+
+
 def test_cli_exit_code_2_on_unknown_choice(cli_data):
     _, train_csv, _ = cli_data
     with pytest.raises(SystemExit) as err:

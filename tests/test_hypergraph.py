@@ -1,9 +1,11 @@
 """Hypergraph construction, degrees, and normalized Laplacian."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from hgdl.attention import AdmmParams
+from hgdl.attention import AdmmParams, solve_attention
 from hgdl.errors import InputError, InternalError, ParameterError
 from hgdl.hypergraph import (
     LB,
@@ -159,6 +161,57 @@ def test_saf_identical_columns_uses_unit_bandwidth():
     with_attention = build_saf_hypergraph(X, 2, PARAMS)
     assert np.all(np.isfinite(with_attention.incidence))
     assert np.all(with_attention.incidence >= 0.0)
+
+
+def _per_center_incidence(X, k, params):
+    """The SAF incidence one center at a time, from single solves."""
+    n = X.shape[1]
+    nbrs = knn_neighbors(X, k)
+    H = np.eye(n)
+    for c in range(n):
+        idx = nbrs[c]
+        dist = np.linalg.norm(X[:, idx] - X[:, [c]], axis=0)
+        sigma = float(np.mean(dist)) or 1.0
+        sol = solve_attention(X[:, c], X[:, idx], params)
+        H[idx, c] = np.exp(-((dist / sigma) ** 2)) * np.maximum(sol.q, 0.0)
+    return H
+
+
+def test_saf_batch_matches_per_center_solves():
+    rng = np.random.default_rng(78)
+    X = rng.normal(size=(9, 16))
+    X[:, 1:4] = X[:, [0]]  # center 0's three neighbors coincide with it
+    X[:, 5] = X[:, 6]  # a duplicate pair
+    for params in (PARAMS, AdmmParams(epsilon=0.05, max_iter=2)):
+        want = _per_center_incidence(X, 3, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = build_saf_hypergraph(X, 3, params).incidence
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_saf_warns_once_with_the_capped_count():
+    rng = np.random.default_rng(79)
+    X = rng.normal(size=(6, 12))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_saf_hypergraph(X, 4, AdmmParams(epsilon=0.05, max_iter=2))
+    messages = [str(w.message) for w in caught]
+    assert messages == [
+        "12 of 12 attention solves hit max_iter (2); "
+        "they keep their last iterate"
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_saf_hypergraph(X, 4, PARAMS, use_attention=False)
+
+
+def test_saf_rejects_k_nn_not_below_vertex_count():
+    X = np.random.default_rng(80).normal(size=(4, 6))
+    for k in (6, 10):
+        with pytest.raises(ParameterError,
+                           match=rf"--knn.*vertices \(6\), got {k}"):
+            build_saf_hypergraph(X, k, PARAMS)
 
 
 # ---------------------------------------------------------------- label modal
@@ -339,6 +392,17 @@ def test_laplacian_rejects_bad_degrees():
 
 
 # ---------------------------------------------------------------- composition
+
+
+def test_build_laplacian_independent_of_memory_layout():
+    rng = np.random.default_rng(81)
+    X = rng.normal(size=(11, 30))
+    labels = np.repeat([0, 1, 2, UNLABELED, UNLABELED], 6)
+    config = HypergraphConfig(admm=PARAMS, k_nn=4)
+    want = build_laplacian(X, labels, config)
+    for variant in (np.asfortranarray(X), np.repeat(X, 2, axis=1)[:, ::2]):
+        got = build_laplacian(variant, labels, config)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_build_laplacian_matches_manual_composition():
