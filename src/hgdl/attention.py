@@ -32,8 +32,9 @@ class AdmmParams:
     """Knobs for the attention solver.
 
     epsilon is the l1 weight, rho the augmented-Lagrangian penalty and
-    theta the dual step size (defaults to rho). Iteration stops once the
-    split residual max|z - q| drops to tol, or after max_iter rounds.
+    theta the dual step size (defaults to rho). Iteration stops once both
+    the split residual max|z - q| and the dual residual max|q - q_prev|
+    are within tol, or after max_iter rounds.
     """
 
     epsilon: float
@@ -44,7 +45,7 @@ class AdmmParams:
 
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ParameterError("epsilon must be a positive real")
+            raise ParameterError("epsilon (--epsilon) must be a positive real")
         if not (np.isfinite(self.rho) and self.rho > 0):
             raise ParameterError("rho must be a positive real")
         if self.theta is None:

@@ -7,11 +7,10 @@ Exit codes: 0 success, 2 bad arguments, 3 malformed input data,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import sys
 
-import numpy as np
-
-from .attention import AdmmParams
 from .data import (
     DatasetBundle,
     load_features,
@@ -20,7 +19,7 @@ from .data import (
     save_csv,
     save_labels,
 )
-from .dictlearn import INDUCTIVE, TRANSDUCTIVE
+from .dictlearn import INDUCTIVE, TRANSDUCTIVE, corpus
 from .errors import (
     InputError,
     InternalError,
@@ -32,49 +31,38 @@ from .harness import (
     ExperimentConfig,
     ablation_suite,
     mask_sweep,
+    masked_features,
     run,
     write_json,
 )
-from .hypergraph import HypergraphConfig, build_laplacian
+from .hypergraph import build_laplacian
 
 
 def _add_common(parser):
-    parser.add_argument("--epsilon", type=float, default=2.0 ** -6,
-                        help="attention l1 weight")
-    parser.add_argument("--alpha", type=float, default=2.0 ** -6,
-                        help="code l1 weight")
-    parser.add_argument("--beta", type=float, default=2.0 ** 3,
-                        help="manifold regularizer weight")
-    parser.add_argument("--gamma", type=float, default=None,
-                        help="test-coding l1 weight (defaults to alpha)")
-    parser.add_argument("--knn", type=int, default=10,
-                        help="neighborhood size per hyperedge")
-    parser.add_argument("--dict-size", type=int, default=200,
-                        help="number of dictionary atoms (capped at the corpus size)")
-    parser.add_argument("--mode", choices=[INDUCTIVE, TRANSDUCTIVE],
-                        default=INDUCTIVE)
-    parser.add_argument("--ablation", choices=list(ABLATIONS), default="full")
-    parser.add_argument("--mask-fraction", type=float, default=0.0)
-    parser.add_argument("--seed", type=int, default=0)
+    """Run flags: each dest is an ExperimentConfig field, and a flag left
+    out is absent from args, so the field's default applies."""
+    flag = functools.partial(parser.add_argument, default=argparse.SUPPRESS)
+    flag("--epsilon", type=float, help="attention l1 weight")
+    flag("--alpha", type=float, help="code l1 weight")
+    flag("--beta", type=float, help="manifold regularizer weight")
+    flag("--gamma", type=float,
+         help="test-coding l1 weight (defaults to alpha)")
+    flag("--knn", dest="k_nn", type=int,
+         help="neighborhood size per hyperedge")
+    flag("--dict-size", dest="dict_size", type=int,
+         help="number of dictionary atoms (capped at the corpus size)")
+    flag("--mode", choices=[INDUCTIVE, TRANSDUCTIVE])
+    flag("--ablation", choices=list(ABLATIONS))
+    flag("--mask-fraction", type=float)
+    flag("--seed", type=int)
     parser.add_argument("--format", choices=["csv", "binmat"], default="csv",
                         help="on-disk format of feature files")
 
 
-def _config(args, **overrides) -> ExperimentConfig:
-    values = dict(
-        epsilon=args.epsilon,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        k_nn=args.knn,
-        dict_size=args.dict_size,
-        mode=args.mode,
-        ablation=args.ablation,
-        mask_fraction=args.mask_fraction,
-        seed=args.seed,
-    )
-    values.update(overrides)
-    return ExperimentConfig(**values)
+def _config(args) -> ExperimentConfig:
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    return ExperimentConfig(
+        **{k: v for k, v in vars(args).items() if k in fields})
 
 
 def _load_bundle(args, need_test) -> DatasetBundle:
@@ -82,32 +70,37 @@ def _load_bundle(args, need_test) -> DatasetBundle:
     if y_train is None:
         raise InputError(f"{args.train}: training labels required")
     X_test = y_test = None
-    if getattr(args, "test", None):
+    if args.test:
         X_test, y_test = load_features(args.test, args.format)
+        if y_test is None:
+            raise InputError(f"{args.test}: test labels required to score")
     elif need_test:
         raise ParameterError("this subcommand requires --test")
     return DatasetBundle(X_train, y_train, X_test, y_test)
 
 
 def cmd_train(args):
+    config = _config(args)
     bundle = _load_bundle(args, need_test=False)
-    report = run(_config(args), bundle, out_path=args.out)
+    report = run(config, bundle, out_path=args.out)
     where = "test" if bundle.test_features is not None else "train"
     print(f"{where} accuracy {report.accuracy:.4f} -> {args.out}")
     return 0
 
 
 def cmd_eval(args):
+    config = _config(args)
     bundle = _load_bundle(args, need_test=True)
-    report = run(_config(args), bundle, out_path=args.out)
+    report = run(config, bundle, out_path=args.out)
     print(f"test accuracy {report.accuracy:.4f} -> {args.out}")
     return 0
 
 
 def cmd_ablate(args):
+    config = _config(args)
     bundle = _load_bundle(args, need_test=False)
-    seeds = range(args.seed, args.seed + args.seeds)
-    result = ablation_suite(_config(args), bundle, seeds)
+    seeds = range(config.seed, config.seed + args.seeds)
+    result = ablation_suite(config, bundle, seeds)
     write_json(result, args.out)
     means = result["mean_accuracy"]
     print(
@@ -119,13 +112,14 @@ def cmd_ablate(args):
 
 
 def cmd_mask_sweep(args):
+    config = _config(args)
     bundle = _load_bundle(args, need_test=False)
     try:
         fractions = [float(tok) for tok in args.fractions.split(",") if tok]
     except ValueError:
         raise ParameterError(f"bad --fractions value {args.fractions!r}")
-    seeds = range(args.seed, args.seed + args.seeds)
-    result = mask_sweep(_config(args), bundle, fractions, seeds)
+    seeds = range(config.seed, config.seed + args.seeds)
+    result = mask_sweep(config, bundle, fractions, seeds)
     write_json(result, args.out)
     gaps = " ".join(f"{g:+.4f}" for g in result["gap"])
     print(f"accuracy gap per fraction: {gaps} -> {args.out}")
@@ -157,25 +151,15 @@ def cmd_synth(args):
 
 
 def cmd_export_laplacian(args):
-    X, labels = load_features(args.train, args.format)
-    if getattr(args, "test", None) and args.mode == TRANSDUCTIVE:
-        X_extra, _ = load_features(args.test, args.format)
-        if X_extra.shape[0] != X.shape[0]:
-            raise InputError("test feature dimension differs from train")
-        from .hypergraph import UNLABELED
-
-        pad = np.full(X_extra.shape[1], UNLABELED)
-        labels = (
-            np.concatenate([labels, pad]) if labels is not None else None
-        )
-        X = np.hstack([X, X_extra])
-    config = HypergraphConfig(
-        admm=AdmmParams(epsilon=args.epsilon),
-        k_nn=args.knn,
-        use_attention=args.ablation != "saf-off",
-        use_labels=args.ablation != "lb-off",
-    )
-    delta = build_laplacian(X, labels, config)
+    """Write the Laplacian that train regularizes with for the same flags:
+    run's masking of run's corpus. An unlabeled training file gives a
+    graph without the label modal."""
+    config = _config(args)
+    X_train, y_train = load_features(args.train, args.format)
+    X_test = load_features(args.test, args.format)[0] if args.test else None
+    X_train, X_test = masked_features(config, X_train, X_test)
+    X, labels = corpus(X_train, y_train, X_test, config.mode)
+    delta = build_laplacian(X, labels, config.hypergraph_config())
     save_binmat(args.out, delta)
     print(f"wrote {args.out} ({delta.shape[0]}x{delta.shape[1]})")
     return 0

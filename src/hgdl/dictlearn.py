@@ -56,15 +56,15 @@ class DictLearnParams:
 
     def __post_init__(self):
         if self.n_atoms < 1:
-            raise ParameterError("n_atoms must be at least 1")
+            raise ParameterError("n_atoms (--dict-size) must be at least 1")
         if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ParameterError("alpha must be a positive real")
+            raise ParameterError("alpha (--alpha) must be a positive real")
         if not (np.isfinite(self.beta) and self.beta >= 0):
-            raise ParameterError("beta must be a nonnegative real")
+            raise ParameterError("beta (--beta) must be a nonnegative real")
         if self.gamma is None:
             self.gamma = self.alpha
         elif not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ParameterError("gamma must be a positive real")
+            raise ParameterError("gamma (--gamma) must be a positive real")
         if self.max_outer_iter < 1:
             raise ParameterError("max_outer_iter must be at least 1")
         if not (np.isfinite(self.obj_tol) and self.obj_tol >= 0):
@@ -376,6 +376,23 @@ def predict(classifier: Classifier, codes):
     return np.argmax(scores, axis=0)
 
 
+def corpus(X_train, train_labels, X_test, mode):
+    """The columns the hypergraph and dictionary are built on, and their
+    labels: the training columns, then in transductive mode the test
+    columns as UNLABELED vertices. None train_labels stay None."""
+    if X_test is not None and X_test.shape[0] != X_train.shape[0]:
+        raise InputError("test feature dimension differs from train")
+    if mode != TRANSDUCTIVE:
+        return X_train, train_labels
+    if X_test is None:
+        raise ParameterError("transductive mode needs test features")
+    if train_labels is not None:
+        train_labels = np.concatenate(
+            [train_labels, np.full(X_test.shape[1], UNLABELED)]
+        )
+    return np.hstack([X_train, X_test]), train_labels
+
+
 def train_pipeline(X_train, train_labels, X_test=None, *,
                    hypergraph_config: HypergraphConfig,
                    params: DictLearnParams,
@@ -399,25 +416,14 @@ def train_pipeline(X_train, train_labels, X_test=None, *,
         X_test = np.asarray(X_test, dtype=float)
         if X_test.ndim != 2 or X_test.shape[0] != X_train.shape[0]:
             raise ParameterError("test features must match training dimension")
-    if mode == TRANSDUCTIVE and X_test is None:
-        raise ParameterError("transductive mode needs test features")
 
     n_train = X_train.shape[1]
-    if mode == TRANSDUCTIVE:
-        corpus = np.hstack([X_train, X_test])
-        corpus_labels = np.concatenate(
-            [train_labels, np.full(X_test.shape[1], UNLABELED)]
-        )
-    else:
-        corpus = X_train
-        corpus_labels = train_labels
-
+    X, labels = corpus(X_train, train_labels, X_test, mode)
     if params.beta == 0.0:
         delta = None
     else:
-        delta = build_laplacian(corpus, corpus_labels, hypergraph_config)
-
-    D, S, trace = train(corpus, delta, params)
+        delta = build_laplacian(X, labels, hypergraph_config)
+    D, S, trace = train(X, delta, params)
 
     if mode == TRANSDUCTIVE:
         train_codes = S[:, :n_train]

@@ -24,6 +24,7 @@ from .dictlearn import (
     INDUCTIVE,
     TRANSDUCTIVE,
     DictLearnParams,
+    corpus,
     predict,
     train_pipeline,
 )
@@ -42,7 +43,8 @@ SEED_OFFSET_MASK_TEST = 3
 
 @dataclass
 class ExperimentConfig:
-    """All knobs of one run. gamma defaults to alpha."""
+    """All knobs of one run, their defaults, and their mapping onto the
+    hypergraph and dictionary-learning configs. gamma defaults to alpha."""
 
     epsilon: float = 2.0 ** -6
     alpha: float = 2.0 ** -6
@@ -63,11 +65,29 @@ class ExperimentConfig:
         if self.ablation not in ABLATIONS:
             raise ParameterError(f"unknown ablation {self.ablation!r}")
         if not (0.0 <= self.mask_fraction < 1.0):
-            raise ParameterError("mask fraction must lie in [0, 1)")
-        if self.dict_size < 1:
-            raise ParameterError("dict_size must be at least 1")
-        if self.k_nn < 1:
-            raise ParameterError("k_nn must be at least 1")
+            raise ParameterError(
+                "mask_fraction (--mask-fraction) must lie in [0, 1)")
+        # the component configs check every other field, naming its flag
+        self.hypergraph_config()
+        self.dictlearn_params(self.dict_size)
+
+    def hypergraph_config(self) -> HypergraphConfig:
+        return HypergraphConfig(
+            admm=AdmmParams(epsilon=self.epsilon),
+            k_nn=self.k_nn,
+            use_attention=self.ablation != SAF_OFF,
+            use_labels=self.ablation != LB_OFF,
+        )
+
+    def dictlearn_params(self, n_columns) -> DictLearnParams:
+        """Atoms capped at the n_columns the dictionary is trained on."""
+        return DictLearnParams(
+            n_atoms=min(self.dict_size, n_columns),
+            alpha=self.alpha,
+            beta=self.beta,
+            gamma=self.gamma,
+            seed=self.seed + SEED_OFFSET_DICT_INIT,
+        )
 
 
 @dataclass
@@ -129,40 +149,16 @@ def run(config: ExperimentConfig, bundle: DatasetBundle,
     bundle without test features is scored on its training samples.
     """
     started = time.perf_counter()
-    X_train = bundle.train_features
     y_train = bundle.train_labels
-    X_test = bundle.test_features
-    if config.mask_fraction > 0.0:
-        X_train = apply_mask(
-            X_train, config.mask_fraction, config.seed + SEED_OFFSET_MASK_TRAIN
-        )
-        if X_test is not None:
-            X_test = apply_mask(
-                X_test, config.mask_fraction, config.seed + SEED_OFFSET_MASK_TEST
-            )
-
-    corpus_cols = X_train.shape[1]
-    if config.mode == TRANSDUCTIVE and X_test is not None:
-        corpus_cols += X_test.shape[1]
-    hg_config = HypergraphConfig(
-        admm=AdmmParams(epsilon=config.epsilon),
-        k_nn=config.k_nn,
-        use_attention=config.ablation != SAF_OFF,
-        use_labels=config.ablation != LB_OFF,
-    )
-    params = DictLearnParams(
-        n_atoms=min(config.dict_size, corpus_cols),
-        alpha=config.alpha,
-        beta=config.beta,
-        gamma=config.gamma,
-        seed=config.seed + SEED_OFFSET_DICT_INIT,
-    )
+    X_train, X_test = masked_features(config, bundle.train_features,
+                                      bundle.test_features)
+    n_columns = corpus(X_train, y_train, X_test, config.mode)[0].shape[1]
     model = train_pipeline(
         X_train,
         y_train,
         X_test,
-        hypergraph_config=hg_config,
-        params=params,
+        hypergraph_config=config.hypergraph_config(),
+        params=config.dictlearn_params(n_columns),
         mode=config.mode,
     )
     if X_test is not None:
@@ -184,6 +180,17 @@ def run(config: ExperimentConfig, bundle: DatasetBundle,
     if out_path is not None:
         write_json(report.to_dict(), out_path)
     return report
+
+
+def masked_features(config: ExperimentConfig, X_train, X_test):
+    """Train and test features after the run's masking, if any."""
+    fraction, seed = config.mask_fraction, config.seed
+    if fraction == 0.0:
+        return X_train, X_test
+    X_train = apply_mask(X_train, fraction, seed + SEED_OFFSET_MASK_TRAIN)
+    if X_test is not None:
+        X_test = apply_mask(X_test, fraction, seed + SEED_OFFSET_MASK_TEST)
+    return X_train, X_test
 
 
 def write_json(payload, path):

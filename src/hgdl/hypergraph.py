@@ -97,7 +97,7 @@ class HypergraphConfig:
 
     def __post_init__(self):
         if self.k_nn < 1:
-            raise ParameterError("k_nn must be at least 1")
+            raise ParameterError("k_nn (--knn) must be at least 1")
 
 
 def knn_neighbors(X, k):
@@ -114,7 +114,10 @@ def knn_neighbors(X, k):
         raise InputError("feature matrix contains non-finite entries")
     n = X.shape[1]
     if not 1 <= k < n:
-        raise ParameterError(f"k must satisfy 1 <= k < {n}, got {k}")
+        raise ParameterError(
+            f"k_nn (--knn) must be at least 1 and below the number of "
+            f"hypergraph vertices ({n}), got {k}"
+        )
     dist = cdist(X.T, X.T)
     np.fill_diagonal(dist, np.inf)
     # stable sort keeps ascending index order among exact distance ties
@@ -157,11 +160,6 @@ def build_saf_hypergraph(X, k, attention_params: AdmmParams,
     warning per call counts them.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim == 2 and not 1 <= k < X.shape[1]:
-        raise ParameterError(
-            f"k_nn (--knn) must be at least 1 and below the number of "
-            f"hypergraph vertices ({X.shape[1]}), got {k}"
-        )
     neighbors = knn_neighbors(X, k)
     n = X.shape[1]
     # one C-ordered copy, so that results do not depend on X's layout

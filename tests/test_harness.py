@@ -6,11 +6,22 @@ import json
 import numpy as np
 import pytest
 
-from hgdl import cli
-from hgdl.data import DatasetBundle, load_binmat, make_synthetic
+from hgdl import cli, dictlearn
+from hgdl.attention import AdmmParams
+from hgdl.data import (
+    DatasetBundle,
+    apply_mask,
+    load_binmat,
+    load_csv,
+    make_synthetic,
+    save_csv,
+)
 from hgdl.errors import NumericalError, ParameterError
 from hgdl.harness import (
     ABLATIONS,
+    SEED_OFFSET_DICT_INIT,
+    SEED_OFFSET_MASK_TEST,
+    SEED_OFFSET_MASK_TRAIN,
     ExperimentConfig,
     RunReport,
     ablation_suite,
@@ -18,7 +29,7 @@ from hgdl.harness import (
     run,
     score_predictions,
 )
-from hgdl.hypergraph import UNLABELED
+from hgdl.hypergraph import UNLABELED, HypergraphConfig, build_laplacian
 
 
 def small_bundle(seed=100, sigma=0.2):
@@ -81,6 +92,39 @@ def test_config_defaults_and_validation():
     ):
         with pytest.raises(ParameterError):
             ExperimentConfig(**kwargs)
+
+
+def test_config_maps_onto_components():
+    config = ExperimentConfig(epsilon=0.25, k_nn=4, alpha=0.5, beta=3.0,
+                              dict_size=30, seed=7)
+    hg = config.hypergraph_config()
+    assert (hg.admm.epsilon, hg.k_nn) == (0.25, 4)
+    assert (hg.use_attention, hg.use_labels) == (True, True)
+    params = config.dictlearn_params(12)
+    assert params.n_atoms == 12  # capped at the corpus columns
+    assert config.dictlearn_params(100).n_atoms == 30
+    assert (params.alpha, params.beta, params.gamma) == (0.5, 3.0, 0.5)
+    assert params.seed == 7 + SEED_OFFSET_DICT_INIT
+    switches = {}
+    for name in ABLATIONS:
+        hg = ExperimentConfig(ablation=name).hypergraph_config()
+        switches[name] = (hg.use_attention, hg.use_labels)
+    assert switches == {"full": (True, True), "saf-off": (False, True),
+                        "lb-off": (True, False)}
+
+
+@pytest.mark.parametrize("field, value, flag", [
+    ("epsilon", 0.0, "--epsilon"),
+    ("alpha", -1.0, "--alpha"),
+    ("beta", -1.0, "--beta"),
+    ("gamma", float("nan"), "--gamma"),
+    ("k_nn", 0, "--knn"),
+    ("dict_size", 0, "--dict-size"),
+    ("mask_fraction", 1.0, "--mask-fraction"),
+])
+def test_config_rejects_bad_values_naming_the_flag(field, value, flag):
+    with pytest.raises(ParameterError, match=flag):
+        ExperimentConfig(**{field: value})
 
 
 # ---------------------------------------------------------------- run/report
@@ -362,3 +406,148 @@ def test_cli_exit_code_4_on_numerical_failure(cli_data, monkeypatch, capsys):
                      "--out", str(root / "never.json")])
     assert code == 4
     assert "manufactured instability" in capsys.readouterr().err
+
+
+RUN_SUBCOMMANDS = ("train", "eval", "ablate", "mask-sweep",
+                   "export-laplacian")
+
+
+def parse(subcommand, *flags):
+    argv = [subcommand, "--train", "t.csv", "--test", "s.csv",
+            "--out", "o"] + list(flags)
+    return cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("subcommand", RUN_SUBCOMMANDS)
+def test_cli_flags_left_out_keep_config_defaults(subcommand):
+    assert cli._config(parse(subcommand)) == ExperimentConfig()
+
+
+@pytest.mark.parametrize("subcommand", RUN_SUBCOMMANDS)
+def test_cli_every_config_field_has_a_flag(subcommand):
+    given = {
+        "epsilon": ("--epsilon", "0.5", 0.5),
+        "alpha": ("--alpha", "0.25", 0.25),
+        "beta": ("--beta", "1.5", 1.5),
+        "gamma": ("--gamma", "0.125", 0.125),
+        "k_nn": ("--knn", "4", 4),
+        "dict_size": ("--dict-size", "9", 9),
+        "mode": ("--mode", "transductive", "transductive"),
+        "ablation": ("--ablation", "lb-off", "lb-off"),
+        "mask_fraction": ("--mask-fraction", "0.3", 0.3),
+        "seed": ("--seed", "11", 11),
+    }
+    assert set(given) == {f.name for f in
+                          dataclasses.fields(ExperimentConfig)}
+    argv = [tok for flag, text, _ in given.values() for tok in (flag, text)]
+    config = cli._config(parse(subcommand, *argv))
+    defaults = ExperimentConfig()
+    for name, (_, _, value) in given.items():
+        assert getattr(config, name) == value != getattr(defaults, name)
+
+
+def bits(matrix):
+    return matrix.shape, np.ascontiguousarray(matrix).tobytes()
+
+
+def test_cli_export_laplacian_is_the_one_train_uses(cli_data, monkeypatch):
+    """export-laplacian F writes the Laplacian that train F regularizes
+    with: run's masking with its per-stage seeds, on its corpus."""
+    root, train_csv, test_csv = cli_data
+    flags = COMMON + ["--mode", "transductive", "--mask-fraction", "0.25",
+                      "--seed", "3"]
+    inputs = ["--train", train_csv, "--test", test_csv]
+    out = str(root / "masked.binmat")
+    assert cli.main(["export-laplacian", "--out", out] + inputs + flags) == 0
+    written = load_binmat(out)
+
+    X_train, y_train = load_csv(train_csv)
+    X_test, _ = load_csv(test_csv)
+    X = np.hstack([
+        apply_mask(X_train, 0.25, 3 + SEED_OFFSET_MASK_TRAIN),
+        apply_mask(X_test, 0.25, 3 + SEED_OFFSET_MASK_TEST),
+    ])
+    labels = np.concatenate([y_train, np.full(X_test.shape[1], UNLABELED)])
+    config = HypergraphConfig(
+        admm=AdmmParams(epsilon=ExperimentConfig().epsilon), k_nn=3)
+    assert bits(written) == bits(build_laplacian(X, labels, config))
+
+    used = []
+
+    def recording(*args, **kwargs):
+        used.append(build_laplacian(*args, **kwargs))
+        return used[-1]
+
+    monkeypatch.setattr(dictlearn, "build_laplacian", recording)
+    report = str(root / "masked.json")
+    assert cli.main(["train", "--out", report] + inputs + flags) == 0
+    assert len(used) == 1 and bits(used[0]) == bits(written)
+
+    unmasked = str(root / "unmasked.binmat")
+    assert cli.main(["export-laplacian", "--out", unmasked] + inputs
+                    + COMMON + ["--mode", "transductive"]) == 0
+    assert bits(load_binmat(unmasked)) != bits(written)
+
+
+def test_cli_export_laplacian_without_labels(cli_data, tmp_path):
+    _, train_csv, test_csv = cli_data
+    X_train, _ = load_csv(train_csv)
+    X_test, _ = load_csv(test_csv)
+    bare_train = str(tmp_path / "bare_train.csv")
+    bare_test = str(tmp_path / "bare_test.csv")
+    save_csv(bare_train, X_train)
+    save_csv(bare_test, X_test)
+    config = HypergraphConfig(
+        admm=AdmmParams(epsilon=ExperimentConfig().epsilon), k_nn=3)
+    for mode, X in (("inductive", X_train),
+                    ("transductive", np.hstack([X_train, X_test]))):
+        out = str(tmp_path / f"{mode}.binmat")
+        assert cli.main([
+            "export-laplacian", "--train", bare_train, "--test", bare_test,
+            "--mode", mode, "--out", out] + COMMON) == 0
+        assert bits(load_binmat(out)) == bits(build_laplacian(X, None, config))
+
+
+@pytest.mark.parametrize("flag, value", [("--dict-size", "0"),
+                                         ("--alpha", "-1"),
+                                         ("--epsilon", "0")])
+def test_cli_export_laplacian_validates_before_reading(tmp_path, capsys,
+                                                       flag, value):
+    out = tmp_path / "never.binmat"
+    code = cli.main(["export-laplacian", "--train",
+                     str(tmp_path / "missing.csv"), "--out", str(out),
+                     flag, value])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["inductive", "transductive"])
+def test_cli_export_laplacian_rejects_mismatched_test_dimension(
+        cli_data, tmp_path, mode):
+    _, train_csv, test_csv = cli_data
+    X_test, y_test = load_csv(test_csv)
+    narrow = str(tmp_path / "narrow_test.csv")
+    save_csv(narrow, X_test[:-1], y_test)
+    for subcommand in ("train", "export-laplacian"):
+        assert cli.main([
+            subcommand, "--train", train_csv, "--test", narrow, "--mode",
+            mode, "--out", str(tmp_path / "never")] + COMMON) == 3
+
+
+def test_cli_unlabeled_test_file_rejected_before_training(
+        cli_data, tmp_path, monkeypatch, capsys):
+    root, train_csv, test_csv = cli_data
+    X_test, _ = load_csv(test_csv)
+    bare_test = str(tmp_path / "bare_test.csv")
+    save_csv(bare_test, X_test)
+
+    def never(*args, **kwargs):
+        raise AssertionError("trained on an unscorable test file")
+
+    monkeypatch.setattr(cli, "run", never)
+    code = cli.main(["eval", "--train", train_csv, "--test", bare_test,
+                     "--out", str(root / "never.json")] + COMMON)
+    assert code == 3
+    assert f"{bare_test}: test labels required to score" in (
+        capsys.readouterr().err)
