@@ -35,7 +35,7 @@ from .harness import (
     run,
     write_json,
 )
-from .hypergraph import build_laplacian
+from .hypergraph import UNLABELED, build_laplacian
 
 
 def _add_common(parser):
@@ -65,15 +65,23 @@ def _config(args) -> ExperimentConfig:
         **{k: v for k, v in vars(args).items() if k in fields})
 
 
+def _load_labeled(path, fmt, missing):
+    """Features and labels of a file with some label other than UNLABELED."""
+    X, y = load_features(path, fmt)
+    if y is None:
+        raise InputError(f"{path}: {missing}")
+    if (y == UNLABELED).all():
+        raise InputError(f"{path}: every label is {UNLABELED}; {missing}")
+    return X, y
+
+
 def _load_bundle(args, need_test) -> DatasetBundle:
-    X_train, y_train = load_features(args.train, args.format)
-    if y_train is None:
-        raise InputError(f"{args.train}: training labels required")
+    X_train, y_train = _load_labeled(args.train, args.format,
+                                     "training labels required")
     X_test = y_test = None
     if args.test:
-        X_test, y_test = load_features(args.test, args.format)
-        if y_test is None:
-            raise InputError(f"{args.test}: test labels required to score")
+        X_test, y_test = _load_labeled(args.test, args.format,
+                                       "test labels required to score")
     elif need_test:
         raise ParameterError("this subcommand requires --test")
     return DatasetBundle(X_train, y_train, X_test, y_test)

@@ -25,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 from .attention import AdmmParams, solve_attention_batch
@@ -39,28 +40,32 @@ UNLABELED = -1
 class Hypergraph:
     """Incidence matrix (vertices x edges) with per-edge weights and tags.
 
-    Entries are nonnegative and finite; weights are positive; tags mark
-    which modal each edge belongs to. Treat all arrays as read-only.
+    The incidence, given dense or sparse, is kept as a canonical
+    scipy.sparse.csc_array, so the matvecs in degrees() add in ascending
+    index order. Stored entries are nonnegative and finite; weights are
+    positive; tags mark which modal each edge belongs to. Treat all
+    arrays as read-only.
     """
 
-    incidence: np.ndarray
+    incidence: sp.csc_array
     edge_weights: np.ndarray
     modal_tags: np.ndarray
 
     def __post_init__(self):
-        H = np.asarray(self.incidence, dtype=float)
+        if np.ndim(self.incidence) != 2:
+            raise ParameterError("incidence must be 2-d")
+        H = sp.csc_array(self.incidence, dtype=float, copy=True)
+        H.sum_duplicates()  # in place, on the copy
         w = np.asarray(self.edge_weights, dtype=float)
         tags = np.asarray(self.modal_tags)
         object.__setattr__(self, "incidence", H)
         object.__setattr__(self, "edge_weights", w)
         object.__setattr__(self, "modal_tags", tags)
-        if H.ndim != 2:
-            raise ParameterError("incidence must be 2-d")
         if H.shape[0] < 1:
             raise ParameterError("hypergraph needs at least one vertex")
         if w.shape != (H.shape[1],) or tags.shape != (H.shape[1],):
             raise ParameterError("one weight and one tag per hyperedge")
-        if not np.all(np.isfinite(H)) or np.any(H < 0):
+        if not np.all(np.isfinite(H.data)) or np.any(H.data < 0):
             raise InputError("incidence entries must be finite and >= 0")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise InputError("edge weights must be finite and positive")
@@ -182,9 +187,11 @@ def build_saf_hypergraph(X, k, attention_params: AdmmParams,
                 RuntimeWarning,
             )
         entries *= np.maximum(sol.q, 0.0)
-    H = np.zeros((n, n))
-    H[neighbors, np.arange(n)[:, None]] = entries
-    np.fill_diagonal(H, 1.0)
+    # column c holds center c's k neighbors and c itself: n (k + 1) entries
+    rows = np.column_stack([neighbors, np.arange(n)]).ravel()
+    cols = np.repeat(np.arange(n), k + 1)
+    data = np.column_stack([entries, np.ones(n)]).ravel()
+    H = sp.csc_array((data, (rows, cols)), shape=(n, n))
     return Hypergraph(H, np.ones(n), np.asarray([SAF] * n))
 
 
@@ -199,23 +206,16 @@ def build_lb_hypergraph(labels, n_classes=None) -> Hypergraph:
         raise ParameterError("labels must be a non-empty 1-d array")
     if not np.issubdtype(labels.dtype, np.integer):
         raise InputError("labels must be integers")
-    labeled = labels != UNLABELED
+    labeled = np.flatnonzero(labels != UNLABELED)
     if np.any(labels[labeled] < 0):
         raise InputError("negative labels other than the UNLABELED sentinel")
-    if n_classes is None:
-        n_classes = int(labels[labeled].max()) + 1 if labeled.any() else 0
-    elif labeled.any() and int(labels[labeled].max()) >= n_classes:
+    if n_classes is not None and np.any(labels[labeled] >= n_classes):
         raise InputError("label outside [0, n_classes)")
-    columns = []
-    for c in range(n_classes):
-        members = labels == c
-        if members.any():
-            columns.append(members.astype(float))
-    if columns:
-        H = np.column_stack(columns)
-    else:
-        H = np.zeros((labels.size, 0))
-    n_edges = H.shape[1]
+    # the present classes, ascending, numbered 0.. as edges
+    classes, edge = np.unique(labels[labeled], return_inverse=True)
+    n_edges = classes.size
+    H = sp.csc_array((np.ones(labeled.size), (labeled, edge)),
+                     shape=(labels.size, n_edges))
     return Hypergraph(H, np.ones(n_edges), np.asarray([LB] * n_edges))
 
 
@@ -227,7 +227,7 @@ def fuse(first: Hypergraph, second: Hypergraph) -> Hypergraph:
             f"vertex counts differ: {first.n_vertices} vs {second.n_vertices}"
         )
     return Hypergraph(
-        np.hstack([first.incidence, second.incidence]),
+        sp.hstack([first.incidence, second.incidence], format="csc"),
         np.concatenate([first.edge_weights, second.edge_weights]),
         np.concatenate([np.asarray(first.modal_tags), np.asarray(second.modal_tags)]),
     )
@@ -237,15 +237,13 @@ def degrees(hg: Hypergraph):
     """Degrees of a hypergraph; zero-degree edges are dropped with a warning.
 
     Returns (hypergraph, DegreePair) where the hypergraph is the input
-    unless edges were dropped. Sums accumulate in ascending index order
-    so repeated runs agree bit for bit. A zero vertex degree cannot arise
-    from the constructors in this module and raises InternalError.
+    unless edges were dropped. The degrees are the matvecs H^T 1 and H w,
+    which add each column and each row in ascending index order (where
+    .sum(axis=...) would add pairwise), so they agree bit for bit with
+    plain loops. A zero vertex degree cannot arise from the constructors
+    in this module and raises InternalError.
     """
-    H = hg.incidence
-    if hg.n_edges > 0:
-        edge_deg = np.cumsum(H, axis=0)[-1, :]
-    else:
-        edge_deg = np.zeros(0)
+    edge_deg = hg.incidence.T @ np.ones(hg.n_vertices)
     dead = edge_deg == 0.0
     if dead.any():
         warnings.warn(
@@ -253,15 +251,10 @@ def degrees(hg: Hypergraph):
             RuntimeWarning,
         )
         keep = ~dead
-        hg = Hypergraph(
-            H[:, keep], hg.edge_weights[keep], np.asarray(hg.modal_tags)[keep]
-        )
-        H = hg.incidence
+        hg = Hypergraph(hg.incidence[:, keep], hg.edge_weights[keep],
+                        np.asarray(hg.modal_tags)[keep])
         edge_deg = edge_deg[keep]
-    if hg.n_edges > 0:
-        vertex_deg = np.cumsum(H * hg.edge_weights, axis=1)[:, -1]
-    else:
-        vertex_deg = np.zeros(hg.n_vertices)
+    vertex_deg = hg.incidence @ hg.edge_weights
     if np.any(vertex_deg <= 0.0):
         bad = int(np.flatnonzero(vertex_deg <= 0.0)[0])
         raise InternalError(
@@ -273,11 +266,10 @@ def degrees(hg: Hypergraph):
 def laplacian(hg: Hypergraph, deg: DegreePair) -> np.ndarray:
     """Normalized hypergraph Laplacian I - Dv^{-1/2} H W De^{-1} H^T Dv^{-1/2}.
 
-    The adjacency part accumulates one outer product per hyperedge, in
-    ascending edge order and restricted to each edge's support. The
-    result is symmetrized as (L + L^T)/2.
+    One sparse product G diag(W/De) G^T with G = Dv^{-1/2} H, symmetrized
+    as (L + L^T)/2 and made dense once: a float64 ndarray with L == L^T
+    exactly.
     """
-    H = hg.incidence
     n = hg.n_vertices
     dv = np.asarray(deg.vertex_degrees, dtype=float)
     de = np.asarray(deg.edge_degrees, dtype=float)
@@ -285,15 +277,10 @@ def laplacian(hg: Hypergraph, deg: DegreePair) -> np.ndarray:
         raise ParameterError("degree shapes do not match the hypergraph")
     if np.any(dv <= 0) or np.any(de <= 0):
         raise InternalError("nonpositive degree reached laplacian()")
-    root = 1.0 / np.sqrt(dv)
-    theta = np.zeros((n, n))
-    for e in range(hg.n_edges):
-        col = H[:, e]
-        idx = np.flatnonzero(col)
-        g = col[idx] * root[idx]
-        theta[np.ix_(idx, idx)] += (hg.edge_weights[e] / de[e]) * np.outer(g, g)
-    lap = np.eye(n) - theta
-    return (lap + lap.T) / 2.0
+    G = sp.diags_array(1.0 / np.sqrt(dv)) @ hg.incidence
+    theta = G @ sp.diags_array(hg.edge_weights / de) @ G.T
+    lap = sp.diags_array(np.ones(n)) - theta
+    return ((lap + lap.T) / 2.0).toarray()
 
 
 def build_laplacian(X, labels, config: HypergraphConfig) -> np.ndarray:

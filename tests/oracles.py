@@ -2,9 +2,10 @@
 
 Everything here is deliberately written the slow, obvious way and shares
 no code with the library: cyclic coordinate descent for the lasso, the
-attention ADMM one problem at a time, brute-force neighbor search, pure-Python degree sums, a graph-Laplacian
-reference, the literal pairwise expansion of the manifold penalty and a
-golden-section scalar minimizer.
+attention ADMM one problem at a time, brute-force neighbor search,
+pure-Python degree sums, a graph-Laplacian reference, the dense
+hypergraph-Laplacian formula, the literal pairwise expansion of the
+manifold penalty and a golden-section scalar minimizer.
 """
 
 import numpy as np
@@ -116,6 +117,24 @@ def normalized_graph_laplacian(n, edges):
     deg = A.sum(axis=1)
     root = 1.0 / np.sqrt(deg)
     return np.eye(n) - root[:, None] * A * root[None, :]
+
+
+def hypergraph_laplacian(H, W):
+    """I - Dv^{-1/2} H W De^{-1} H^T Dv^{-1/2} from a dense incidence,
+    one outer product per edge. An edge with zero degree adds nothing.
+    Exactly symmetric, since every term is."""
+    H = np.asarray(H, dtype=float)
+    W = np.asarray(W, dtype=float)
+    n, m = H.shape
+    vertex_deg, edge_deg = python_degrees(H, W)
+    root = 1.0 / np.sqrt(vertex_deg)
+    theta = np.zeros((n, n))
+    for e in range(m):
+        if edge_deg[e] == 0.0:
+            continue
+        g = H[:, e] * root
+        theta += (W[e] / edge_deg[e]) * np.outer(g, g)
+    return np.eye(n) - theta
 
 
 def literal_manifold_penalty(H, W, S):

@@ -551,3 +551,26 @@ def test_cli_unlabeled_test_file_rejected_before_training(
     assert code == 3
     assert f"{bare_test}: test labels required to score" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("subcommand, which", [("train", "train"),
+                                               ("eval", "test")])
+def test_cli_label_free_file_rejected_before_training(
+        cli_data, tmp_path, monkeypatch, capsys, subcommand, which):
+    """A label column that holds only UNLABELED is no label at all."""
+    root, train_csv, test_csv = cli_data
+    paths = {"train": train_csv, "test": test_csv}
+    X, _ = load_csv(paths[which])
+    paths[which] = str(tmp_path / f"label_free_{which}.csv")
+    save_csv(paths[which], X, np.full(X.shape[1], UNLABELED))
+
+    def never(*args, **kwargs):
+        raise AssertionError("trained on a label-free file")
+
+    monkeypatch.setattr(cli, "run", never)
+    code = cli.main([subcommand, "--train", paths["train"], "--test",
+                     paths["test"], "--out", str(root / "never.json")]
+                    + COMMON)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{paths[which]}: every label is {UNLABELED}" in err

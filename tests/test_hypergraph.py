@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hgdl.attention import AdmmParams, solve_attention
 from hgdl.errors import InputError, InternalError, ParameterError
@@ -25,6 +26,7 @@ from hgdl.hypergraph import (
 from oracles import (
     brute_force_knn,
     cd_lasso,
+    hypergraph_laplacian,
     literal_manifold_penalty,
     normalized_graph_laplacian,
     python_degrees,
@@ -87,13 +89,13 @@ def test_saf_shape_and_center_entries():
     X = rng.normal(size=(6, 15))
     hg = build_saf_hypergraph(X, 4, PARAMS)
     assert hg.incidence.shape == (15, 15)
-    assert np.array_equal(np.diag(hg.incidence), np.ones(15))
+    assert np.array_equal(np.diag(hg.incidence.toarray()), np.ones(15))
     assert np.array_equal(hg.edge_weights, np.ones(15))
     assert all(t == SAF for t in hg.modal_tags)
     # each edge touches only the center and its knn
     nbrs = knn_neighbors(X, 4)
     for c in range(15):
-        support = set(np.flatnonzero(hg.incidence[:, c]).tolist())
+        support = set(np.flatnonzero(hg.incidence.toarray()[:, c]).tolist())
         assert support <= set(nbrs[c].tolist()) | {c}
 
 
@@ -125,7 +127,7 @@ def test_saf_attention_concentrates_on_duplicate():
     for j in range(2, 6):
         X[j, j] = 3.0
     hg = build_saf_hypergraph(X, 5, AdmmParams(epsilon=eps))
-    col = hg.incidence[:, 0]
+    col = hg.incidence.toarray()[:, 0]
     # orthogonal design: the lasso solution is (1 - eps) on the duplicate
     assert col[1] == pytest.approx(1.0 - eps, abs=1e-5)
     assert np.all(col[2:] <= 1e-6)
@@ -148,7 +150,7 @@ def test_saf_entries_match_cd_oracle():
         sigma = float(np.mean(dist))
         q = cd_lasso(X[:, c], X[:, idx], eps)
         want = np.exp(-((dist / sigma) ** 2)) * np.maximum(q, 0.0)
-        assert np.allclose(hg.incidence[idx, c], want, atol=1e-4)
+        assert np.allclose(hg.incidence.toarray()[idx, c], want, atol=1e-4)
 
 
 def test_saf_identical_columns_uses_unit_bandwidth():
@@ -156,11 +158,12 @@ def test_saf_identical_columns_uses_unit_bandwidth():
     X = np.ones((4, 5))
     hg = build_saf_hypergraph(X, 2, PARAMS, use_attention=False)
     for c in range(5):
-        support = np.flatnonzero(hg.incidence[:, c])
-        assert np.array_equal(hg.incidence[support, c], np.ones(len(support)))
+        support = np.flatnonzero(hg.incidence.toarray()[:, c])
+        assert np.array_equal(hg.incidence.toarray()[support, c],
+                              np.ones(len(support)))
     with_attention = build_saf_hypergraph(X, 2, PARAMS)
-    assert np.all(np.isfinite(with_attention.incidence))
-    assert np.all(with_attention.incidence >= 0.0)
+    assert np.all(np.isfinite(with_attention.incidence.toarray()))
+    assert np.all(with_attention.incidence.toarray() >= 0.0)
 
 
 def _per_center_incidence(X, k, params):
@@ -186,7 +189,7 @@ def test_saf_batch_matches_per_center_solves():
         want = _per_center_incidence(X, 3, params)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = build_saf_hypergraph(X, 3, params).incidence
+            got = build_saf_hypergraph(X, 3, params).incidence.toarray()
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -206,6 +209,21 @@ def test_saf_warns_once_with_the_capped_count():
         build_saf_hypergraph(X, 4, PARAMS, use_attention=False)
 
 
+def test_saf_incidence_is_csc_with_k_plus_one_entries_per_edge():
+    rng = np.random.default_rng(82)
+    X = rng.normal(size=(6, 20))
+    for use_attention in (True, False):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            hg = build_saf_hypergraph(X, 4, PARAMS, use_attention)
+        H = hg.incidence
+        assert isinstance(H, sp.csc_array)
+        # zero attention weights stay stored: the pattern is the knn one
+        assert H.nnz == 20 * 5
+        assert np.array_equal(np.diff(H.indptr), np.full(20, 5))
+        assert H.has_canonical_format
+
+
 def test_saf_rejects_k_nn_not_below_vertex_count():
     X = np.random.default_rng(80).normal(size=(4, 6))
     for k in (6, 10):
@@ -222,7 +240,7 @@ def test_lb_basic():
     hg = build_lb_hypergraph(labels)
     assert hg.incidence.shape == (5, 3)
     assert np.array_equal(
-        hg.incidence,
+        hg.incidence.toarray(),
         np.array(
             [
                 [1.0, 0.0, 0.0],
@@ -270,8 +288,8 @@ def test_fuse_concatenates_in_order():
     b = Hypergraph(np.ones((3, 2)), np.full(2, 2.0), np.asarray([LB] * 2))
     fused = fuse(a, b)
     assert fused.incidence.shape == (3, 5)
-    assert np.array_equal(fused.incidence[:, :3], np.eye(3))
-    assert np.array_equal(fused.incidence[:, 3:], np.ones((3, 2)))
+    assert np.array_equal(fused.incidence.toarray()[:, :3], np.eye(3))
+    assert np.array_equal(fused.incidence.toarray()[:, 3:], np.ones((3, 2)))
     assert fused.edge_weights.tolist() == [1.0, 1.0, 1.0, 2.0, 2.0]
     assert fused.modal_tags.tolist() == [SAF, SAF, SAF, LB, LB]
 
@@ -292,6 +310,56 @@ def test_hypergraph_validation():
         Hypergraph(np.eye(2), np.ones(3), np.asarray([SAF] * 3))
     with pytest.raises(ParameterError):
         Hypergraph(np.ones(3), np.ones(1), np.asarray([SAF]))
+
+
+def test_dense_and_csc_inputs_reduce_identically():
+    rng = np.random.default_rng(37)
+    for _ in range(5):
+        H, W = random_hypergraph(rng, 11, 6)
+        tags = np.asarray([SAF] * 6)
+        dense_hg, dense_deg = degrees(Hypergraph(H, W, tags))
+        sparse_hg, sparse_deg = degrees(Hypergraph(sp.csc_array(H), W, tags))
+        for a, b in ((dense_deg.vertex_degrees, sparse_deg.vertex_degrees),
+                     (dense_deg.edge_degrees, sparse_deg.edge_degrees),
+                     (laplacian(dense_hg, dense_deg),
+                      laplacian(sparse_hg, sparse_deg))):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_sparse_input_is_validated_and_canonicalized():
+    bad = sp.csc_array(np.eye(2))
+    bad.data[1] = -1.0
+    with pytest.raises(InputError):
+        Hypergraph(bad, np.ones(2), np.asarray([SAF] * 2))
+    bad.data[1] = np.inf
+    with pytest.raises(InputError):
+        Hypergraph(bad, np.ones(2), np.asarray([SAF] * 2))
+    # unsorted rows and a duplicate entry, as COO triplets would give
+    raw = sp.csc_array((np.array([0.25, 1.0, 0.5]), np.array([1, 0, 1]),
+                        np.array([0, 3])), shape=(2, 1))
+    hg = Hypergraph(raw, np.ones(1), np.asarray([SAF]))
+    assert hg.incidence.has_canonical_format
+    assert hg.incidence.toarray().tolist() == [[1.0], [0.75]]
+    assert raw.nnz == 3  # the input is left as it was
+
+
+def test_all_unlabeled_label_graph_fuses_and_reduces():
+    rng = np.random.default_rng(71)
+    X = rng.normal(size=(5, 12))
+    saf = build_saf_hypergraph(X, 3, PARAMS)
+    lb = build_lb_hypergraph(np.full(12, UNLABELED))
+    fused = fuse(saf, lb)
+    assert isinstance(fused.incidence, sp.csc_array)
+    assert fused.incidence.shape == (12, 12)
+    assert fused.modal_tags.tolist() == [SAF] * 12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hg, deg = degrees(fused)
+    assert np.array_equal(laplacian(hg, deg), laplacian(*degrees(saf)))
+    config = HypergraphConfig(admm=PARAMS, k_nn=3)
+    assert np.array_equal(
+        build_laplacian(X, np.full(12, UNLABELED), config),
+        build_laplacian(X, None, config))
 
 
 # ---------------------------------------------------------------- degrees
@@ -381,6 +449,40 @@ def test_trace_identity_matches_literal_double_sum():
         fast = float(np.sum((S @ lap) * S))
         slow = literal_manifold_penalty(H, W, S)
         assert fast == pytest.approx(slow, rel=1e-9)
+
+
+def test_laplacian_matches_dense_oracle():
+    rng = np.random.default_rng(59)
+    cases = [random_hypergraph(rng, n, m) for n, m in ((6, 3), (15, 8),
+                                                       (30, 12))]
+    H, W = random_hypergraph(rng, 10, 5)
+    cases.append((np.insert(H, 2, 0.0, axis=1), np.insert(W, 2, 1.5)))
+    for H, W in cases:
+        hg = Hypergraph(H, W, np.asarray([SAF] * H.shape[1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            lap = laplacian(*degrees(hg))
+        assert lap.dtype == np.float64 and isinstance(lap, np.ndarray)
+        np.testing.assert_allclose(lap, hypergraph_laplacian(H, W),
+                                   rtol=0, atol=1e-12)
+
+
+def test_build_laplacian_matches_dense_oracle():
+    """Fused SAF + label graph with UNLABELED vertices, the label columns
+    written out by hand."""
+    rng = np.random.default_rng(83)
+    X = rng.normal(size=(7, 24))
+    labels = np.tile([0, 2, UNLABELED, 1, UNLABELED, 2], 4)
+    config = HypergraphConfig(admm=PARAMS, k_nn=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = build_laplacian(X, labels, config)
+        saf = build_saf_hypergraph(X, 5, PARAMS).incidence.toarray()
+    label_columns = [(labels == c).astype(float) for c in (0, 1, 2)]
+    H = np.column_stack([saf] + label_columns)
+    want = hypergraph_laplacian(H, np.ones(H.shape[1]))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert np.array_equal(got, got.T)
 
 
 def test_laplacian_rejects_bad_degrees():
