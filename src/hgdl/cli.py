@@ -75,21 +75,19 @@ def _load_labeled(path, fmt, missing):
     return X, y
 
 
-def _load_bundle(args, need_test) -> DatasetBundle:
+def _load_bundle(args) -> DatasetBundle:
     X_train, y_train = _load_labeled(args.train, args.format,
                                      "training labels required")
     X_test = y_test = None
     if args.test:
         X_test, y_test = _load_labeled(args.test, args.format,
                                        "test labels required to score")
-    elif need_test:
-        raise ParameterError("this subcommand requires --test")
     return DatasetBundle(X_train, y_train, X_test, y_test)
 
 
 def cmd_train(args):
     config = _config(args)
-    bundle = _load_bundle(args, need_test=False)
+    bundle = _load_bundle(args)
     report = run(config, bundle, out_path=args.out)
     where = "test" if bundle.test_features is not None else "train"
     print(f"{where} accuracy {report.accuracy:.4f} -> {args.out}")
@@ -98,7 +96,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     config = _config(args)
-    bundle = _load_bundle(args, need_test=True)
+    bundle = _load_bundle(args)
     report = run(config, bundle, out_path=args.out)
     print(f"test accuracy {report.accuracy:.4f} -> {args.out}")
     return 0
@@ -106,7 +104,7 @@ def cmd_eval(args):
 
 def cmd_ablate(args):
     config = _config(args)
-    bundle = _load_bundle(args, need_test=False)
+    bundle = _load_bundle(args)
     seeds = range(config.seed, config.seed + args.seeds)
     result = ablation_suite(config, bundle, seeds)
     write_json(result, args.out)
@@ -121,7 +119,7 @@ def cmd_ablate(args):
 
 def cmd_mask_sweep(args):
     config = _config(args)
-    bundle = _load_bundle(args, need_test=False)
+    bundle = _load_bundle(args)
     try:
         fractions = [float(tok) for tok in args.fractions.split(",") if tok]
     except ValueError:

@@ -15,10 +15,12 @@ columns.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     InputError,
@@ -160,10 +162,19 @@ def update_codes(X, D, S, delta, alpha, beta):
     Entries are visited sample-major (column n outer, atom k inner) and
     each is set to the exact scalar minimizer of the objective: a soft
     threshold at alpha divided by the curvature (D^T D)_kk + beta*L_nn.
-    Curvature at or below the floor parks the entry at zero. delta must
-    be symmetric. With beta == 0 the columns decouple, so the sweep runs
-    row-vectorized; the result matches the sequential visiting order
-    because no cross-column terms exist.
+    Curvature at or below the floor parks the entry at zero. With
+    beta == 0 the columns decouple, so the sweep runs row-vectorized;
+    the result matches the sequential visiting order because no
+    cross-column terms exist.
+
+    With beta > 0 only column n changes while sample n's atoms are
+    visited, and the coupling leaves out L_nn, so the coupling
+    sum_{r != n} L_nr S_kr of sample n is read once per sample from the
+    off-diagonal nonzeros of L's row n. delta must be symmetric: the
+    objective's coupling runs along L's column n, and a row stands in
+    for it. Each step then costs one length-n_atoms dot product with a
+    row of D^T D. The sweep works on a copy of the codes and writes S
+    back at its end.
     """
     X = np.asarray(X, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -192,24 +203,32 @@ def update_codes(X, D, S, delta, alpha, beta):
         return S
 
     delta = np.asarray(delta, dtype=float)
-    coupling = S @ delta  # (n_atoms, n); column n holds sum_r S_kr * L_rn
-    cross = gram @ S  # (n_atoms, n)
-    ldiag = np.ascontiguousarray(np.diag(delta))
+    ldiag = np.diag(delta).tolist()
+    off = sp.csr_array(delta - np.diag(ldiag))
+    indptr, indices, values = off.indptr, off.indices, off.data
+    gram_rows = list(gram)
+    gdiag = gdiag.tolist()
+    target_rows = target.T.copy()
+    codes = S.T.copy()  # row n holds sample n's codes
     for n_i in range(n):
-        lrow = delta[n_i]
-        lnn = ldiag[n_i]
+        lo, hi = indptr[n_i], indptr[n_i + 1]
+        # only codes[n_i] changes in the atom loop, so the coupling
+        # sum_{r != n} L_nr S_kr is fixed for the whole sample
+        base = (
+            target_rows[n_i]
+            - beta * (values[lo:hi] @ codes[indices[lo:hi]])
+        ).tolist()
+        beta_lnn = beta * ldiag[n_i]
+        s = codes[n_i]
+        olds = s.tolist()
         for k in range(n_atoms):
-            old = S[k, n_i]
-            j = (
-                target[k, n_i]
-                - beta * (coupling[k, n_i] - lnn * old)
-                - (cross[k, n_i] - gdiag[k] * old)
-            )
-            if not np.isfinite(j):
+            old = olds[k]
+            j = base[k] - (gram_rows[k] @ s - gdiag[k] * old)
+            if not math.isfinite(j):
                 raise NumericalError(
                     f"non-finite code update at atom {k}, sample {n_i}"
                 )
-            curvature = gdiag[k] + beta * lnn
+            curvature = gdiag[k] + beta_lnn
             if curvature <= CURVATURE_FLOOR:
                 new = 0.0
             elif j > alpha:
@@ -218,11 +237,9 @@ def update_codes(X, D, S, delta, alpha, beta):
                 new = (j + alpha) / curvature
             else:
                 new = 0.0
-            step = new - old
-            if step != 0.0:
-                S[k, n_i] = new
-                cross[:, n_i] += gram[k] * step
-                coupling[k, :] += step * lrow
+            if new != old:
+                s[k] = new
+    S[...] = codes.T
     return S
 
 
@@ -316,6 +333,8 @@ def encode_test(Y, D, gamma, max_sweeps=500, rel_tol=1e-8):
     Solves min_S ||Y - D S||_F^2 + 2 gamma ||S||_1 with the same
     coordinate-descent sweeps as update_codes (no manifold coupling),
     stopping once the relative objective change drops below rel_tol.
+    A call that reaches max_sweeps first keeps its last sweep's codes and
+    emits one RuntimeWarning with the last relative change.
     """
     Y = np.asarray(Y, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -323,6 +342,8 @@ def encode_test(Y, D, gamma, max_sweeps=500, rel_tol=1e-8):
         raise ParameterError("Y must be 2-d with at least one column")
     if not (np.isfinite(gamma) and gamma > 0):
         raise ParameterError("gamma must be a positive real")
+    if max_sweeps < 1:
+        raise ParameterError("max_sweeps must be at least 1")
     if not np.all(np.isfinite(Y)):
         raise InputError("test matrix contains non-finite entries")
     S = np.zeros((D.shape[1], Y.shape[1]))
@@ -330,9 +351,18 @@ def encode_test(Y, D, gamma, max_sweeps=500, rel_tol=1e-8):
     for _ in range(max_sweeps):
         update_codes(Y, D, S, None, gamma, 0.0)
         value = objective(Y, D, S, None, gamma, 0.0)
-        if abs(previous - value) < rel_tol * max(1.0, abs(previous)):
+        change = abs(previous - value)
+        scale = max(1.0, abs(previous))
+        if change < rel_tol * scale:
             break
         previous = value
+    else:
+        warnings.warn(
+            f"test encoding hit max_sweeps ({max_sweeps}) with a relative "
+            f"objective change of {change / scale:.3g} (rel_tol {rel_tol:g});"
+            " the codes keep their last sweep",
+            RuntimeWarning,
+        )
     return S
 
 

@@ -1,5 +1,7 @@
 """Coordinate-descent coding, blockwise dictionary updates, and training."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -20,16 +22,28 @@ from hgdl.dictlearn import (
     update_dictionary,
 )
 from hgdl.attention import AdmmParams
-from hgdl.errors import InputError, ParameterError
-from hgdl.hypergraph import SAF, UNLABELED, Hypergraph, HypergraphConfig, degrees, laplacian
+from hgdl.errors import InputError, NumericalError, ParameterError
+from hgdl.hypergraph import (
+    SAF,
+    UNLABELED,
+    Hypergraph,
+    HypergraphConfig,
+    build_laplacian,
+    degrees,
+    laplacian,
+)
 from oracles import cd_lasso, golden_section, lasso_objective, literal_manifold_penalty, random_hypergraph
+
+
+def _laplacian_of(H, W):
+    hg = Hypergraph(H, W, np.asarray([SAF] * H.shape[1]))
+    hg, deg = degrees(hg)
+    return laplacian(hg, deg)
 
 
 def _random_laplacian(rng, n):
     H, W = random_hypergraph(rng, n, max(2, n // 2))
-    hg = Hypergraph(H, W, np.asarray([SAF] * H.shape[1]))
-    hg, deg = degrees(hg)
-    return laplacian(hg, deg), (H, W)
+    return _laplacian_of(H, W), (H, W)
 
 
 def _normalized_columns(rng, dim, k):
@@ -241,6 +255,101 @@ def test_update_codes_validation():
         update_codes(X, D, np.zeros((3, 4)), None, 0.1, 2.0)
 
 
+def _assert_sweeps_match_reference(X, D, S0, lap, alpha, beta, sweeps=3):
+    got = S0.copy()
+    want = S0.copy()
+    for _ in range(sweeps):
+        assert update_codes(X, D, got, lap, alpha, beta) is got
+        want = reference_sweep(X, D, want, lap, alpha, beta)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+
+
+def test_update_codes_matches_reference_sweep_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n_atoms=st.integers(1, 6),
+        n=st.integers(1, 8),
+        dim=st.integers(1, 8),
+        density=st.sampled_from([0.2, 0.5, 1.0]),
+        alpha=st.sampled_from([0.01, 0.1, 0.5]),
+        beta=st.sampled_from([0.05, 1.0, 8.0]),
+    )
+    @hypothesis.example(seed=0, n_atoms=1, n=1, dim=1, density=1.0,
+                        alpha=0.1, beta=1.0)
+    @hypothesis.example(seed=1, n_atoms=1, n=6, dim=3, density=0.5,
+                        alpha=0.01, beta=8.0)
+    @hypothesis.example(seed=2, n_atoms=5, n=1, dim=4, density=0.5,
+                        alpha=0.01, beta=8.0)
+    def check(seed, n_atoms, n, dim, density, alpha, beta):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(dim, n))
+        D = _normalized_columns(rng, dim, n_atoms)
+        H, W = random_hypergraph(rng, n, max(1, n // 2), density)
+        S0 = rng.normal(size=(n_atoms, n)) * (rng.random((n_atoms, n)) < 0.5)
+        _assert_sweeps_match_reference(X, D, S0, _laplacian_of(H, W),
+                                       alpha, beta)
+
+    check()
+
+
+def test_update_codes_isolated_vertex_matches_reference_sweep():
+    """Vertex 0 sits alone in its own edge, so L's row 0 has no
+    off-diagonal nonzero."""
+    rng = np.random.default_rng(40)
+    H_rest, W_rest = random_hypergraph(rng, 5, 3)
+    H = np.zeros((6, 4))
+    H[0, 0] = 0.7
+    H[1:, 1:] = H_rest
+    lap = _laplacian_of(H, np.concatenate([[1.3], W_rest]))
+    assert not lap[0, 1:].any() and not lap[1:, 0].any()
+    X = rng.normal(size=(7, 6))
+    D = _normalized_columns(rng, 7, 4)
+    _assert_sweeps_match_reference(X, D, rng.normal(size=(4, 6)), lap,
+                                   0.1, 2.0)
+
+
+def test_update_codes_zero_dictionary_column_matches_reference_sweep():
+    rng = np.random.default_rng(41)
+    X = rng.normal(size=(6, 7))
+    D = _normalized_columns(rng, 6, 4)
+    D[:, 2] = 0.0  # curvature of atom 2 is beta * L_nn alone
+    lap, _ = _random_laplacian(rng, 7)
+    _assert_sweeps_match_reference(X, D, rng.normal(size=(4, 7)), lap,
+                                   0.1, 0.8)
+
+
+def test_update_codes_fused_graph_matches_reference_sweep():
+    rng = np.random.default_rng(42)
+    X = rng.normal(size=(7, 24))
+    labels = np.tile([0, 2, UNLABELED, 1, UNLABELED, 2], 4)
+    config = HypergraphConfig(admm=AdmmParams(epsilon=2.0 ** -6), k_nn=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        lap = build_laplacian(X, labels, config)
+    D = _normalized_columns(rng, 7, 5)
+    _assert_sweeps_match_reference(X, D, np.zeros((5, 24)), lap, 2.0 ** -6,
+                                   8.0)
+
+
+@pytest.mark.parametrize("beta, message", [
+    (0.9, "non-finite code update at atom 0, sample 2"),
+    (0.0, "non-finite code update in atom row 0"),
+])
+def test_update_codes_non_finite_raises(beta, message):
+    rng = np.random.default_rng(43)
+    X = rng.normal(size=(6, 5))
+    X[3, 2] = np.nan
+    D = _normalized_columns(rng, 6, 4)
+    lap, _ = _random_laplacian(rng, 5)
+    with pytest.raises(NumericalError, match=message):
+        update_codes(X, D, np.zeros((4, 5)), lap, 0.1, beta)
+
+
 # ---------------------------------------------------------------- dictionary
 
 
@@ -389,6 +498,30 @@ def test_encode_test_deterministic():
     D = _normalized_columns(rng, 9, 7)
     Y = rng.normal(size=(9, 4))
     assert np.array_equal(encode_test(Y, D, 0.05), encode_test(Y, D, 0.05))
+
+
+def test_encode_test_warns_once_at_the_sweep_cap():
+    rng = np.random.default_rng(44)
+    D = _normalized_columns(rng, 9, 7)
+    Y = rng.normal(size=(9, 4))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        capped = encode_test(Y, D, 0.05, max_sweeps=1)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1
+    assert caught[0].category is RuntimeWarning
+    assert "max_sweeps (1)" in messages[0]
+    assert "relative objective change of" in messages[0]
+    assert "went dead" not in messages[0]
+    # the capped call keeps the codes of its one sweep
+    want = np.zeros((7, 4))
+    update_codes(Y, D, want, None, 0.05, 0.0)
+    assert np.array_equal(capped, want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        encode_test(Y, D, 0.05)
+    with pytest.raises(ParameterError):
+        encode_test(Y, D, 0.05, max_sweeps=0)
 
 
 def test_encode_test_validation():

@@ -574,3 +574,18 @@ def test_cli_label_free_file_rejected_before_training(
     assert code == 3
     err = capsys.readouterr().err
     assert f"{paths[which]}: every label is {UNLABELED}" in err
+
+
+def test_cli_eval_without_test_stops_in_the_parser(cli_data, monkeypatch,
+                                                   capsys):
+    root, train_csv, _ = cli_data
+
+    def never(*args, **kwargs):
+        raise AssertionError("eval ran without a test file")
+
+    monkeypatch.setattr(cli, "run", never)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["eval", "--train", train_csv,
+                  "--out", str(root / "never.json")] + COMMON)
+    assert err.value.code == 2
+    assert "--test" in capsys.readouterr().err
