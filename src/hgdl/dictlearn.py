@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import daxpy
 
 from .errors import (
     InputError,
@@ -172,9 +173,13 @@ def update_codes(X, D, S, delta, alpha, beta):
     sum_{r != n} L_nr S_kr of sample n is read once per sample from the
     off-diagonal nonzeros of L's row n. delta must be symmetric: the
     objective's coupling runs along L's column n, and a row stands in
-    for it. Each step then costs one length-n_atoms dot product with a
-    row of D^T D. The sweep works on a copy of the codes and writes S
-    back at its end.
+    for it. Sample n's running field, the linear term of every atom's
+    scalar problem, is formed once per sample from that coupling, D^T x_n
+    and the off-diagonal part of D^T D times the sample's codes. A step
+    reads its atom's entry of the field, and only a code that changes
+    touches the field again, with one BLAS axpy by that atom's column of
+    the off-diagonal D^T D. The sweep works on a copy of the codes and
+    writes S back at its end.
     """
     X = np.asarray(X, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -206,24 +211,27 @@ def update_codes(X, D, S, delta, alpha, beta):
     ldiag = np.diag(delta).tolist()
     off = sp.csr_array(delta - np.diag(ldiag))
     indptr, indices, values = off.indptr, off.indices, off.data
-    gram_rows = list(gram)
+    gram_off = gram.copy()
+    np.fill_diagonal(gram_off, 0.0)
+    # a change of atom k's code moves the field by column k; taken as
+    # columns, not rows, since D^T D need not be bitwise symmetric
+    gram_cols = list(gram_off.T.copy())
     gdiag = gdiag.tolist()
     target_rows = target.T.copy()
     codes = S.T.copy()  # row n holds sample n's codes
     for n_i in range(n):
         lo, hi = indptr[n_i], indptr[n_i + 1]
-        # only codes[n_i] changes in the atom loop, so the coupling
-        # sum_{r != n} L_nr S_kr is fixed for the whole sample
-        base = (
+        # field[k] is atom k's linear term j; the coupling is fixed for
+        # the whole sample, the cross term moves with each changed code
+        field = (
             target_rows[n_i]
             - beta * (values[lo:hi] @ codes[indices[lo:hi]])
-        ).tolist()
+            - gram_off @ codes[n_i]
+        )
         beta_lnn = beta * ldiag[n_i]
-        s = codes[n_i]
-        olds = s.tolist()
+        s = codes[n_i].tolist()
         for k in range(n_atoms):
-            old = olds[k]
-            j = base[k] - (gram_rows[k] @ s - gdiag[k] * old)
+            j = float(field[k])
             if not math.isfinite(j):
                 raise NumericalError(
                     f"non-finite code update at atom {k}, sample {n_i}"
@@ -237,8 +245,11 @@ def update_codes(X, D, S, delta, alpha, beta):
                 new = (j + alpha) / curvature
             else:
                 new = 0.0
+            old = s[k]
             if new != old:
+                field = daxpy(gram_cols[k], field, a=old - new)
                 s[k] = new
+        codes[n_i] = s
     S[...] = codes.T
     return S
 

@@ -350,6 +350,55 @@ def test_update_codes_non_finite_raises(beta, message):
         update_codes(X, D, np.zeros((4, 5)), lap, 0.1, beta)
 
 
+def test_update_codes_near_duplicate_atoms_do_not_drift_from_reference():
+    """Twenty sweeps on a dictionary of near-duplicate atom pairs, as
+    training makes them: rounding in the running field must not pile up
+    across sweeps."""
+    rng = np.random.default_rng(44)
+    dim, n = 12, 30
+    base = _normalized_columns(rng, dim, 20)
+    twins = base + 0.01 * rng.normal(size=base.shape) / np.sqrt(dim)
+    D = np.hstack([base, twins / np.linalg.norm(twins, axis=0)])
+    coherence = np.abs(D.T @ D)[np.arange(20), np.arange(20, 40)]
+    assert coherence.min() > 0.999
+    X = rng.normal(size=(dim, n))
+    labels = np.tile([0, UNLABELED, 1, 2, UNLABELED], 6)
+    config = HypergraphConfig(admm=AdmmParams(epsilon=2.0 ** -6), k_nn=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        lap = build_laplacian(X, labels, config)
+    _assert_sweeps_match_reference(X, D, np.zeros((40, n)), lap, 2.0 ** -6,
+                                   8.0, sweeps=20)
+
+
+@pytest.mark.parametrize("column", [0, 2])
+def test_update_codes_non_finite_dictionary_raises(column):
+    """A NaN atom reaches every atom's cross term through D^T D, so the
+    sweep stops at its first step."""
+    rng = np.random.default_rng(45)
+    X = rng.normal(size=(6, 5))
+    D = _normalized_columns(rng, 6, 4)
+    D[1, column] = np.nan
+    lap, _ = _random_laplacian(rng, 5)
+    with pytest.raises(NumericalError,
+                       match="non-finite code update at atom 0, sample 0"):
+        update_codes(X, D, rng.normal(size=(4, 5)), lap, 0.1, 0.9)
+
+
+def test_update_codes_writes_through_a_strided_view():
+    rng = np.random.default_rng(46)
+    X = rng.normal(size=(6, 5))
+    D = _normalized_columns(rng, 6, 4)
+    lap, _ = _random_laplacian(rng, 5)
+    buffer = rng.normal(size=(4, 10))
+    before = buffer.copy()
+    S = buffer[:, ::2]
+    want = reference_sweep(X, D, S, lap, 0.1, 0.9)
+    assert update_codes(X, D, S, lap, 0.1, 0.9) is S
+    np.testing.assert_allclose(buffer[:, ::2], want, rtol=0, atol=1e-8)
+    np.testing.assert_array_equal(buffer[:, 1::2], before[:, 1::2])
+
+
 # ---------------------------------------------------------------- dictionary
 
 
