@@ -7,7 +7,7 @@ nearest neighbors, the attention weights solve the lasso problem
 
 with the alternating direction method of multipliers. The splitting
 introduces a twin variable q for z; each iteration solves a damped
-normal-equation system for z (the inverse of P^T P + rho I is computed
+normal-equation system for z (the inverse of P^T P + RHO I is computed
 once per problem and cached), soft-thresholds the dual-shifted copy of z
 into q, and takes a dual ascent step on the multiplier m. q is the
 canonical solution because the threshold step gives it exact zeros.
@@ -26,36 +26,29 @@ import numpy as np
 
 from .errors import InputError, NumericalError, ParameterError
 
+# augmented-Lagrangian penalty, also the dual step size
+RHO = 1.0
+# a problem stops once both residuals are within this
+TOL = 1e-6
+
 
 @dataclass
 class AdmmParams:
     """Knobs for the attention solver.
 
-    epsilon is the l1 weight, rho the augmented-Lagrangian penalty and
-    theta the dual step size (defaults to rho). Iteration stops once both
-    the split residual max|z - q| and the dual residual max|q - q_prev|
-    are within tol, or after max_iter rounds.
+    epsilon is the l1 weight. Iteration stops once both the split
+    residual max|z - q| and the dual residual max|q - q_prev| are within
+    TOL, or after max_iter rounds.
     """
 
     epsilon: float
-    rho: float = 1.0
-    theta: float | None = None
     max_iter: int = 200
-    tol: float = 1e-6
 
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ParameterError("epsilon (--epsilon) must be a positive real")
-        if not (np.isfinite(self.rho) and self.rho > 0):
-            raise ParameterError("rho must be a positive real")
-        if self.theta is None:
-            self.theta = self.rho
-        elif not (np.isfinite(self.theta) and self.theta > 0):
-            raise ParameterError("theta must be a positive real")
         if self.max_iter < 1:
             raise ParameterError("max_iter must be at least 1")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ParameterError("tol must be a positive real")
 
 
 @dataclass
@@ -106,9 +99,9 @@ def solve_attention_batch(gram, ptx, params: AdmmParams,
 
     gram is the (n, k, k) stack of P^T P and ptx the (n, k) stack of
     P^T x. z, q and m start at zero. The z step applies a cached inverse
-    of P^T P + rho I; the q step is a soft threshold at eps/rho; the m
-    step adds theta*(z - q). A problem converges once both residuals are
-    small: max|z - q| <= tol and max|q - q_prev| <= tol. The split
+    of P^T P + RHO I; the q step is a soft threshold at eps/RHO; the m
+    step adds RHO*(z - q). A problem converges once both residuals are
+    small: max|z - q| <= TOL and max|q - q_prev| <= TOL. The split
     residual alone can hit exact zero while the iterates are still far
     from optimal (the threshold step is affine wherever no entry sits
     inside the dead zone), so the dual residual must vanish too. A
@@ -130,8 +123,6 @@ def solve_attention_batch(gram, ptx, params: AdmmParams,
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(ptx))):
         raise InputError("non-finite entries in attention problem")
 
-    rho = params.rho
-    theta = params.theta
     eps = params.epsilon
     z_out = np.zeros((n, k))
     q_out = np.zeros((n, k))
@@ -145,24 +136,24 @@ def solve_attention_batch(gram, ptx, params: AdmmParams,
     # bits then depend on nothing but its own data.
     rows = np.arange(n)
     inverse = np.ascontiguousarray(
-        np.linalg.inv(gram + rho * np.eye(k)).transpose(2, 1, 0)
+        np.linalg.inv(gram + RHO * np.eye(k)).transpose(2, 1, 0)
     )
     rhs = np.ascontiguousarray(ptx.T)
     q = np.zeros((k, n))
     m = np.zeros((k, n))
     for iteration in range(1, params.max_iter + 1):
-        z = np.sum(inverse * (rhs + rho * q - m)[:, None, :], axis=0)
+        z = np.sum(inverse * (rhs + RHO * q - m)[:, None, :], axis=0)
         q_prev = q
-        q = soft_threshold(z + m / rho, eps / rho)
-        m = m + theta * (z - q)
+        q = soft_threshold(z + m / RHO, eps / RHO)
+        m = m + RHO * (z - q)
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(m))):
             raise NumericalError(
                 f"attention solver diverged at iteration {iteration}"
             )
         if on_iterate is not None:
             on_iterate(q.T)
-        done = ((np.max(np.abs(z - q), axis=0) <= params.tol)
-                & (np.max(np.abs(q - q_prev), axis=0) <= params.tol))
+        done = ((np.max(np.abs(z - q), axis=0) <= TOL)
+                & (np.max(np.abs(q - q_prev), axis=0) <= TOL))
         if iteration == params.max_iter:
             stop = np.ones(rows.size, dtype=bool)
         elif done.any():

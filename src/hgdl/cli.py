@@ -85,6 +85,13 @@ def _load_bundle(args) -> DatasetBundle:
     return DatasetBundle(X_train, y_train, X_test, y_test)
 
 
+def _seeds(args, config):
+    """--seeds consecutive seeds, starting at --seed."""
+    if args.seeds < 1:
+        raise ParameterError("--seeds must be at least 1")
+    return range(config.seed, config.seed + args.seeds)
+
+
 def cmd_train(args):
     config = _config(args)
     bundle = _load_bundle(args)
@@ -94,18 +101,10 @@ def cmd_train(args):
     return 0
 
 
-def cmd_eval(args):
-    config = _config(args)
-    bundle = _load_bundle(args)
-    report = run(config, bundle, out_path=args.out)
-    print(f"test accuracy {report.accuracy:.4f} -> {args.out}")
-    return 0
-
-
 def cmd_ablate(args):
     config = _config(args)
+    seeds = _seeds(args, config)
     bundle = _load_bundle(args)
-    seeds = range(config.seed, config.seed + args.seeds)
     result = ablation_suite(config, bundle, seeds)
     write_json(result, args.out)
     means = result["mean_accuracy"]
@@ -119,12 +118,16 @@ def cmd_ablate(args):
 
 def cmd_mask_sweep(args):
     config = _config(args)
-    bundle = _load_bundle(args)
     try:
         fractions = [float(tok) for tok in args.fractions.split(",") if tok]
     except ValueError:
         raise ParameterError(f"bad --fractions value {args.fractions!r}")
-    seeds = range(config.seed, config.seed + args.seeds)
+    if not fractions or not all(0.0 <= f < 1.0 for f in fractions):
+        raise ParameterError(
+            f"--fractions {args.fractions!r}: need one or more values"
+            " in [0, 1)")
+    seeds = _seeds(args, config)
+    bundle = _load_bundle(args)
     result = mask_sweep(config, bundle, fractions, seeds)
     write_json(result, args.out)
     gaps = " ".join(f"{g:+.4f}" for g in result["gap"])
@@ -193,7 +196,8 @@ def build_parser():
     p_eval.add_argument("--test", required=True)
     p_eval.add_argument("--out", required=True, help="report JSON path")
     _add_common(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
+    # eval is train with --test required
+    p_eval.set_defaults(func=cmd_train)
 
     p_ablate = sub.add_parser("ablate", help="run full and ablated variants")
     p_ablate.add_argument("--train", required=True)

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import daxpy
 
+from .attention import soft_threshold
 from .errors import (
     InputError,
     InternalError,
@@ -35,6 +36,8 @@ from .hypergraph import UNLABELED, HypergraphConfig, build_laplacian
 MONOTONE_SLACK = 1e-9
 # curvature below this is treated as zero and the coordinate is parked at 0
 CURVATURE_FLOOR = 1e-12
+# test encoding stops once the relative objective change falls below this
+ENCODE_REL_TOL = 1e-8
 
 INDUCTIVE = "inductive"
 TRANSDUCTIVE = "transductive"
@@ -194,7 +197,7 @@ def update_codes(X, D, S, delta, alpha, beta):
     n_atoms, n = S.shape
     gdiag = np.ascontiguousarray(np.diag(gram))
 
-    if beta == 0.0 or delta is None:
+    if beta == 0.0:
         for k in range(n_atoms):
             j_row = target[k] - gram[k] @ S + gdiag[k] * S[k]
             if not np.all(np.isfinite(j_row)):
@@ -202,9 +205,7 @@ def update_codes(X, D, S, delta, alpha, beta):
             if gdiag[k] <= CURVATURE_FLOOR:
                 S[k] = 0.0
             else:
-                S[k] = (
-                    np.maximum(j_row - alpha, 0.0) + np.minimum(j_row + alpha, 0.0)
-                ) / gdiag[k]
+                S[k] = soft_threshold(j_row, alpha) / gdiag[k]
         return S
 
     delta = np.asarray(delta, dtype=float)
@@ -338,14 +339,15 @@ def train(X, delta, params: DictLearnParams, callback=None):
     return D, S, np.asarray(trace)
 
 
-def encode_test(Y, D, gamma, max_sweeps=500, rel_tol=1e-8):
+def encode_test(Y, D, gamma, max_sweeps=500):
     """Code held-out columns on a frozen dictionary.
 
     Solves min_S ||Y - D S||_F^2 + 2 gamma ||S||_1 with the same
     coordinate-descent sweeps as update_codes (no manifold coupling),
-    stopping once the relative objective change drops below rel_tol.
-    A call that reaches max_sweeps first keeps its last sweep's codes and
-    emits one RuntimeWarning with the last relative change.
+    stopping once the relative objective change drops below
+    ENCODE_REL_TOL. A call that reaches max_sweeps first keeps its last
+    sweep's codes and emits one RuntimeWarning with the last relative
+    change.
     """
     Y = np.asarray(Y, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -364,14 +366,14 @@ def encode_test(Y, D, gamma, max_sweeps=500, rel_tol=1e-8):
         value = objective(Y, D, S, None, gamma, 0.0)
         change = abs(previous - value)
         scale = max(1.0, abs(previous))
-        if change < rel_tol * scale:
+        if change < ENCODE_REL_TOL * scale:
             break
         previous = value
     else:
         warnings.warn(
             f"test encoding hit max_sweeps ({max_sweeps}) with a relative "
-            f"objective change of {change / scale:.3g} (rel_tol {rel_tol:g});"
-            " the codes keep their last sweep",
+            f"objective change of {change / scale:.3g} (ENCODE_REL_TOL "
+            f"{ENCODE_REL_TOL:g}); the codes keep their last sweep",
             RuntimeWarning,
         )
     return S

@@ -232,16 +232,18 @@ def mask_sweep(config: ExperimentConfig, bundle: DatasetBundle, fractions,
     seeds = [int(s) for s in seeds]
     if not fractions or not seeds:
         raise ParameterError("need at least one fraction and one seed")
+    # every variant is built, and so validated, before the first run
+    variants = [
+        [(dataclasses.replace(config, mask_fraction=fraction, seed=seed),
+          dataclasses.replace(config, mask_fraction=fraction, seed=seed,
+                              beta=0.0))
+         for seed in seeds]
+        for fraction in fractions
+    ]
     rows = []
-    for fraction in fractions:
+    for fraction, pairs in zip(fractions, variants):
         entry = {"fraction": fraction, "regularized": [], "baseline": []}
-        for seed in seeds:
-            reg = dataclasses.replace(
-                config, mask_fraction=fraction, seed=seed
-            )
-            base = dataclasses.replace(
-                config, mask_fraction=fraction, seed=seed, beta=0.0
-            )
+        for reg, base in pairs:
             entry["regularized"].append(run(reg, bundle).to_dict())
             entry["baseline"].append(run(base, bundle).to_dict())
         rows.append(entry)

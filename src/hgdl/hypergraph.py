@@ -195,7 +195,7 @@ def build_saf_hypergraph(X, k, attention_params: AdmmParams,
     return Hypergraph(H, np.ones(n), np.asarray([SAF] * n))
 
 
-def build_lb_hypergraph(labels, n_classes=None) -> Hypergraph:
+def build_lb_hypergraph(labels) -> Hypergraph:
     """One 0/1 hyperedge per class over the labeled vertices.
 
     Unlabeled vertices (label UNLABELED) get zero rows; classes with no
@@ -209,8 +209,6 @@ def build_lb_hypergraph(labels, n_classes=None) -> Hypergraph:
     labeled = np.flatnonzero(labels != UNLABELED)
     if np.any(labels[labeled] < 0):
         raise InputError("negative labels other than the UNLABELED sentinel")
-    if n_classes is not None and np.any(labels[labeled] >= n_classes):
-        raise InputError("label outside [0, n_classes)")
     # the present classes, ascending, numbered 0.. as edges
     classes, edge = np.unique(labels[labeled], return_inverse=True)
     n_edges = classes.size

@@ -9,7 +9,7 @@ from hgdl import (
     solve_attention_batch,
     soft_threshold,
 )
-from hgdl.attention import attention_objective
+from hgdl.attention import TOL, attention_objective
 
 from oracles import admm_lasso, cd_lasso, lasso_objective
 
@@ -138,10 +138,9 @@ def test_convergence_flag_matches_residual():
     rng = np.random.default_rng(9)
     P = rng.normal(size=(10, 5))
     x = rng.normal(size=10)
-    params = AdmmParams(epsilon=0.05, tol=1e-6)
-    sol = solve_attention(x, P, params)
+    sol = solve_attention(x, P, AdmmParams(epsilon=0.05))
     assert sol.converged
-    assert float(np.max(np.abs(sol.z - sol.q))) <= params.tol
+    assert float(np.max(np.abs(sol.z - sol.q))) <= TOL
 
 
 def test_non_convergence_returns_best_iterate():
@@ -167,18 +166,11 @@ def test_parameter_validation():
     with pytest.raises(ParameterError):
         AdmmParams(epsilon=0.0)
     with pytest.raises(ParameterError):
-        AdmmParams(epsilon=0.1, rho=-1.0)
-    with pytest.raises(ParameterError):
         AdmmParams(epsilon=0.1, max_iter=0)
     with pytest.raises(ParameterError):
         solve_attention(np.ones(3), np.ones((3, 0)), AdmmParams(epsilon=0.1))
     with pytest.raises(ParameterError):
         solve_attention(np.ones(4), np.ones((3, 2)), AdmmParams(epsilon=0.1))
-
-
-def test_theta_defaults_to_rho():
-    params = AdmmParams(epsilon=0.1, rho=2.5)
-    assert params.theta == 2.5
 
 
 # ---------------------------------------------------------------- batches

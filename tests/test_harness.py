@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from hgdl import cli, dictlearn
+from hgdl import cli, dictlearn, harness
 from hgdl.attention import AdmmParams
 from hgdl.data import (
     DatasetBundle,
@@ -240,6 +240,16 @@ def test_mask_sweep_structure_and_gap():
         mask_sweep(small_config(), bundle, fractions=[], seeds=[0])
 
 
+def test_mask_sweep_validates_every_fraction_before_running(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the last fraction was checked")
+
+    monkeypatch.setattr(harness, "run", never)
+    with pytest.raises(ParameterError, match="mask_fraction"):
+        mask_sweep(small_config(), small_bundle(), fractions=[0.0, 0.2, 1.5],
+                   seeds=[0])
+
+
 # ---------------------------------------------------------------- cli
 
 
@@ -279,6 +289,20 @@ def test_cli_eval_with_test_set(cli_data, capsys):
     payload = json.loads(open(out).read())
     assert payload["config"]["mode"] == "inductive"
     assert "test accuracy" in capsys.readouterr().out
+
+
+def test_cli_eval_is_train_with_a_test_set(cli_data, capsys):
+    root, train_csv, test_csv = cli_data
+    reports = {}
+    for subcommand in ("train", "eval"):
+        out = str(root / f"{subcommand}_with_test.json")
+        code = cli.main([subcommand, "--train", train_csv, "--test",
+                         test_csv, "--out", out] + COMMON)
+        assert code == 0
+        assert "test accuracy" in capsys.readouterr().out
+        reports[subcommand] = json.loads(open(out).read())
+        reports[subcommand].pop("wall_time_seconds")
+    assert reports["train"] == reports["eval"]
 
 
 def test_cli_ablate(cli_data):
@@ -589,3 +613,24 @@ def test_cli_eval_without_test_stops_in_the_parser(cli_data, monkeypatch,
                   "--out", str(root / "never.json")] + COMMON)
     assert err.value.code == 2
     assert "--test" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, flags, named", [
+    ("mask-sweep", ["--fractions", "0,0.2,1.5"], "--fractions"),
+    ("mask-sweep", ["--fractions", "-0.1"], "--fractions"),
+    ("mask-sweep", ["--fractions", ","], "--fractions"),
+    ("mask-sweep", ["--seeds", "0"], "--seeds"),
+    ("ablate", ["--seeds", "0"], "--seeds"),
+])
+def test_cli_study_flags_checked_before_any_run(cli_data, monkeypatch, capsys,
+                                                subcommand, flags, named):
+    root, train_csv, test_csv = cli_data
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{subcommand} ran with a bad {named}")
+
+    monkeypatch.setattr(harness, "run", never)
+    code = cli.main([subcommand, "--train", train_csv, "--test", test_csv,
+                     "--out", str(root / "never.json")] + flags + COMMON)
+    assert code == 2
+    assert named in capsys.readouterr().err

@@ -259,8 +259,6 @@ def test_lb_skips_absent_classes():
     labels = np.array([0, 2, 0])
     hg = build_lb_hypergraph(labels)  # class 1 never appears
     assert hg.incidence.shape == (3, 2)
-    hg5 = build_lb_hypergraph(labels, n_classes=5)
-    assert hg5.incidence.shape == (3, 2)
 
 
 def test_lb_all_unlabeled_is_empty():
@@ -272,8 +270,6 @@ def test_lb_all_unlabeled_is_empty():
 def test_lb_validation():
     with pytest.raises(InputError):
         build_lb_hypergraph(np.array([0.0, 1.0]))
-    with pytest.raises(InputError):
-        build_lb_hypergraph(np.array([0, 3]), n_classes=3)
     with pytest.raises(InputError):
         build_lb_hypergraph(np.array([0, -2]))
     with pytest.raises(ParameterError):
