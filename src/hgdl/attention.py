@@ -76,15 +76,21 @@ class AttentionBatch:
 
 
 def soft_threshold(v, t):
-    """Entrywise shrinkage max(v - t, 0) + min(v + t, 0).
+    """Entrywise shrinkage v - clip(v, -t, t).
 
     This is the proximal map of t*||.||_1, i.e. the unique minimizer of
-    t*||u||_1 + 0.5*||u - v||^2.
+    t*||u||_1 + 0.5*||u - v||^2. It is computed in one fresh array and
+    equals max(v - t, 0) + min(v + t, 0) bit for bit, signed zeros,
+    infinities and NaNs included.
     """
-    if t < 0:
+    if not t >= 0:
         raise ParameterError("threshold must be nonnegative")
+    t = abs(t)  # a threshold of -0.0 would leave -0.0 where v is -0.0
     v = np.asarray(v, dtype=float)
-    return np.maximum(v - t, 0.0) + np.minimum(v + t, 0.0)
+    out = np.minimum(v, t, out=np.empty(v.shape))
+    np.maximum(out, -t, out=out)
+    np.subtract(v, out, out=out)
+    return out if out.ndim else out[()]
 
 
 def attention_objective(x, P, q, epsilon):

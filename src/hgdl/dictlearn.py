@@ -166,10 +166,16 @@ def update_codes(X, D, S, delta, alpha, beta):
     Entries are visited sample-major (column n outer, atom k inner) and
     each is set to the exact scalar minimizer of the objective: a soft
     threshold at alpha divided by the curvature (D^T D)_kk + beta*L_nn.
-    Curvature at or below the floor parks the entry at zero. With
-    beta == 0 the columns decouple, so the sweep runs row-vectorized;
+    Curvature at or below the floor parks the entry at zero. alpha must
+    be a nonnegative real; anything else raises ParameterError before S
+    is touched.
+
+    With beta == 0 the columns decouple, so the sweep runs row-vectorized;
     the result matches the sequential visiting order because no
-    cross-column terms exist.
+    cross-column terms exist. Atom row k's linear terms
+    j = (D^T X)_k - (D^T D)_k S + (D^T D)_kk S_k are built in two
+    length-n buffers that every row reuses, and the soft threshold of j
+    divided by the curvature is written straight into S's row k.
 
     With beta > 0 only column n changes while sample n's atoms are
     visited, and the coupling leaves out L_nn, so the coupling
@@ -188,6 +194,8 @@ def update_codes(X, D, S, delta, alpha, beta):
     D = np.asarray(D, dtype=float)
     if not isinstance(S, np.ndarray) or S.dtype != np.float64:
         raise ParameterError("S must be a float64 ndarray (updated in place)")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ParameterError("alpha must be a nonnegative real")
     if beta != 0.0 and delta is None:
         raise ParameterError("beta > 0 requires a laplacian")
     _check_shapes(X, D, S, delta)
@@ -195,17 +203,24 @@ def update_codes(X, D, S, delta, alpha, beta):
     gram = D.T @ D
     target = D.T @ X
     n_atoms, n = S.shape
-    gdiag = np.ascontiguousarray(np.diag(gram))
+    gdiag = np.diag(gram).tolist()
 
     if beta == 0.0:
+        j_row = np.empty(n)
+        term = np.empty(n)
         for k in range(n_atoms):
-            j_row = target[k] - gram[k] @ S + gdiag[k] * S[k]
-            if not np.all(np.isfinite(j_row)):
+            row = S[k]
+            curvature = gdiag[k]
+            np.matmul(gram[k], S, out=term)
+            np.subtract(target[k], term, out=j_row)
+            np.multiply(curvature, row, out=term)
+            np.add(j_row, term, out=j_row)
+            if not np.isfinite(j_row).all():
                 raise NumericalError(f"non-finite code update in atom row {k}")
-            if gdiag[k] <= CURVATURE_FLOOR:
-                S[k] = 0.0
+            if curvature <= CURVATURE_FLOOR:
+                row[...] = 0.0
             else:
-                S[k] = soft_threshold(j_row, alpha) / gdiag[k]
+                np.divide(soft_threshold(j_row, alpha), curvature, out=row)
         return S
 
     delta = np.asarray(delta, dtype=float)
@@ -217,7 +232,6 @@ def update_codes(X, D, S, delta, alpha, beta):
     # a change of atom k's code moves the field by column k; taken as
     # columns, not rows, since D^T D need not be bitwise symmetric
     gram_cols = list(gram_off.T.copy())
-    gdiag = gdiag.tolist()
     target_rows = target.T.copy()
     codes = S.T.copy()  # row n holds sample n's codes
     for n_i in range(n):
@@ -260,8 +274,11 @@ def update_dictionary(X, S, D, rng=None):
 
     Atom k moves to the unit vector best explaining what the other atoms
     leave unexplained: the normalization of u = X S_k^T - D~ S S_k^T with
-    atom k zeroed inside D~. A vanishing direction (dead atom) is
-    reinitialized to a normalized random data column with a warning.
+    atom k zeroed inside D~, computed as (X S^T)_k - D (S S^T)_k +
+    D_k (S S^T)_kk in two length-dim buffers that every atom reuses and
+    divided by its norm straight into D's column k. A vanishing
+    direction (dead atom) is reinitialized to a normalized random data
+    column with a warning.
     """
     X = np.asarray(X, dtype=float)
     if not isinstance(D, np.ndarray) or D.dtype != np.float64:
@@ -273,10 +290,15 @@ def update_dictionary(X, S, D, rng=None):
 
     data_corr = X @ S.T  # (dim, n_atoms)
     code_gram = S @ S.T  # (n_atoms, n_atoms)
+    u = np.empty(D.shape[0])
+    term = np.empty(D.shape[0])
     for k in range(D.shape[1]):
-        u = data_corr[:, k] - D @ code_gram[:, k] + D[:, k] * code_gram[k, k]
-        norm = float(np.linalg.norm(u))
-        if not np.isfinite(norm):
+        np.matmul(D, code_gram[:, k], out=term)
+        np.subtract(data_corr[:, k], term, out=u)
+        np.multiply(D[:, k], code_gram[k, k], out=term)
+        np.add(u, term, out=u)
+        norm = math.sqrt(u @ u)
+        if not math.isfinite(norm):
             raise NumericalError(f"non-finite dictionary update at atom {k}")
         if norm <= CURVATURE_FLOOR:
             warnings.warn(
@@ -290,7 +312,7 @@ def update_dictionary(X, S, D, rng=None):
                 col_norm = float(np.linalg.norm(col))
             D[:, k] = col / col_norm
         else:
-            D[:, k] = u / norm
+            np.divide(u, norm, out=D[:, k])
     return D
 
 

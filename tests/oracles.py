@@ -5,8 +5,13 @@ no code with the library: cyclic coordinate descent for the lasso, the
 attention ADMM one problem at a time, brute-force neighbor search,
 pure-Python degree sums, a graph-Laplacian reference, the dense
 hypergraph-Laplacian formula, the literal pairwise expansion of the
-manifold penalty and a golden-section scalar minimizer.
+manifold penalty and a golden-section scalar minimizer. The
+row-by-row beta = 0 code sweep and dictionary sweep are kept as the
+library first wrote them, one fresh array per arithmetic step, so that
+a rewrite of either can be held to the same bits.
 """
+
+import warnings
 
 import numpy as np
 
@@ -191,3 +196,62 @@ def random_hypergraph(rng, n, m, density=0.5):
             H[v, rng.integers(m)] = rng.random() + 0.1
     W = rng.random(m) + 0.5
     return H, W
+
+
+def shrink(v, t):
+    """Soft threshold as max(v - t, 0) + min(v + t, 0)."""
+    v = np.asarray(v, dtype=float)
+    return np.maximum(v - t, 0.0) + np.minimum(v + t, 0.0)
+
+
+def row_sweep_beta0(X, D, S, alpha):
+    """One beta = 0 code sweep, atom row by atom row, in place.
+
+    Row k is set to shrink(j, alpha) / (D^T D)_kk with
+    j = (D^T X)_k - (D^T D)_k S + (D^T D)_kk S_k; a curvature at or below
+    1e-12 parks the row at zero. A non-finite j raises ArithmeticError
+    naming the row.
+    """
+    gram = D.T @ D
+    target = D.T @ X
+    gdiag = np.ascontiguousarray(np.diag(gram))
+    for k in range(S.shape[0]):
+        j_row = target[k] - gram[k] @ S + gdiag[k] * S[k]
+        if not np.all(np.isfinite(j_row)):
+            raise ArithmeticError(f"non-finite code update in atom row {k}")
+        if gdiag[k] <= 1e-12:
+            S[k] = 0.0
+        else:
+            S[k] = shrink(j_row, alpha) / gdiag[k]
+    return S
+
+
+def atom_sweep(X, S, D, rng):
+    """One blockwise dictionary sweep, atom by atom, in place.
+
+    Atom k becomes u / ||u|| with u = (X S^T)_k - D (S S^T)_k +
+    D_k (S S^T)_kk. A norm at or below 1e-12 warns and redraws the atom
+    from a random data column (or, if that column is zero too, a normal
+    draw) taken from rng.
+    """
+    data_corr = X @ S.T
+    code_gram = S @ S.T
+    for k in range(D.shape[1]):
+        u = data_corr[:, k] - D @ code_gram[:, k] + D[:, k] * code_gram[k, k]
+        norm = float(np.linalg.norm(u))
+        if not np.isfinite(norm):
+            raise ArithmeticError(f"non-finite dictionary update at atom {k}")
+        if norm <= 1e-12:
+            warnings.warn(
+                f"atom {k} went dead; reinitializing from a data column",
+                RuntimeWarning,
+            )
+            col = X[:, int(rng.integers(X.shape[1]))]
+            col_norm = float(np.linalg.norm(col))
+            if col_norm <= 1e-12:
+                col = rng.standard_normal(X.shape[0])
+                col_norm = float(np.linalg.norm(col))
+            D[:, k] = col / col_norm
+        else:
+            D[:, k] = u / norm
+    return D

@@ -11,7 +11,7 @@ from hgdl import (
 )
 from hgdl.attention import TOL, attention_objective
 
-from oracles import admm_lasso, cd_lasso, lasso_objective
+from oracles import admm_lasso, cd_lasso, lasso_objective, shrink
 
 
 def test_soft_threshold_known_values():
@@ -43,6 +43,28 @@ def test_soft_threshold_is_prox_minimizer():
         best = grid[np.argmin(values)]
         assert abs(u - best) < 5e-3
         assert t * abs(u) + 0.5 * (u - v) ** 2 <= values.min() + 1e-12
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, 0.5, 1.0, 5e-324, np.inf])
+def test_soft_threshold_matches_the_max_min_form_bitwise(t):
+    """Signed zeros, infinities, NaNs and v = +-t, contiguous, strided
+    and 0-d, give the bits of max(v - t, 0) + min(v + t, 0)."""
+    v = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0,
+                  0.5, -0.5, 2.0, -2.0, 5e-324, -5e-324, 1e308, -1e308,
+                  t, -t, np.nextafter(t, 0.0), np.nextafter(-t, 0.0)])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for arr in (v, np.repeat(v, 3)[::3], v.reshape(4, 5)):
+            got, want = soft_threshold(arr, t), shrink(arr, t)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for x in v:
+            got, want = soft_threshold(x, t), shrink(x, t)
+            assert type(got) is type(want)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_soft_threshold_rejects_nan_threshold():
+    with pytest.raises(ParameterError):
+        soft_threshold(np.ones(3), np.nan)
 
 
 def test_soft_threshold_rejects_negative_threshold():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from hgdl import dictlearn
 from hgdl.dictlearn import (
     Classifier,
     DictLearnParams,
@@ -32,7 +33,15 @@ from hgdl.hypergraph import (
     degrees,
     laplacian,
 )
-from oracles import cd_lasso, golden_section, lasso_objective, literal_manifold_penalty, random_hypergraph
+from oracles import (
+    atom_sweep,
+    cd_lasso,
+    golden_section,
+    lasso_objective,
+    literal_manifold_penalty,
+    random_hypergraph,
+    row_sweep_beta0,
+)
 
 
 def _laplacian_of(H, W):
@@ -399,6 +408,118 @@ def test_update_codes_writes_through_a_strided_view():
     np.testing.assert_array_equal(buffer[:, 1::2], before[:, 1::2])
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.9])
+@pytest.mark.parametrize("alpha", [-0.1, np.nan, np.inf])
+def test_update_codes_rejects_bad_alpha_before_touching_codes(alpha, beta):
+    rng = np.random.default_rng(47)
+    X = rng.normal(size=(6, 5))
+    D = _normalized_columns(rng, 6, 4)
+    lap, _ = _random_laplacian(rng, 5)
+    S = rng.normal(size=(4, 5))
+    before = S.copy()
+    with pytest.raises(ParameterError, match="alpha"):
+        update_codes(X, D, S, lap, alpha, beta)
+    assert np.array_equal(S, before)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.9])
+def test_update_codes_accepts_zero_alpha(beta):
+    rng = np.random.default_rng(48)
+    X = rng.normal(size=(6, 5))
+    D = _normalized_columns(rng, 6, 4)
+    lap, _ = _random_laplacian(rng, 5)
+    S0 = rng.normal(size=(4, 5))
+    _assert_sweeps_match_reference(X, D, S0, lap, 0.0, beta)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64),
+                          np.asarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_beta_zero_sweeps_match_the_row_loops_bitwise(seed):
+    """Alternating code and dictionary sweeps, as train runs them, give
+    the bits of the row-by-row loops they replaced."""
+    rng = np.random.default_rng(seed)
+    dim, n, n_atoms = 9, 23, 7
+    X = rng.normal(size=(dim, n))
+    D = _normalized_columns(rng, dim, n_atoms)
+    S = rng.normal(size=(n_atoms, n)) * (rng.random((n_atoms, n)) < 0.5)
+    D_ref, S_ref = D.copy(), S.copy()
+    for _ in range(5):
+        update_codes(X, D, S, None, 0.05, 0.0)
+        row_sweep_beta0(X, D_ref, S_ref, 0.05)
+        assert _same_bits(S, S_ref)
+        update_dictionary(X, S, D, rng=np.random.default_rng(seed))
+        atom_sweep(X, S_ref, D_ref, np.random.default_rng(seed))
+        assert _same_bits(D, D_ref)
+
+
+def test_beta_zero_sweep_parks_a_zero_column_bitwise():
+    rng = np.random.default_rng(49)
+    X = rng.normal(size=(6, 7))
+    D = _normalized_columns(rng, 6, 4)
+    D[:, 2] = 0.0
+    S = rng.normal(size=(4, 7))
+    want = row_sweep_beta0(X, D, S.copy(), 0.1)
+    update_codes(X, D, S, None, 0.1, 0.0)
+    assert not S[2].any()
+    assert _same_bits(S, want)
+
+
+def test_beta_zero_sweep_through_a_strided_view_bitwise():
+    rng = np.random.default_rng(50)
+    X = rng.normal(size=(6, 5))
+    D = _normalized_columns(rng, 6, 4)
+    buffer = rng.normal(size=(4, 10))
+    want = buffer.copy()
+    S = buffer[:, ::2]
+    row_sweep_beta0(X, D, want[:, ::2], 0.1)
+    assert update_codes(X, D, S, None, 0.1, 0.0) is S
+    assert _same_bits(buffer, want)
+
+
+def test_beta_zero_sweep_non_finite_later_row_matches_row_loop():
+    """Atoms 1 and 2 coincide and are orthogonal to atom 0, so row 0
+    stays finite and row 1's cross term overflows."""
+    D = np.zeros((3, 3))
+    D[0, 0] = D[1, 1] = D[1, 2] = 1.0
+    X = np.random.default_rng(51).normal(size=(3, 4))
+    S = np.zeros((3, 4))
+    S[1:] = 1e308
+    ref = S.copy()
+    with np.errstate(over="ignore"):
+        with pytest.raises(ArithmeticError) as want:
+            row_sweep_beta0(X, D, ref, 0.1)
+        with pytest.raises(NumericalError,
+                           match="non-finite code update in atom row 1") as got:
+            update_codes(X, D, S, None, 0.1, 0.0)
+    assert str(got.value) == str(want.value)
+    assert _same_bits(S, ref)
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_update_dictionary_dead_atom_matches_atom_loop_bitwise(n):
+    """A dead atom draws the same replacement from the same generator;
+    with one zero data column the draw is a normal vector."""
+    rng = np.random.default_rng(52)
+    X = rng.normal(size=(6, n)) if n > 1 else np.zeros((6, 1))
+    D = _normalized_columns(rng, 6, 3)
+    S = rng.normal(size=(3, n))
+    S[1, :] = 0.0
+    D_ref = D.copy()
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        atom_sweep(X, S, D_ref, np.random.default_rng(99))
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        update_dictionary(X, S, D, rng=np.random.default_rng(99))
+    assert [str(w.message) for w in got] == [str(w.message) for w in want]
+    assert [w.category for w in got] == [RuntimeWarning]
+    assert _same_bits(D, D_ref)
+
+
 # ---------------------------------------------------------------- dictionary
 
 
@@ -515,6 +636,30 @@ def test_train_validation():
         train(Y, np.eye(5), DictLearnParams(n_atoms=3, alpha=0.1, beta=1.0))
 
 
+def _count_calls(monkeypatch, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        inner = getattr(dictlearn, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            counts[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(dictlearn, name, counted)
+    return counts
+
+
+def test_train_runs_one_code_and_one_dictionary_sweep_per_iteration(
+        monkeypatch):
+    counts = _count_calls(monkeypatch, "update_codes", "update_dictionary")
+    X = np.random.default_rng(53).normal(size=(6, 9))
+    params = DictLearnParams(n_atoms=4, alpha=0.1, beta=0.0,
+                             max_outer_iter=4, obj_tol=0.0, seed=0)
+    _, _, trace = train(X, None, params)
+    assert len(trace) == 5
+    assert counts == {"update_codes": 4, "update_dictionary": 4}
+
+
 # ---------------------------------------------------------------- encoding
 
 
@@ -571,6 +716,16 @@ def test_encode_test_warns_once_at_the_sweep_cap():
         encode_test(Y, D, 0.05)
     with pytest.raises(ParameterError):
         encode_test(Y, D, 0.05, max_sweeps=0)
+
+
+def test_encode_test_runs_one_code_sweep_per_sweep(monkeypatch):
+    counts = _count_calls(monkeypatch, "update_codes")
+    rng = np.random.default_rng(44)
+    D = _normalized_columns(rng, 9, 7)
+    Y = rng.normal(size=(9, 4))
+    with pytest.warns(RuntimeWarning, match=r"max_sweeps \(3\)"):
+        encode_test(Y, D, 0.05, max_sweeps=3)
+    assert counts == {"update_codes": 3}
 
 
 def test_encode_test_validation():
