@@ -220,11 +220,19 @@ def save_labels(path, labels):
 
 
 def load_features(path, fmt="csv"):
-    """Load (features, labels-or-None) in either on-disk format."""
+    """Load (features, labels-or-None) in either on-disk format.
+
+    Like a CSV file, a binmat file must hold at least one feature row and
+    one sample column; an empty matrix raises FormatError.
+    """
     if fmt == "csv":
         return load_csv(path)
     if fmt == "binmat":
         X = load_binmat(path)
+        if X.shape[0] < 1:
+            raise FormatError(f"{path}: matrix has no feature rows")
+        if X.shape[1] < 1:
+            raise FormatError(f"{path}: matrix has no sample columns")
         sidecar = Path(f"{path}.labels")
         labels = load_labels(sidecar) if sidecar.exists() else None
         if labels is not None and labels.shape != (X.shape[1],):

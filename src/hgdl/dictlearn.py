@@ -114,12 +114,26 @@ def _check_shapes(X, D, S, delta):
         raise ParameterError(f"laplacian must be {(n, n)}, got {delta.shape}")
 
 
+def _csr(delta):
+    """L as a canonical CSR (sorted, duplicate-free indices), so that a
+    dense L and any sparse form of it are read in the same order. A
+    canonical CSR goes through without a copy; a caller's matrix is
+    never modified."""
+    L = sp.csr_array(delta, dtype=float)
+    if not L.has_canonical_format:
+        L = L.copy()
+        L.sum_duplicates()
+    return L
+
+
 def objective(X, D, S, delta, alpha, beta):
     """Objective value ||X - DS||_F^2 + 2 alpha ||S||_1 + beta tr(L S^T S).
 
-    delta may be None when beta == 0; in that case the returned value is
-    exactly the unregularized objective (the manifold term is skipped,
-    not just multiplied by zero).
+    delta, the Laplacian L, is a dense ndarray or any scipy sparse
+    matrix, and the manifold term reads it through its nonzeros as
+    sum_n s_n . (L S^T)_n. delta may be None when beta == 0; in that case
+    the returned value is exactly the unregularized objective (the
+    manifold term is skipped, not just multiplied by zero).
     """
     X = np.asarray(X, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -130,7 +144,7 @@ def objective(X, D, S, delta, alpha, beta):
     r = X - D @ S
     value = np.sum(r * r) + 2.0 * alpha * np.sum(np.abs(S))
     if beta != 0.0:
-        value = value + beta * np.sum((S @ delta) * S)
+        value = value + beta * np.sum((_csr(delta) @ S.T) * S.T)
     return float(value)
 
 
@@ -180,7 +194,9 @@ def update_codes(X, D, S, delta, alpha, beta):
     With beta > 0 only column n changes while sample n's atoms are
     visited, and the coupling leaves out L_nn, so the coupling
     sum_{r != n} L_nr S_kr of sample n is read once per sample from the
-    off-diagonal nonzeros of L's row n. delta must be symmetric: the
+    off-diagonal nonzeros of L's row n. delta, the Laplacian L, is a
+    dense ndarray or any scipy sparse matrix and is read only through
+    its nonzeros, as a canonical CSR. delta must be symmetric: the
     objective's coupling runs along L's column n, and a row stands in
     for it. Sample n's running field, the linear term of every atom's
     scalar problem, is formed once per sample from that coupling, D^T x_n
@@ -223,9 +239,11 @@ def update_codes(X, D, S, delta, alpha, beta):
                 np.divide(soft_threshold(j_row, alpha), curvature, out=row)
         return S
 
-    delta = np.asarray(delta, dtype=float)
-    ldiag = np.diag(delta).tolist()
-    off = sp.csr_array(delta - np.diag(ldiag))
+    delta = _csr(delta)
+    ldiag = delta.diagonal()
+    # the subtraction drops the zeroed diagonal and any explicit zero
+    off = delta - sp.diags_array(ldiag)
+    ldiag = ldiag.tolist()
     indptr, indices, values = off.indptr, off.indices, off.data
     gram_off = gram.copy()
     np.fill_diagonal(gram_off, 0.0)
@@ -319,6 +337,13 @@ def update_dictionary(X, S, D, rng=None):
 def train(X, delta, params: DictLearnParams, callback=None):
     """Alternate code and dictionary updates until the objective settles.
 
+    delta, the Laplacian L, is a dense ndarray or any scipy sparse
+    matrix, or None when params.beta == 0. It is converted once, on a
+    copy, to a canonical CSR, and every sweep and objective reads it
+    through its nonzeros. The conversion checks in O(nnz) that L is
+    (n, n) (ParameterError), finite (InputError) and symmetric to
+    np.allclose's tolerance (ParameterError).
+
     Returns (dictionary, codes, objective_trace). The trace holds the
     objective at initialization and after every outer iteration; any
     increase beyond MONOTONE_SLACK raises InternalError since both
@@ -332,10 +357,15 @@ def train(X, delta, params: DictLearnParams, callback=None):
     if not np.all(np.isfinite(X)):
         raise InputError("training matrix contains non-finite entries")
     if delta is not None:
-        delta = np.asarray(delta, dtype=float)
+        delta = sp.csr_array(delta, dtype=float, copy=True)
         if delta.shape != (X.shape[1], X.shape[1]):
             raise ParameterError("laplacian shape does not match X columns")
-        if not np.allclose(delta, delta.T, atol=1e-8):
+        delta.sum_duplicates()
+        if not np.isfinite(delta.data).all():
+            raise InputError("laplacian contains non-finite entries")
+        # np.allclose(L, L.T, atol=1e-8) as |L - L^T| - rtol |L^T| <= atol,
+        # which only the stored entries of L and L^T can break
+        if (abs(delta - delta.T) - 1e-5 * abs(delta.T)).max() > 1e-8:
             raise ParameterError("laplacian must be symmetric")
 
     rng = np.random.default_rng(params.seed)
@@ -479,8 +509,8 @@ def train_pipeline(X_train, train_labels, X_test=None, *,
         raise ParameterError(f"unknown mode {mode!r}")
     if X_test is not None:
         X_test = np.asarray(X_test, dtype=float)
-        if X_test.ndim != 2 or X_test.shape[0] != X_train.shape[0]:
-            raise ParameterError("test features must match training dimension")
+        if X_test.ndim != 2:
+            raise ParameterError("test features must be 2-d")
 
     n_train = X_train.shape[1]
     X, labels = corpus(X_train, train_labels, X_test, mode)

@@ -1,10 +1,12 @@
 """Coordinate-descent coding, blockwise dictionary updates, and training."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
 
 from hgdl import dictlearn
 from hgdl.dictlearn import (
@@ -660,6 +662,133 @@ def test_train_runs_one_code_and_one_dictionary_sweep_per_iteration(
     assert counts == {"update_codes": 4, "update_dictionary": 4}
 
 
+# ---------------------------------------------------------------- sparse L
+
+
+def _sparse_laplacian(rng, n):
+    """A dense L whose few hyperedges leave most vertex pairs apart."""
+    H, W = random_hypergraph(rng, n, max(2, n // 3), density=0.2)
+    lap = _laplacian_of(H, W)
+    assert (lap == 0).any()
+    return lap
+
+
+def _non_canonical(lap):
+    """lap as a CSR with each row's columns in descending order, the first
+    off-diagonal nonzero stored as two exact halves, and two explicit
+    zeros where lap has none."""
+    rows, cols = np.nonzero(lap)
+    values = lap[rows, cols]
+    first = np.flatnonzero(rows != cols)[0]
+    zero_rows, zero_cols = np.argwhere(lap == 0)[:2].T
+    rows = np.concatenate([rows, [rows[first]], zero_rows])
+    cols = np.concatenate([cols, [cols[first]], zero_cols])
+    values = np.concatenate([values, [values[first] / 2], [0.0, 0.0]])
+    values[first] /= 2
+    order = np.lexsort((-cols, rows))
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(rows, minlength=lap.shape[0]))])
+    csr = sp.csr_array((values[order], cols[order], indptr), shape=lap.shape)
+    assert not csr.has_canonical_format
+    return csr
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("form", [sp.csr_array, sp.coo_array,
+                                  _non_canonical])
+def test_sparse_laplacian_gives_the_dense_bits(form):
+    rng = np.random.default_rng(60)
+    lap = _sparse_laplacian(rng, 12)
+    sparse = form(lap)
+    X = rng.normal(size=(6, 12))
+    D = _normalized_columns(rng, 6, 5)
+    S0 = rng.normal(size=(5, 12)) * (rng.random((5, 12)) < 0.5)
+    alpha, beta = 0.1, 2.0
+
+    assert objective(X, D, S0, lap, alpha, beta) == objective(
+        X, D, S0, sparse, alpha, beta)
+    assert _same_bits(update_codes(X, D, S0.copy(), lap, alpha, beta),
+                      update_codes(X, D, S0.copy(), sparse, alpha, beta))
+    params = DictLearnParams(n_atoms=5, alpha=alpha, beta=beta,
+                             max_outer_iter=8, obj_tol=0.0, seed=1)
+    for got, want in zip(train(X, sparse, params), train(X, lap, params)):
+        assert _same_bits(got, want)
+
+
+def test_sparse_laplacian_is_left_as_the_caller_gave_it():
+    rng = np.random.default_rng(61)
+    sparse = _non_canonical(_sparse_laplacian(rng, 9))
+    parts = (sparse.data, sparse.indices, sparse.indptr)
+    before = [a.copy() for a in parts]
+    X = rng.normal(size=(4, 9))
+    D = _normalized_columns(rng, 4, 3)
+    objective(X, D, np.ones((3, 9)), sparse, 0.1, 1.0)
+    update_codes(X, D, np.zeros((3, 9)), sparse, 0.1, 1.0)
+    train(X, sparse, DictLearnParams(n_atoms=3, alpha=0.1, beta=1.0,
+                                     max_outer_iter=2, seed=0))
+    assert all(_same_bits(a, b) for a, b in zip(parts, before))
+
+
+@pytest.mark.parametrize("form", [np.asarray, sp.csr_array])
+@pytest.mark.parametrize("stored", [True, False])
+@pytest.mark.parametrize("skew, accepted", [(1e-9, True), (1e-3, False)])
+def test_train_symmetry_tolerance(form, stored, skew, accepted):
+    """L must equal L^T to np.allclose's tolerance, also where one side
+    of the pair is not stored."""
+    rng = np.random.default_rng(62)
+    lap = _sparse_laplacian(rng, 10)
+    off_diagonal = ~np.eye(10, dtype=bool)
+    i, j = np.argwhere(((lap != 0) == stored) & off_diagonal)[0]
+    lap[i, j] += skew
+    X = rng.normal(size=(4, 10))
+    params = DictLearnParams(n_atoms=3, alpha=0.1, beta=1.0,
+                             max_outer_iter=2, seed=0)
+    if accepted:
+        train(X, form(lap), params)
+    else:
+        with pytest.raises(ParameterError, match="symmetric"):
+            train(X, form(lap), params)
+
+
+@pytest.mark.parametrize("form", [np.asarray, sp.csr_array])
+@pytest.mark.parametrize("entry, value", [((0, 1), np.nan),
+                                          ((0, 0), np.inf)])
+def test_train_rejects_a_non_finite_laplacian_before_any_sweep(
+        monkeypatch, form, entry, value):
+    counts = _count_calls(monkeypatch, "update_codes")
+    rng = np.random.default_rng(63)
+    lap, _ = _random_laplacian(rng, 6)
+    lap[entry] = value
+    X = rng.normal(size=(4, 6))
+    params = DictLearnParams(n_atoms=3, alpha=0.1, beta=1.0, seed=0)
+    with pytest.raises(InputError, match="laplacian contains non-finite"):
+        train(X, form(lap), params)
+    assert counts == {"update_codes": 0}
+
+
+def test_train_on_a_sparse_laplacian_allocates_no_dense_square():
+    """A path-graph L at n = 3000 would take 72 MB dense; training on its
+    CSR must peak far below that."""
+    n = 3000
+    half = np.full(n - 1, -0.5)
+    lap = sp.diags_array([half, np.ones(n), half], offsets=[-1, 0, 1],
+                         format="csr")
+    X = np.random.default_rng(64).normal(size=(5, n))
+    params = DictLearnParams(n_atoms=2, alpha=0.1, beta=1.0,
+                             max_outer_iter=2, obj_tol=0.0, seed=0)
+    tracemalloc.start()
+    try:
+        train(X, lap, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 4
+
+
 # ---------------------------------------------------------------- encoding
 
 
@@ -878,6 +1007,17 @@ def test_train_pipeline_validation():
                        hypergraph_config=config, params=params)
     with pytest.raises(ParameterError):
         train_pipeline(X_train, labels[:5],
+                       hypergraph_config=config, params=params)
+
+
+@pytest.mark.parametrize("mode", [INDUCTIVE, TRANSDUCTIVE])
+def test_train_pipeline_mismatched_test_dimension_is_an_input_error(mode):
+    rng = np.random.default_rng(32)
+    X_train, labels, X_test = _toy_data(rng)
+    config = HypergraphConfig(admm=AdmmParams(epsilon=2.0 ** -6), k_nn=3)
+    params = DictLearnParams(n_atoms=4, alpha=0.1, beta=1.0)
+    with pytest.raises(InputError, match="test feature dimension"):
+        train_pipeline(X_train, labels, X_test[:-1], mode=mode,
                        hypergraph_config=config, params=params)
 
 

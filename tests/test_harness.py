@@ -14,7 +14,9 @@ from hgdl.data import (
     load_binmat,
     load_csv,
     make_synthetic,
+    save_binmat,
     save_csv,
+    save_labels,
 )
 from hgdl.errors import NumericalError, ParameterError
 from hgdl.harness import (
@@ -634,3 +636,28 @@ def test_cli_study_flags_checked_before_any_run(cli_data, monkeypatch, capsys,
                      "--out", str(root / "never.json")] + flags + COMMON)
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, shape", [
+    ("train", (0, 6)),
+    ("export-laplacian", (0, 6)),
+    ("export-laplacian", (5, 0)),
+])
+def test_cli_binmat_without_features_or_samples_exits_3(tmp_path, capsys,
+                                                       subcommand, shape):
+    """A binmat matrix with no feature rows or no sample columns is
+    malformed input, as the same shapes are in CSV."""
+    rows, cols = shape
+    train_path = str(tmp_path / "train.binmat")
+    save_binmat(train_path, np.zeros(shape))
+    if cols:
+        save_labels(f"{train_path}.labels", np.arange(cols) % 2)
+    test_path = str(tmp_path / "test.binmat")
+    save_binmat(test_path, np.zeros((rows, 4)))
+    save_labels(f"{test_path}.labels", np.arange(4) % 2)
+    out = tmp_path / "never"
+    code = cli.main([subcommand, "--train", train_path, "--test", test_path,
+                     "--out", str(out), "--format", "binmat", "--knn", "2"])
+    assert code == 3
+    assert f"error: {train_path}: matrix has no" in capsys.readouterr().err
+    assert not out.exists()
