@@ -223,11 +223,12 @@ def load_features(path, fmt="csv"):
     """Load (features, labels-or-None) in either on-disk format.
 
     Like a CSV file, a binmat file must hold at least one feature row and
-    one sample column; an empty matrix raises FormatError.
+    one sample column; an empty matrix raises FormatError. A NaN or
+    infinite feature value raises InputError naming the file.
     """
     if fmt == "csv":
-        return load_csv(path)
-    if fmt == "binmat":
+        X, labels = load_csv(path)
+    elif fmt == "binmat":
         X = load_binmat(path)
         if X.shape[0] < 1:
             raise FormatError(f"{path}: matrix has no feature rows")
@@ -239,8 +240,11 @@ def load_features(path, fmt="csv"):
             raise FormatError(
                 f"{sidecar}: {labels.shape[0]} labels for {X.shape[1]} samples"
             )
-        return X, labels
-    raise ParameterError(f"unknown format {fmt!r}")
+    else:
+        raise ParameterError(f"unknown format {fmt!r}")
+    if not np.isfinite(X).all():
+        raise InputError(f"{path}: feature matrix contains non-finite entries")
+    return X, labels
 
 
 def make_synthetic(n_classes, per_class_train, per_class_test, dim,

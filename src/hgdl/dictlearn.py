@@ -79,10 +79,20 @@ class DictLearnParams:
 
 @dataclass
 class Classifier:
-    """Linear class-score map fitted by ridge regression on code columns."""
+    """Linear class-score map fitted by ridge regression on code columns.
+
+    Row c of plane scores label c. classes lists, ascending, the labels
+    that predict may return: those with a labeled training column. None
+    stands for every row of plane.
+    """
 
     plane: np.ndarray  # (n_classes, n_atoms)
     ridge: float
+    classes: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.classes = (np.arange(np.shape(self.plane)[0])
+                        if self.classes is None else np.asarray(self.classes))
 
 
 @dataclass
@@ -338,11 +348,11 @@ def train(X, delta, params: DictLearnParams, callback=None):
     """Alternate code and dictionary updates until the objective settles.
 
     delta, the Laplacian L, is a dense ndarray or any scipy sparse
-    matrix, or None when params.beta == 0. It is converted once, on a
-    copy, to a canonical CSR, and every sweep and objective reads it
-    through its nonzeros. The conversion checks in O(nnz) that L is
-    (n, n) (ParameterError), finite (InputError) and symmetric to
-    np.allclose's tolerance (ParameterError).
+    matrix, or None when params.beta == 0. _csr turns it once into a
+    canonical CSR, never modifying the caller's matrix, and every sweep
+    and objective reads that through its nonzeros. train checks in
+    O(nnz) that L is (n, n) (ParameterError), finite (InputError) and
+    symmetric to np.allclose's tolerance (ParameterError).
 
     Returns (dictionary, codes, objective_trace). The trace holds the
     objective at initialization and after every outer iteration; any
@@ -357,10 +367,9 @@ def train(X, delta, params: DictLearnParams, callback=None):
     if not np.all(np.isfinite(X)):
         raise InputError("training matrix contains non-finite entries")
     if delta is not None:
-        delta = sp.csr_array(delta, dtype=float, copy=True)
+        delta = _csr(delta)
         if delta.shape != (X.shape[1], X.shape[1]):
             raise ParameterError("laplacian shape does not match X columns")
-        delta.sum_duplicates()
         if not np.isfinite(delta.data).all():
             raise InputError("laplacian contains non-finite entries")
         # np.allclose(L, L.T, atol=1e-8) as |L - L^T| - rtol |L^T| <= atol,
@@ -435,7 +444,8 @@ def fit_classifier(S, labels, ridge=1e-3):
     """Ridge-regress one-hot class indicators onto the labeled code columns.
 
     Unlabeled columns (label UNLABELED) are ignored. Returns a Classifier
-    whose plane solves min_B ||U - B S_l||_F^2 + ridge ||B||_F^2.
+    whose plane solves min_B ||U - B S_l||_F^2 + ridge ||B||_F^2, with
+    one row per label value 0..max; its classes are the labels present.
     """
     S = np.asarray(S, dtype=float)
     labels = np.asarray(labels)
@@ -457,18 +467,22 @@ def fit_classifier(S, labels, ridge=1e-3):
     onehot[y, np.arange(y.size)] = 1.0
     system = coded @ coded.T + ridge * np.eye(S.shape[0])
     plane = np.linalg.solve(system, coded @ onehot.T).T
-    return Classifier(plane=plane, ridge=float(ridge))
+    return Classifier(plane=plane, ridge=float(ridge), classes=np.unique(y))
 
 
 def predict(classifier: Classifier, codes):
-    """Class with the largest score per column; ties pick the lowest index."""
+    """Class with the largest score per column, among the classifier's
+    classes; ties pick the lowest such class. A label without training
+    columns has an all-zero plane row, so it would otherwise win
+    whenever every real score is negative."""
     codes = np.asarray(codes, dtype=float)
     if codes.ndim != 2:
         raise ParameterError("codes must be 2-d (atoms x samples)")
     if codes.shape[0] != classifier.plane.shape[1]:
         raise ParameterError("code length does not match the classifier")
+    classes = classifier.classes
     scores = classifier.plane @ codes
-    return np.argmax(scores, axis=0)
+    return classes[np.argmax(scores[classes], axis=0)]
 
 
 def corpus(X_train, train_labels, X_test, mode):
@@ -517,7 +531,8 @@ def train_pipeline(X_train, train_labels, X_test=None, *,
     if params.beta == 0.0:
         delta = None
     else:
-        delta = build_laplacian(X, labels, hypergraph_config)
+        # the dense L is freed here, before the first sweep
+        delta = sp.csr_array(build_laplacian(X, labels, hypergraph_config))
     D, S, trace = train(X, delta, params)
 
     if mode == TRANSDUCTIVE:

@@ -110,7 +110,8 @@ def knn_neighbors(X, k):
 
     Euclidean distance between columns; neighbors are sorted by ascending
     distance with ties broken by ascending column index. Returns an
-    (N, k) integer array.
+    (N, k) integer array that owns its data, so the N x N distances and
+    their argsort are freed when this returns.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -127,29 +128,8 @@ def knn_neighbors(X, k):
     np.fill_diagonal(dist, np.inf)
     # stable sort keeps ascending index order among exact distance ties
     order = np.argsort(dist, axis=1, kind="stable")
-    return order[:, :k]
-
-
-def _normal_equations(Xt, neighbors):
-    """P^T P and P^T x of every center x, P holding its neighbors' columns.
-
-    Xt is X transposed and C-ordered. The stacks are filled one pair of
-    neighbor ranks at a time with row sums over the contiguous feature
-    axis: memory stays at a few (n, dim) arrays, the k x k blocks are
-    exactly symmetric, and no BLAS product is called. (A multithreaded
-    X^T X left OpenBLAS workers spinning, which made the solve that
-    follows twice as slow on a 2-core machine.)
-    """
-    n, k = neighbors.shape
-    gram = np.empty((n, k, k))
-    ptx = np.empty((n, k))
-    for a in range(k):
-        pa = Xt[neighbors[:, a]]
-        ptx[:, a] = np.sum(pa * Xt, axis=1)
-        for b in range(a, k):
-            pb = Xt[neighbors[:, b]]
-            gram[:, a, b] = gram[:, b, a] = np.sum(pa * pb, axis=1)
-    return gram, ptx
+    del dist  # so that the copy below does not raise the peak
+    return order[:, :k].copy()
 
 
 def build_saf_hypergraph(X, k, attention_params: AdmmParams,
@@ -161,8 +141,11 @@ def build_saf_hypergraph(X, k, attention_params: AdmmParams,
     when all neighbors coincide with c) and w_v is the attention weight
     of v clamped at zero. The center's own entry is 1, so every vertex
     has positive degree. All centers' attention problems are solved as
-    one batch. A solve that hits max_iter keeps its last iterate; one
-    warning per call counts them.
+    one batch on P^T P and P^T x, P holding center x's neighbor columns;
+    one pass over the neighbor ranks gathers each rank's columns once
+    for the distances, P^T x and that rank's row of P^T P. A solve that
+    hits max_iter keeps its last iterate; one warning per call counts
+    them.
     """
     X = np.asarray(X, dtype=float)
     neighbors = knn_neighbors(X, k)
@@ -170,15 +153,28 @@ def build_saf_hypergraph(X, k, attention_params: AdmmParams,
     # one C-ordered copy, so that results do not depend on X's layout
     Xt = np.ascontiguousarray(X.T)
     dist = np.empty((n, k))
-    for j in range(k):
-        diffs = Xt[neighbors[:, j]] - Xt
-        dist[:, j] = np.sqrt(np.sum(diffs * diffs, axis=1))
+    # row sums over the contiguous feature axis: memory stays at a few
+    # (n, dim) arrays, the k x k blocks are exactly symmetric, and no BLAS
+    # product is called (a multithreaded X^T X left OpenBLAS workers
+    # spinning, which made the solve that follows twice as slow on a
+    # 2-core machine)
+    gram = np.empty((n, k, k))
+    ptx = np.empty((n, k))
+    for a in range(k):
+        pa = Xt[neighbors[:, a]]
+        diffs = pa - Xt
+        dist[:, a] = np.sqrt(np.sum(diffs * diffs, axis=1))
+        if not use_attention:
+            continue
+        ptx[:, a] = np.sum(pa * Xt, axis=1)
+        for b in range(a, k):
+            pb = Xt[neighbors[:, b]]
+            gram[:, a, b] = gram[:, b, a] = np.sum(pa * pb, axis=1)
     sigma = np.mean(dist, axis=1)
     sigma[sigma == 0.0] = 1.0
     entries = np.exp(-((dist / sigma[:, None]) ** 2))
     if use_attention:
-        sol = solve_attention_batch(*_normal_equations(Xt, neighbors),
-                                    attention_params)
+        sol = solve_attention_batch(gram, ptx, attention_params)
         capped = int(np.count_nonzero(~sol.converged))
         if capped:
             warnings.warn(

@@ -8,7 +8,8 @@ hypergraph-Laplacian formula, the literal pairwise expansion of the
 manifold penalty and a golden-section scalar minimizer. The
 row-by-row beta = 0 code sweep and dictionary sweep are kept as the
 library first wrote them, one fresh array per arithmetic step, so that
-a rewrite of either can be held to the same bits.
+a rewrite of either can be held to the same bits. The sparse-attention
+incidence is kept the same way, as two loops over neighbor ranks.
 """
 
 import warnings
@@ -255,3 +256,39 @@ def atom_sweep(X, S, D, rng):
         else:
             D[:, k] = u / norm
     return D
+
+
+def saf_incidence_two_loops(X, neighbors, solve=None):
+    """The sparse-attention incidence as the library first built it.
+
+    One loop over neighbor ranks gives the distances; a second, over
+    rank pairs, gives P^T P and P^T x, P holding center x's neighbor
+    columns. neighbors is the (n, k) knn index array; solve(gram, ptx)
+    returns the (n, k) attention weights, and None fixes them at 1.
+    Returns the dense (n, n) incidence, column c holding center c's
+    edge with its own entry 1.
+    """
+    X = np.asarray(X, dtype=float)
+    n, k = neighbors.shape
+    Xt = np.ascontiguousarray(X.T)
+    dist = np.empty((n, k))
+    for j in range(k):
+        diffs = Xt[neighbors[:, j]] - Xt
+        dist[:, j] = np.sqrt(np.sum(diffs * diffs, axis=1))
+    sigma = np.mean(dist, axis=1)
+    sigma[sigma == 0.0] = 1.0
+    entries = np.exp(-((dist / sigma[:, None]) ** 2))
+    if solve is not None:
+        gram = np.empty((n, k, k))
+        ptx = np.empty((n, k))
+        for a in range(k):
+            pa = Xt[neighbors[:, a]]
+            ptx[:, a] = np.sum(pa * Xt, axis=1)
+            for b in range(a, k):
+                pb = Xt[neighbors[:, b]]
+                gram[:, a, b] = gram[:, b, a] = np.sum(pa * pb, axis=1)
+        entries *= np.maximum(solve(gram, ptx), 0.0)
+    H = np.eye(n)
+    for c in range(n):
+        H[neighbors[c], c] = entries[c]
+    return H

@@ -25,6 +25,7 @@ from hgdl.dictlearn import (
     update_dictionary,
 )
 from hgdl.attention import AdmmParams
+from hgdl.data import make_synthetic
 from hgdl.errors import InputError, NumericalError, ParameterError
 from hgdl.hypergraph import (
     SAF,
@@ -789,6 +790,36 @@ def test_train_on_a_sparse_laplacian_allocates_no_dense_square():
     assert peak < 8 * n * n / 4
 
 
+def test_train_pipeline_frees_the_dense_laplacian_before_the_first_sweep(
+        monkeypatch):
+    """At the first code sweep no n x n float array is live: traced
+    memory stays below half of a dense L's 8 n^2 bytes."""
+    bundle = make_synthetic(10, 100, 0, 30, 0.3, seed=1)
+    n = bundle.train_features.shape[1]
+    live = []
+
+    class FirstSweep(Exception):
+        pass
+
+    def first_sweep(*args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        raise FirstSweep
+
+    monkeypatch.setattr(dictlearn, "update_codes", first_sweep)
+    config = HypergraphConfig(admm=AdmmParams(epsilon=2.0 ** -6))
+    params = DictLearnParams(n_atoms=50, alpha=2.0 ** -6, beta=8.0)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(FirstSweep):
+                train_pipeline(bundle.train_features, bundle.train_labels,
+                               hypergraph_config=config, params=params)
+    finally:
+        tracemalloc.stop()
+    assert n == 1000 and live[0] < 8 * n * n / 2
+
+
 # ---------------------------------------------------------------- encoding
 
 
@@ -940,6 +971,22 @@ def test_predict_argmax_ties_and_scaling():
     assert np.array_equal(predict(clf, 3.0 * codes), got)
     with pytest.raises(ParameterError):
         predict(clf, np.zeros((3, 2)))
+
+
+def test_predict_never_returns_a_class_without_training_columns():
+    """Label 1 has no labeled column, so its plane row is all zero; on
+    codes where every present class scores below zero it would win the
+    plain argmax."""
+    rng = np.random.default_rng(93)
+    S = rng.normal(size=(5, 20))
+    labels = np.asarray([0, 2] * 10)
+    clf = fit_classifier(S, labels)
+    assert clf.plane.shape == (3, 5) and not clf.plane[1].any()
+    assert clf.classes.tolist() == [0, 2]
+    scores = clf.plane @ -S
+    assert np.any(np.argmax(scores, axis=0) == 1)
+    got = predict(clf, -S)
+    assert np.array_equal(got, np.where(scores[2] > scores[0], 2, 0))
 
 
 # ---------------------------------------------------------------- pipeline

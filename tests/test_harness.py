@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,24 @@ def test_run_with_masking_is_deterministic():
     b = run(config, bundle)
     assert np.array_equal(a.predictions, b.predictions)
     assert a.accuracy == b.accuracy
+
+
+@pytest.mark.parametrize("fraction, seed", [(0.6, 1), (0.8, 2)])
+def test_run_predictions_follow_a_renaming_of_the_labels(fraction, seed):
+    """1-based labels give the 0-based predictions plus one: the label 0,
+    which has no training sample, is never predicted."""
+    bundle = make_synthetic(4, 5, 10, 30, 0.8, seed)
+    shifted = DatasetBundle(bundle.train_features, bundle.train_labels + 1,
+                            bundle.test_features, bundle.test_labels + 1)
+    config = ExperimentConfig(k_nn=4, dict_size=20, mask_fraction=fraction,
+                              seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        base = run(config, bundle)
+        renamed = run(config, shifted)
+    assert np.array_equal(renamed.predictions, base.predictions + 1)
+    assert renamed.per_class_accuracy == [0.0] + base.per_class_accuracy
+    assert renamed.accuracy == base.accuracy
 
 
 # ---------------------------------------------------------------- suites
@@ -419,6 +438,27 @@ def test_cli_exit_code_3_on_bad_input(cli_data, tmp_path, capsys):
     unlabeled.write_text("f0,f1\n1.0,2.0\n3.0,4.0\n")
     assert cli.main(["train", "--train", str(unlabeled), "--out", out]) == 3
     assert "labels required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt, value", [("csv", np.nan),
+                                        ("binmat", -np.inf)])
+@pytest.mark.parametrize("subcommand", ["train", "export-laplacian"])
+def test_cli_non_finite_features_exit_3_naming_the_file(
+        cli_data, tmp_path, capsys, subcommand, fmt, value):
+    _, train_csv, _ = cli_data
+    X, y = load_csv(train_csv)
+    X[2, 5] = value
+    path = str(tmp_path / f"bad.{fmt}")
+    if fmt == "csv":
+        save_csv(path, X, y)
+    else:
+        save_binmat(path, X)
+        save_labels(f"{path}.labels", y)
+    code = cli.main([subcommand, "--train", path, "--format", fmt,
+                     "--out", str(tmp_path / "never")] + COMMON)
+    assert code == 3
+    assert f"{path}: feature matrix contains non-finite entries" in (
+        capsys.readouterr().err)
 
 
 def test_cli_exit_code_4_on_numerical_failure(cli_data, monkeypatch, capsys):

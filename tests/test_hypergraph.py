@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hgdl.attention import AdmmParams, solve_attention
+from hgdl.attention import AdmmParams, solve_attention, solve_attention_batch
 from hgdl.errors import InputError, InternalError, ParameterError
 from hgdl.hypergraph import (
     LB,
@@ -31,6 +31,7 @@ from oracles import (
     normalized_graph_laplacian,
     python_degrees,
     random_hypergraph,
+    saf_incidence_two_loops,
 )
 
 PARAMS = AdmmParams(epsilon=2.0 ** -6)
@@ -47,6 +48,14 @@ def test_knn_matches_brute_force():
         want = brute_force_knn(X, k)
         assert got.shape == (25, k)
         assert np.array_equal(got, np.asarray(want))
+
+
+def test_knn_neighbors_owns_its_data():
+    """No view into the n x n argsort, which would keep it alive."""
+    X = np.random.default_rng(12).normal(size=(5, 30))
+    nbrs = knn_neighbors(X, 4)
+    assert nbrs.base is None and nbrs.flags.owndata
+    assert nbrs.shape == (30, 4)
 
 
 def test_knn_tie_break_by_index():
@@ -191,6 +200,26 @@ def test_saf_batch_matches_per_center_solves():
             warnings.simplefilter("ignore", RuntimeWarning)
             got = build_saf_hypergraph(X, 3, params).incidence.toarray()
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [83, 84, 85])
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_saf_incidence_matches_the_two_loop_construction_bitwise(
+        seed, k, use_attention):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(9, 24))
+    X[:, 3] = X[:, 4]  # a duplicate pair
+    params = AdmmParams(epsilon=2.0 ** -4, max_iter=30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = build_saf_hypergraph(X, k, params, use_attention)
+        solve = None
+        if use_attention:
+            def solve(gram, ptx):
+                return solve_attention_batch(gram, ptx, params).q
+        want = saf_incidence_two_loops(X, knn_neighbors(X, k), solve)
+    assert np.array_equal(got.incidence.toarray(), want)
 
 
 def test_saf_warns_once_with_the_capped_count():
