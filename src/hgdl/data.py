@@ -268,6 +268,8 @@ def make_synthetic(n_classes, per_class_train, per_class_test, dim,
         raise ParameterError("dim must be at least 1")
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ParameterError("noise_sigma must be a nonnegative real")
+    if seed < 0:
+        raise ParameterError("seed (--seed) must be nonnegative")
     rng = np.random.default_rng(seed)
     centers = []
     tries = 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,6 +75,8 @@ class DictLearnParams:
             raise ParameterError("max_outer_iter must be at least 1")
         if not (np.isfinite(self.obj_tol) and self.obj_tol >= 0):
             raise ParameterError("obj_tol must be a nonnegative real")
+        if self.seed < 0:
+            raise ParameterError("seed (--seed) must be nonnegative")
 
 
 @dataclass
@@ -514,6 +516,10 @@ def train_pipeline(X_train, train_labels, X_test=None, *,
     (test columns enter the label modal as unlabeled) and takes the test
     codes straight from the joint coding. Test labels are never consumed
     here. When params.beta == 0 the hypergraph is skipped entirely.
+
+    The dictionary has min(params.n_atoms, corpus columns) atoms: an
+    n_atoms above the corpus size trains the same dictionary as n_atoms
+    equal to it, with no atom drawn twice from one column.
     """
     X_train = np.asarray(X_train, dtype=float)
     train_labels = np.asarray(train_labels)
@@ -528,6 +534,7 @@ def train_pipeline(X_train, train_labels, X_test=None, *,
 
     n_train = X_train.shape[1]
     X, labels = corpus(X_train, train_labels, X_test, mode)
+    params = replace(params, n_atoms=min(params.n_atoms, X.shape[1]))
     if params.beta == 0.0:
         delta = None
     else:

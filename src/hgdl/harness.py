@@ -24,7 +24,6 @@ from .dictlearn import (
     INDUCTIVE,
     TRANSDUCTIVE,
     DictLearnParams,
-    corpus,
     predict,
     train_pipeline,
 )
@@ -67,9 +66,12 @@ class ExperimentConfig:
         if not (0.0 <= self.mask_fraction < 1.0):
             raise ParameterError(
                 "mask_fraction (--mask-fraction) must lie in [0, 1)")
+        # DictLearnParams sees seed + 1, so its own check lets -1 through
+        if self.seed < 0:
+            raise ParameterError("seed (--seed) must be nonnegative")
         # the component configs check every other field, naming its flag
         self.hypergraph_config()
-        self.dictlearn_params(self.dict_size)
+        self.dictlearn_params()
 
     def hypergraph_config(self) -> HypergraphConfig:
         return HypergraphConfig(
@@ -79,10 +81,9 @@ class ExperimentConfig:
             use_labels=self.ablation != LB_OFF,
         )
 
-    def dictlearn_params(self, n_columns) -> DictLearnParams:
-        """Atoms capped at the n_columns the dictionary is trained on."""
+    def dictlearn_params(self) -> DictLearnParams:
         return DictLearnParams(
-            n_atoms=min(self.dict_size, n_columns),
+            n_atoms=self.dict_size,
             alpha=self.alpha,
             beta=self.beta,
             gamma=self.gamma,
@@ -144,21 +145,19 @@ def run(config: ExperimentConfig, bundle: DatasetBundle,
     """Execute one configured run on a dataset bundle.
 
     Masking (if any) hits train and test features with per-stage seeds.
-    The dictionary size is capped at the number of columns the
-    dictionary is trained on. Test labels are read only at scoring; a
-    bundle without test features is scored on its training samples.
+    Test labels are read only at scoring; a bundle without test features
+    is scored on its training samples.
     """
     started = time.perf_counter()
     y_train = bundle.train_labels
     X_train, X_test = masked_features(config, bundle.train_features,
                                       bundle.test_features)
-    n_columns = corpus(X_train, y_train, X_test, config.mode)[0].shape[1]
     model = train_pipeline(
         X_train,
         y_train,
         X_test,
         hypergraph_config=config.hypergraph_config(),
-        params=config.dictlearn_params(n_columns),
+        params=config.dictlearn_params(),
         mode=config.mode,
     )
     if X_test is not None:

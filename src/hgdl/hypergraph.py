@@ -141,11 +141,14 @@ def build_saf_hypergraph(X, k, attention_params: AdmmParams,
     when all neighbors coincide with c) and w_v is the attention weight
     of v clamped at zero. The center's own entry is 1, so every vertex
     has positive degree. All centers' attention problems are solved as
-    one batch on P^T P and P^T x, P holding center x's neighbor columns;
-    one pass over the neighbor ranks gathers each rank's columns once
-    for the distances, P^T x and that rank's row of P^T P. A solve that
-    hits max_iter keeps its last iterate; one warning per call counts
-    them.
+    one batch on P^T P and P^T x, P holding center x's neighbor columns.
+    One pass over the neighbor ranks gathers rank a's columns for the
+    distances and P^T x, and rank b's again for each P^T P entry (a, b)
+    with b >= a: k + k(k+1)/2 gathers of an (n, dim) block with
+    attention on, k without. Gathering every rank once would keep an
+    (n, k, dim) block alive, which raised the peak memory of a Laplacian
+    export. A solve that hits max_iter keeps its last iterate; one
+    warning per call counts them.
     """
     X = np.asarray(X, dtype=float)
     neighbors = knn_neighbors(X, k)

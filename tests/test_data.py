@@ -268,6 +268,8 @@ def test_synthetic_validation():
         make_synthetic(2, 5, 5, dim=0, noise_sigma=0.1, seed=0)
     with pytest.raises(ParameterError):
         make_synthetic(2, 5, 5, dim=10, noise_sigma=-0.5, seed=0)
+    with pytest.raises(ParameterError, match="--seed"):
+        make_synthetic(2, 5, 5, dim=10, noise_sigma=0.1, seed=-1)
 
 
 # ---------------------------------------------------------------- masking

@@ -1041,6 +1041,27 @@ def test_train_pipeline_beta_zero_skips_hypergraph():
     assert model.test_codes.shape == (6, 5)
 
 
+@pytest.mark.parametrize("mode, n_columns", [(INDUCTIVE, 12),
+                                              (TRANSDUCTIVE, 12 + 5)])
+def test_train_pipeline_caps_atoms_at_the_corpus_columns(mode, n_columns):
+    """n_atoms above the corpus size trains the n_atoms = corpus size
+    model, not one with atoms drawn twice from a column."""
+    rng = np.random.default_rng(33)
+    X_train, labels, X_test = _toy_data(rng)
+    config = HypergraphConfig(admm=AdmmParams(epsilon=2.0 ** -6), k_nn=3)
+    capped, above = (
+        train_pipeline(X_train, labels, X_test, mode=mode,
+                       hypergraph_config=config,
+                       params=DictLearnParams(n_atoms=n_atoms, alpha=0.1,
+                                              beta=2.0, max_outer_iter=15,
+                                              seed=5))
+        for n_atoms in (n_columns, n_columns + 30))
+    assert capped.dictionary.shape == (10, n_columns)
+    for name in ("dictionary", "train_codes", "test_codes",
+                 "objective_trace"):
+        assert _same_bits(getattr(above, name), getattr(capped, name)), name
+
+
 def test_train_pipeline_validation():
     rng = np.random.default_rng(31)
     X_train, labels, X_test = _toy_data(rng)
@@ -1078,6 +1099,7 @@ def test_params_validation_and_gamma_default():
         dict(n_atoms=4, alpha=0.1, beta=0.0, gamma=0.0),
         dict(n_atoms=4, alpha=0.1, beta=0.0, max_outer_iter=0),
         dict(n_atoms=4, alpha=0.1, beta=0.0, obj_tol=-1.0),
+        dict(n_atoms=4, alpha=0.1, beta=0.0, seed=-1),
     ):
         with pytest.raises(ParameterError):
             DictLearnParams(**kwargs)

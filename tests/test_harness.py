@@ -92,6 +92,8 @@ def test_config_defaults_and_validation():
         dict(mask_fraction=1.0),
         dict(dict_size=0),
         dict(k_nn=0),
+        dict(seed=-1),
+        dict(seed=-2),
     ):
         with pytest.raises(ParameterError):
             ExperimentConfig(**kwargs)
@@ -103,9 +105,8 @@ def test_config_maps_onto_components():
     hg = config.hypergraph_config()
     assert (hg.admm.epsilon, hg.k_nn) == (0.25, 4)
     assert (hg.use_attention, hg.use_labels) == (True, True)
-    params = config.dictlearn_params(12)
-    assert params.n_atoms == 12  # capped at the corpus columns
-    assert config.dictlearn_params(100).n_atoms == 30
+    params = config.dictlearn_params()
+    assert params.n_atoms == 30
     assert (params.alpha, params.beta, params.gamma) == (0.5, 3.0, 0.5)
     assert params.seed == 7 + SEED_OFFSET_DICT_INIT
     switches = {}
@@ -124,6 +125,7 @@ def test_config_maps_onto_components():
     ("k_nn", 0, "--knn"),
     ("dict_size", 0, "--dict-size"),
     ("mask_fraction", 1.0, "--mask-fraction"),
+    ("seed", -1, "--seed"),
 ])
 def test_config_rejects_bad_values_naming_the_flag(field, value, flag):
     with pytest.raises(ParameterError, match=flag):
@@ -221,6 +223,49 @@ def test_run_predictions_follow_a_renaming_of_the_labels(fraction, seed):
     assert np.array_equal(renamed.predictions, base.predictions + 1)
     assert renamed.per_class_accuracy == [0.0] + base.per_class_accuracy
     assert renamed.accuracy == base.accuracy
+
+
+def test_run_predictions_follow_a_permutation_of_the_labels():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=6, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(seed=st.integers(1, 4),
+                      perm=st.permutations(range(4)),
+                      mode=st.sampled_from(["inductive", "transductive"]))
+    def check(seed, perm, mode):
+        perm = np.asarray(perm)
+        bundle = make_synthetic(4, 5, 10, 30, 0.8, seed)
+        renamed_bundle = DatasetBundle(
+            bundle.train_features, perm[bundle.train_labels],
+            bundle.test_features, perm[bundle.test_labels])
+        config = ExperimentConfig(k_nn=4, dict_size=20, mode=mode, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            base = run(config, bundle)
+            renamed = run(config, renamed_bundle)
+        assert np.array_equal(renamed.predictions, perm[base.predictions])
+        assert renamed.accuracy == base.accuracy
+        assert [renamed.per_class_accuracy[p] for p in perm] == (
+            base.per_class_accuracy)
+        assert renamed.objective_trace == base.objective_trace
+
+    check()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_laplacian_lifts_accuracy_on_noisy_transductive_data(seed):
+    """At noise 1.6 the class blobs overlap, and the hypergraph over the
+    unlabeled columns is what separates them: the full model beats
+    beta = 0 by a margin that noise 0.3, where both score 1.0, hides."""
+    bundle = make_synthetic(10, 2, 8, 100, 1.6, seed)
+    config = ExperimentConfig(mode="transductive", dict_size=20, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        full = run(config, bundle).accuracy
+        flat = run(dataclasses.replace(config, beta=0.0), bundle).accuracy
+    assert full - flat >= 0.2
 
 
 # ---------------------------------------------------------------- suites
@@ -394,6 +439,12 @@ def test_cli_exit_code_2_on_bad_parameters(cli_data, capsys):
     code = cli.main(["train", "--train", train_csv, "--out", out,
                      "--knn", "0"])
     assert code == 2
+    capsys.readouterr()
+    # checked before the file is read
+    code = cli.main(["train", "--train", str(root / "missing.csv"),
+                     "--out", out, "--seed", "-2"])
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_cli_knn_too_large_names_the_flag(tmp_path, capsys):
