@@ -15,13 +15,20 @@ columns.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
 import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import daxpy
 
 from .attention import soft_threshold
 from .errors import (
@@ -41,6 +48,11 @@ ENCODE_REL_TOL = 1e-8
 
 INDUCTIVE = "inductive"
 TRANSDUCTIVE = "transductive"
+
+# the beta > 0 sweep, compiled on first use; see _sweep_kernel
+_SWEEP_SOURCE = Path(__file__).with_name("_sweep.c")
+_SWEEP_FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
+_sweep = None
 
 
 @dataclass
@@ -130,12 +142,84 @@ def _csr(delta):
     """L as a canonical CSR (sorted, duplicate-free indices), so that a
     dense L and any sparse form of it are read in the same order. A
     canonical CSR goes through without a copy; a caller's matrix is
-    never modified."""
+    never modified. scipy keeps a column index outside the shape, and
+    reading through it reads past the arrays, so such an L raises
+    ParameterError."""
     L = sp.csr_array(delta, dtype=float)
+    if L.nnz and not 0 <= L.indices.min() <= L.indices.max() < L.shape[1]:
+        raise ParameterError("laplacian has column indices outside its shape")
     if not L.has_canonical_format:
         L = L.copy()
         L.sum_duplicates()
     return L
+
+
+def _sweep_kernel():
+    """The beta > 0 sweep of _sweep.c as a ctypes function, compiled on
+    the first call of the process.
+
+    The build runs sysconfig's CC with _SWEEP_FLAGS, which pin the
+    rounding (no FMA contraction, no machine-specific code). It is
+    cached in $XDG_CACHE_HOME/hgdl, by default ~/.cache/hgdl, created
+    with mode 0700, under the sha256 of the source and the compile
+    command, so a warm cache loads with no compiler run. A build that
+    cannot run or fails raises InternalError naming the command and
+    giving its error output.
+    """
+    global _sweep
+    if _sweep is not None:
+        return _sweep
+    compiler = [*shlex.split(sysconfig.get_config_var("CC") or "cc"),
+                *_SWEEP_FLAGS]
+    key = hashlib.sha256(_SWEEP_SOURCE.read_bytes()
+                         + shlex.join(compiler).encode()).hexdigest()
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache):
+        cache = Path.home() / ".cache"
+    library = Path(cache) / "hgdl" / f"sweep-{key}.so"
+    if not library.exists():
+        _build_sweep(compiler, library)
+    kernel = ctypes.CDLL(str(library)).hgdl_sweep
+    real = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    index = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    kernel.argtypes = [ctypes.c_int64, ctypes.c_int64, real, real, real,
+                       index, index, real, real, ctypes.c_double,
+                       ctypes.c_double, ctypes.c_double, out, out, out]
+    kernel.restype = ctypes.c_int64
+    _sweep = kernel
+    return kernel
+
+
+def _build_sweep(compiler, library):
+    """Compile _sweep.c to a temporary file beside library, then move it
+    into place, so no process ever loads a partial file."""
+    try:
+        library.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, partial = tempfile.mkstemp(suffix=".so", dir=library.parent)
+        os.close(fd)
+    except OSError as exc:
+        raise InternalError(
+            f"cannot build the beta > 0 code sweep in {library.parent}: {exc}"
+        ) from exc
+    command = [*compiler, str(_SWEEP_SOURCE), "-o", partial]
+    try:
+        try:
+            built = subprocess.run(command, capture_output=True, text=True)
+        except OSError as exc:
+            raise InternalError(
+                f"cannot build the beta > 0 code sweep: {shlex.join(command)} "
+                f"did not run: {exc}"
+            ) from exc
+        if built.returncode != 0:
+            raise InternalError(
+                f"cannot build the beta > 0 code sweep: {shlex.join(command)} "
+                f"exited with {built.returncode}:\n{built.stderr}"
+            )
+        os.replace(partial, library)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
 
 
 def objective(X, D, S, delta, alpha, beta):
@@ -203,20 +287,22 @@ def update_codes(X, D, S, delta, alpha, beta):
     length-n buffers that every row reuses, and the soft threshold of j
     divided by the curvature is written straight into S's row k.
 
-    With beta > 0 only column n changes while sample n's atoms are
-    visited, and the coupling leaves out L_nn, so the coupling
-    sum_{r != n} L_nr S_kr of sample n is read once per sample from the
-    off-diagonal nonzeros of L's row n. delta, the Laplacian L, is a
-    dense ndarray or any scipy sparse matrix and is read only through
-    its nonzeros, as a canonical CSR. delta must be symmetric: the
-    objective's coupling runs along L's column n, and a row stands in
-    for it. Sample n's running field, the linear term of every atom's
-    scalar problem, is formed once per sample from that coupling, D^T x_n
-    and the off-diagonal part of D^T D times the sample's codes. A step
-    reads its atom's entry of the field, and only a code that changes
-    touches the field again, with one BLAS axpy by that atom's column of
-    the off-diagonal D^T D. The sweep works on a copy of the codes and
-    writes S back at its end.
+    With beta > 0 the sweep runs in a compiled kernel (_sweep.c, built
+    on first use by _sweep_kernel) on a C-ordered copy of the codes, and
+    S is written back only when the whole sweep succeeded: a sweep that
+    raises leaves S as the caller gave it. Only column n changes while
+    sample n's atoms are visited, and the coupling leaves out L_nn, so
+    the coupling sum_{r != n} L_nr S_kr of sample n is read once per
+    sample from the off-diagonal nonzeros of L's row n. delta, the
+    Laplacian L, is a dense ndarray or any scipy sparse matrix and is
+    read only through its nonzeros, as a canonical CSR. delta must be
+    symmetric: the objective's coupling runs along L's column n, and a
+    row stands in for it. Sample n's running field, the linear term of
+    every atom's scalar problem, is formed once per sample from that
+    coupling, D^T x_n and the off-diagonal part of D^T D times all the
+    sample's codes, zero or not. A step reads its atom's entry of the
+    field, and only a code that changes touches the field again, moving
+    it by that atom's column of the off-diagonal D^T D.
     """
     X = np.asarray(X, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -231,9 +317,9 @@ def update_codes(X, D, S, delta, alpha, beta):
     gram = D.T @ D
     target = D.T @ X
     n_atoms, n = S.shape
-    gdiag = np.diag(gram).tolist()
 
     if beta == 0.0:
+        gdiag = np.diag(gram).tolist()
         j_row = np.empty(n)
         term = np.empty(n)
         for k in range(n_atoms):
@@ -255,46 +341,22 @@ def update_codes(X, D, S, delta, alpha, beta):
     ldiag = delta.diagonal()
     # the subtraction drops the zeroed diagonal and any explicit zero
     off = delta - sp.diags_array(ldiag)
-    ldiag = ldiag.tolist()
-    indptr, indices, values = off.indptr, off.indices, off.data
-    gram_off = gram.copy()
-    np.fill_diagonal(gram_off, 0.0)
+    indptr = off.indptr.astype(np.int64, copy=False)
+    indices = off.indices.astype(np.int64, copy=False)
     # a change of atom k's code moves the field by column k; taken as
     # columns, not rows, since D^T D need not be bitwise symmetric
-    gram_cols = list(gram_off.T.copy())
-    target_rows = target.T.copy()
-    codes = S.T.copy()  # row n holds sample n's codes
-    for n_i in range(n):
-        lo, hi = indptr[n_i], indptr[n_i + 1]
-        # field[k] is atom k's linear term j; the coupling is fixed for
-        # the whole sample, the cross term moves with each changed code
-        field = (
-            target_rows[n_i]
-            - beta * (values[lo:hi] @ codes[indices[lo:hi]])
-            - gram_off @ codes[n_i]
-        )
-        beta_lnn = beta * ldiag[n_i]
-        s = codes[n_i].tolist()
-        for k in range(n_atoms):
-            j = float(field[k])
-            if not math.isfinite(j):
-                raise NumericalError(
-                    f"non-finite code update at atom {k}, sample {n_i}"
-                )
-            curvature = gdiag[k] + beta_lnn
-            if curvature <= CURVATURE_FLOOR:
-                new = 0.0
-            elif j > alpha:
-                new = (j - alpha) / curvature
-            elif j < -alpha:
-                new = (j + alpha) / curvature
-            else:
-                new = 0.0
-            old = s[k]
-            if new != old:
-                field = daxpy(gram_cols[k], field, a=old - new)
-                s[k] = new
-        codes[n_i] = s
+    gram_cols = gram.T.copy()
+    np.fill_diagonal(gram_cols, 0.0)
+    codes = S.T.copy()  # row n holds sample n's codes; never a view of S
+    scratch = np.empty((2, n_atoms))
+    failed = _sweep_kernel()(
+        n, n_atoms, target.T.copy(), gram_cols, gram.diagonal().copy(),
+        indptr, indices, off.data, ldiag, float(alpha), float(beta),
+        CURVATURE_FLOOR, codes, scratch[0], scratch[1],
+    )
+    if failed >= 0:
+        n_i, k = divmod(failed, n_atoms)
+        raise NumericalError(f"non-finite code update at atom {k}, sample {n_i}")
     S[...] = codes.T
     return S
 

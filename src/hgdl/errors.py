@@ -1,7 +1,9 @@
 """Exception types shared across the library.
 
 The CLI maps these onto exit codes: parameter problems exit with 2,
-malformed or invalid input data with 3, numerical failures with 4.
+malformed or invalid input data with 3, numerical failures and internal
+errors with 4. A β > 0 run on a machine where the code sweep cannot be
+compiled (no C compiler) is an internal error, so it exits with 4.
 """
 
 

@@ -1,5 +1,7 @@
 """Coordinate-descent coding, blockwise dictionary updates, and training."""
 
+import subprocess
+import sysconfig
 import tracemalloc
 import warnings
 
@@ -8,7 +10,7 @@ import pytest
 import scipy.optimize
 import scipy.sparse as sp
 
-from hgdl import dictlearn
+from hgdl import cli, dictlearn
 from hgdl.dictlearn import (
     Classifier,
     DictLearnParams,
@@ -25,8 +27,13 @@ from hgdl.dictlearn import (
     update_dictionary,
 )
 from hgdl.attention import AdmmParams
-from hgdl.data import make_synthetic
-from hgdl.errors import InputError, NumericalError, ParameterError
+from hgdl.data import make_synthetic, save_csv
+from hgdl.errors import (
+    InputError,
+    InternalError,
+    NumericalError,
+    ParameterError,
+)
 from hgdl.hypergraph import (
     SAF,
     UNLABELED,
@@ -61,6 +68,11 @@ def _random_laplacian(rng, n):
 def _normalized_columns(rng, dim, k):
     D = rng.normal(size=(dim, k))
     return D / np.linalg.norm(D, axis=0)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def reference_sweep(X, D, S, delta, alpha, beta):
@@ -353,13 +365,16 @@ def test_update_codes_fused_graph_matches_reference_sweep():
     (0.0, "non-finite code update in atom row 0"),
 ])
 def test_update_codes_non_finite_raises(beta, message):
+    """A sweep that fails leaves S as the caller gave it."""
     rng = np.random.default_rng(43)
     X = rng.normal(size=(6, 5))
     X[3, 2] = np.nan
     D = _normalized_columns(rng, 6, 4)
     lap, _ = _random_laplacian(rng, 5)
+    S = np.zeros((4, 5))
     with pytest.raises(NumericalError, match=message):
-        update_codes(X, D, np.zeros((4, 5)), lap, 0.1, beta)
+        update_codes(X, D, S, lap, 0.1, beta)
+    assert _same_bits(S, np.zeros((4, 5)))
 
 
 def test_update_codes_near_duplicate_atoms_do_not_drift_from_reference():
@@ -385,16 +400,17 @@ def test_update_codes_near_duplicate_atoms_do_not_drift_from_reference():
 
 @pytest.mark.parametrize("column", [0, 2])
 def test_update_codes_non_finite_dictionary_raises(column):
-    """A NaN atom reaches every atom's cross term through D^T D, so the
-    sweep stops at its first step."""
+    """A NaN atom reaches every atom's cross term through D^T D, even
+    with all codes zero, so the sweep stops at its first step."""
     rng = np.random.default_rng(45)
     X = rng.normal(size=(6, 5))
     D = _normalized_columns(rng, 6, 4)
     D[1, column] = np.nan
     lap, _ = _random_laplacian(rng, 5)
-    with pytest.raises(NumericalError,
-                       match="non-finite code update at atom 0, sample 0"):
-        update_codes(X, D, rng.normal(size=(4, 5)), lap, 0.1, 0.9)
+    for S in (rng.normal(size=(4, 5)), np.zeros((4, 5))):
+        with pytest.raises(NumericalError,
+                           match="non-finite code update at atom 0, sample 0"):
+            update_codes(X, D, S, lap, 0.1, 0.9)
 
 
 def test_update_codes_writes_through_a_strided_view():
@@ -409,6 +425,43 @@ def test_update_codes_writes_through_a_strided_view():
     assert update_codes(X, D, S, lap, 0.1, 0.9) is S
     np.testing.assert_allclose(buffer[:, ::2], want, rtol=0, atol=1e-8)
     np.testing.assert_array_equal(buffer[:, 1::2], before[:, 1::2])
+
+
+def test_update_codes_kernel_inputs_give_the_same_bits():
+    """The compiled beta > 0 sweep takes int32 and int64 CSR indices, and
+    C-ordered, F-ordered and strided codes, to the same bits."""
+    rng = np.random.default_rng(62)
+    lap = _sparse_laplacian(rng, 12)
+    X = rng.normal(size=(6, 12))
+    D = _normalized_columns(rng, 6, 5)
+    S0 = rng.normal(size=(5, 12)) * (rng.random((5, 12)) < 0.5)
+    narrow = sp.csr_array(lap)
+    wide = sp.csr_array(lap)
+    wide.indices = wide.indices.astype(np.int64)
+    wide.indptr = wide.indptr.astype(np.int64)
+    assert narrow.indices.dtype == np.int32
+    want = update_codes(X, D, S0.copy(), narrow, 0.1, 2.0)
+    assert _same_bits(update_codes(X, D, S0.copy(), wide, 0.1, 2.0), want)
+    strided = np.zeros((5, 24))[:, ::2]
+    strided[...] = S0
+    for S in (np.asfortranarray(S0), strided):
+        assert update_codes(X, D, S, narrow, 0.1, 2.0) is S
+        assert _same_bits(S, want)
+
+
+def test_laplacian_indices_outside_its_shape_are_rejected():
+    """scipy keeps a column index past the shape; reading through it
+    gave objective a wrong value and train a segmentation fault."""
+    bad = sp.csr_array((np.array([-0.5]), np.array([7]), np.array([0, 1, 1, 1])),
+                       shape=(3, 3))
+    X, D, S = np.ones((2, 3)), np.eye(2), np.zeros((2, 3))
+    for call in (lambda: update_codes(X, D, S, bad, 0.1, 1.0),
+                 lambda: objective(X, D, S, bad, 0.1, 1.0),
+                 lambda: train(X, bad, DictLearnParams(n_atoms=2, alpha=0.1,
+                                                       beta=1.0))):
+        with pytest.raises(ParameterError, match="column indices"):
+            call()
+    assert _same_bits(S, np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.9])
@@ -433,11 +486,6 @@ def test_update_codes_accepts_zero_alpha(beta):
     lap, _ = _random_laplacian(rng, 5)
     S0 = rng.normal(size=(4, 5))
     _assert_sweeps_match_reference(X, D, S0, lap, 0.0, beta)
-
-
-def _same_bits(a, b):
-    return np.array_equal(np.asarray(a).view(np.uint64),
-                          np.asarray(b).view(np.uint64))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -521,6 +569,66 @@ def test_update_dictionary_dead_atom_matches_atom_loop_bitwise(n):
     assert [str(w.message) for w in got] == [str(w.message) for w in want]
     assert [w.category for w in got] == [RuntimeWarning]
     assert _same_bits(D, D_ref)
+
+
+# ---------------------------------------------------------------- kernel build
+
+
+@pytest.fixture
+def empty_build_cache(monkeypatch, tmp_path):
+    """No compiled sweep loaded in the process, and an empty cache; the
+    loaded handle comes back after the test."""
+    monkeypatch.setattr(dictlearn, "_sweep", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    return tmp_path / "hgdl"
+
+
+def test_beta_sweep_without_a_compiler_is_an_internal_error(
+        empty_build_cache, monkeypatch, tmp_path, capsys):
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(
+        sysconfig, "get_config_var",
+        lambda name: "hgdl-no-such-cc" if name == "CC" else config_var(name))
+    rng = np.random.default_rng(63)
+    X = rng.normal(size=(6, 5))
+    D = _normalized_columns(rng, 6, 4)
+    lap, _ = _random_laplacian(rng, 5)
+    S = rng.normal(size=(4, 5))
+    before = S.copy()
+    with pytest.raises(InternalError, match="hgdl-no-such-cc"):
+        update_codes(X, D, S, lap, 0.1, 0.9)
+    assert _same_bits(S, before)
+    # beta = 0 needs no compiler
+    want = row_sweep_beta0(X, D, S.copy(), 0.1)
+    assert _same_bits(update_codes(X, D, S, None, 0.1, 0.0), want)
+
+    bundle = make_synthetic(3, 4, 3, 8, 0.2, 5)
+    train_csv = str(tmp_path / "train.csv")
+    save_csv(train_csv, bundle.train_features, bundle.train_labels)
+    code = cli.main(["train", "--train", train_csv, "--out",
+                     str(tmp_path / "never.json"), "--knn", "3",
+                     "--dict-size", "8"])
+    assert code == 4
+    assert "hgdl-no-such-cc" in capsys.readouterr().err
+
+
+def test_beta_sweep_loads_a_warm_cache_without_the_compiler(
+        empty_build_cache, monkeypatch):
+    rng = np.random.default_rng(64)
+    X = rng.normal(size=(6, 5))
+    D = _normalized_columns(rng, 6, 4)
+    lap, _ = _random_laplacian(rng, 5)
+    S0 = rng.normal(size=(4, 5))
+    want = update_codes(X, D, S0.copy(), lap, 0.1, 0.9)
+    assert empty_build_cache.stat().st_mode & 0o777 == 0o700
+    assert len(list(empty_build_cache.iterdir())) == 1
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran on a warm cache")
+
+    monkeypatch.setattr(dictlearn, "_sweep", None)
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    assert _same_bits(update_codes(X, D, S0.copy(), lap, 0.1, 0.9), want)
 
 
 # ---------------------------------------------------------------- dictionary
@@ -692,11 +800,6 @@ def _non_canonical(lap):
     csr = sp.csr_array((values[order], cols[order], indptr), shape=lap.shape)
     assert not csr.has_canonical_format
     return csr
-
-
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("form", [sp.csr_array, sp.coo_array,
