@@ -59,10 +59,26 @@ def _add_common(parser):
                         help="on-disk format of feature files")
 
 
+def _run_parser(sub, name, func, help, out_help=None, test_required=False):
+    """A subcommand that runs on --train (and --test) files, writes --out
+    and takes the run flags."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--train", required=True)
+    parser.add_argument("--test", required=test_required)
+    parser.add_argument("--out", required=True, help=out_help)
+    _add_common(parser)
+    parser.set_defaults(func=func)
+    return parser
+
+
 def _config(args) -> ExperimentConfig:
+    """The run's config, checked before any data is read."""
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    return ExperimentConfig(
+    config = ExperimentConfig(
         **{k: v for k, v in vars(args).items() if k in fields})
+    if config.mode == TRANSDUCTIVE and not args.test:
+        raise ParameterError("--mode transductive needs a --test file")
+    return config
 
 
 def _load_labeled(path, fmt, missing):
@@ -184,39 +200,19 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="fit a model and report scores")
-    p_train.add_argument("--train", required=True)
-    p_train.add_argument("--test")
-    p_train.add_argument("--out", required=True, help="report JSON path")
-    _add_common(p_train)
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="fit on train, score on test")
-    p_eval.add_argument("--train", required=True)
-    p_eval.add_argument("--test", required=True)
-    p_eval.add_argument("--out", required=True, help="report JSON path")
-    _add_common(p_eval)
+    _run_parser(sub, "train", cmd_train, "fit a model and report scores",
+                "report JSON path")
     # eval is train with --test required
-    p_eval.set_defaults(func=cmd_train)
-
-    p_ablate = sub.add_parser("ablate", help="run full and ablated variants")
-    p_ablate.add_argument("--train", required=True)
-    p_ablate.add_argument("--test")
-    p_ablate.add_argument("--out", required=True)
-    p_ablate.add_argument("--seeds", type=int, default=1,
-                          help="number of seeds, starting at --seed")
-    _add_common(p_ablate)
-    p_ablate.set_defaults(func=cmd_ablate)
-
-    p_mask = sub.add_parser("mask-sweep",
-                            help="accuracy vs mask fraction, with baseline")
-    p_mask.add_argument("--train", required=True)
-    p_mask.add_argument("--test")
-    p_mask.add_argument("--out", required=True)
+    _run_parser(sub, "eval", cmd_train, "fit on train, score on test",
+                "report JSON path", test_required=True)
+    p_ablate = _run_parser(sub, "ablate", cmd_ablate,
+                           "run full and ablated variants")
+    p_mask = _run_parser(sub, "mask-sweep", cmd_mask_sweep,
+                         "accuracy vs mask fraction, with baseline")
     p_mask.add_argument("--fractions", default="0,0.2,0.4,0.6")
-    p_mask.add_argument("--seeds", type=int, default=1)
-    _add_common(p_mask)
-    p_mask.set_defaults(func=cmd_mask_sweep)
+    for study in (p_ablate, p_mask):
+        study.add_argument("--seeds", type=int, default=1,
+                           help="number of seeds, starting at --seed")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--out", required=True, help="output path prefix")
@@ -229,13 +225,9 @@ def build_parser():
     p_synth.add_argument("--format", choices=["csv", "binmat"], default="csv")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_lap = sub.add_parser("export-laplacian",
-                           help="write the hypergraph Laplacian as binmat")
-    p_lap.add_argument("--train", required=True)
-    p_lap.add_argument("--test")
-    p_lap.add_argument("--out", required=True, help="binmat output path")
-    _add_common(p_lap)
-    p_lap.set_defaults(func=cmd_export_laplacian)
+    _run_parser(sub, "export-laplacian", cmd_export_laplacian,
+                "write the hypergraph Laplacian as binmat",
+                "binmat output path")
 
     return parser
 

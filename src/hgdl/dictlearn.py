@@ -192,34 +192,27 @@ def _sweep_kernel():
 
 
 def _build_sweep(compiler, library):
-    """Compile _sweep.c to a temporary file beside library, then move it
-    into place, so no process ever loads a partial file."""
+    """Compile _sweep.c in a temporary directory beside library, then move
+    the result into place, so no process ever loads a partial file."""
+    command = [*compiler, str(_SWEEP_SOURCE), "-o"]
     try:
         library.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-        fd, partial = tempfile.mkstemp(suffix=".so", dir=library.parent)
-        os.close(fd)
+        with tempfile.TemporaryDirectory(dir=library.parent) as tmp:
+            partial = os.path.join(tmp, library.name)
+            command.append(partial)
+            built = subprocess.run(command, capture_output=True, text=True)
+            if built.returncode != 0:
+                raise InternalError(
+                    "cannot build the beta > 0 code sweep: "
+                    f"{shlex.join(command)} exited with {built.returncode}:"
+                    f"\n{built.stderr}"
+                )
+            os.replace(partial, library)
     except OSError as exc:
         raise InternalError(
-            f"cannot build the beta > 0 code sweep in {library.parent}: {exc}"
+            f"cannot build the beta > 0 code sweep in {library.parent}: "
+            f"{shlex.join(command)} failed: {exc}"
         ) from exc
-    command = [*compiler, str(_SWEEP_SOURCE), "-o", partial]
-    try:
-        try:
-            built = subprocess.run(command, capture_output=True, text=True)
-        except OSError as exc:
-            raise InternalError(
-                f"cannot build the beta > 0 code sweep: {shlex.join(command)} "
-                f"did not run: {exc}"
-            ) from exc
-        if built.returncode != 0:
-            raise InternalError(
-                f"cannot build the beta > 0 code sweep: {shlex.join(command)} "
-                f"exited with {built.returncode}:\n{built.stderr}"
-            )
-        os.replace(partial, library)
-    finally:
-        if os.path.exists(partial):
-            os.unlink(partial)
 
 
 def objective(X, D, S, delta, alpha, beta):
@@ -261,13 +254,18 @@ def init_dictionary(X, n_atoms, seed):
     idx = rng.choice(n, size=n_atoms, replace=n_atoms > n)
     D = X[:, idx].astype(float, copy=True)
     for k in range(n_atoms):
-        norm = float(np.linalg.norm(D[:, k]))
-        if norm <= CURVATURE_FLOOR:
-            v = rng.standard_normal(X.shape[0])
-            D[:, k] = v / np.linalg.norm(v)
-        else:
-            D[:, k] /= norm
+        D[:, k] = _unit_atom(D[:, k], rng)
     return D
+
+
+def _unit_atom(v, rng):
+    """v divided by its norm, or, when that norm is at or below
+    CURVATURE_FLOOR, a standard-normal draw from rng divided by its own."""
+    norm = float(np.linalg.norm(v))
+    if norm <= CURVATURE_FLOOR:
+        v = rng.standard_normal(v.shape[0])
+        norm = float(np.linalg.norm(v))
+    return v / norm
 
 
 def update_codes(X, D, S, delta, alpha, beta):
@@ -397,12 +395,7 @@ def update_dictionary(X, S, D, rng=None):
                 f"atom {k} went dead; reinitializing from a data column",
                 RuntimeWarning,
             )
-            col = X[:, int(rng.integers(X.shape[1]))]
-            col_norm = float(np.linalg.norm(col))
-            if col_norm <= CURVATURE_FLOOR:
-                col = rng.standard_normal(X.shape[0])
-                col_norm = float(np.linalg.norm(col))
-            D[:, k] = col / col_norm
+            D[:, k] = _unit_atom(X[:, int(rng.integers(X.shape[1]))], rng)
         else:
             np.divide(u, norm, out=D[:, k])
     return D
@@ -558,7 +551,8 @@ def corpus(X_train, train_labels, X_test, mode):
     if mode != TRANSDUCTIVE:
         return X_train, train_labels
     if X_test is None:
-        raise ParameterError("transductive mode needs test features")
+        raise ParameterError(
+            "transductive mode (--mode) needs test features (--test)")
     if train_labels is not None:
         train_labels = np.concatenate(
             [train_labels, np.full(X_test.shape[1], UNLABELED)]

@@ -198,6 +198,10 @@ def write_json(payload, path):
         fh.write("\n")
 
 
+def _mean_accuracy(reports):
+    return float(np.mean([r["accuracy"] for r in reports]))
+
+
 def ablation_suite(config: ExperimentConfig, bundle: DatasetBundle,
                    seeds) -> dict:
     """Run every ablation for every seed; report per-run and mean scores."""
@@ -213,8 +217,7 @@ def ablation_suite(config: ExperimentConfig, bundle: DatasetBundle,
         "seeds": seeds,
         "ablations": runs,
         "mean_accuracy": {
-            name: float(np.mean([r["accuracy"] for r in reports]))
-            for name, reports in runs.items()
+            name: _mean_accuracy(reports) for name, reports in runs.items()
         },
     }
 
@@ -250,12 +253,10 @@ def mask_sweep(config: ExperimentConfig, bundle: DatasetBundle, fractions,
         "fractions": fractions,
         "seeds": seeds,
         "regularized_mean_accuracy": [
-            float(np.mean([r["accuracy"] for r in row["regularized"]]))
-            for row in rows
+            _mean_accuracy(row["regularized"]) for row in rows
         ],
         "baseline_mean_accuracy": [
-            float(np.mean([r["accuracy"] for r in row["baseline"]]))
-            for row in rows
+            _mean_accuracy(row["baseline"]) for row in rows
         ],
         "runs": rows,
     }

@@ -631,6 +631,21 @@ def test_beta_sweep_loads_a_warm_cache_without_the_compiler(
     assert _same_bits(update_codes(X, D, S0.copy(), lap, 0.1, 0.9), want)
 
 
+def test_beta_sweep_failed_build_leaves_nothing_in_the_cache(
+        empty_build_cache, monkeypatch):
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(
+        sysconfig, "get_config_var",
+        lambda name: "false" if name == "CC" else config_var(name))
+    rng = np.random.default_rng(65)
+    X = rng.normal(size=(6, 5))
+    D = _normalized_columns(rng, 6, 4)
+    lap, _ = _random_laplacian(rng, 5)
+    with pytest.raises(InternalError, match="exited with"):
+        update_codes(X, D, rng.normal(size=(4, 5)), lap, 0.1, 0.9)
+    assert list(empty_build_cache.iterdir()) == []
+
+
 # ---------------------------------------------------------------- dictionary
 
 

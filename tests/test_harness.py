@@ -729,6 +729,23 @@ def test_cli_study_flags_checked_before_any_run(cli_data, monkeypatch, capsys,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["train", "ablate", "mask-sweep",
+                                        "export-laplacian"])
+def test_cli_transductive_without_test_exits_2_before_reading(
+        tmp_path, monkeypatch, capsys, subcommand):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{subcommand} ran without a test file")
+
+    monkeypatch.setattr(harness, "run", never)
+    monkeypatch.setattr(cli, "run", never)
+    out = tmp_path / "never"
+    code = cli.main([subcommand, "--train", str(tmp_path / "missing.csv"),
+                     "--out", str(out), "--mode", "transductive"])
+    assert code == 2
+    assert "--test" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand, shape", [
     ("train", (0, 6)),
     ("export-laplacian", (0, 6)),
