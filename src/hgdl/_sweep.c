@@ -3,9 +3,11 @@
    codes is (n, K) row-major: row i holds sample i's codes and is updated
    in place. target is (n, K), row i being D^T x_i. gram_cols is (K, K),
    row k holding column k of D^T D with its diagonal zeroed, and gdiag the
-   diagonal. indptr, indices and values are the CSR rows of L without its
-   diagonal, ldiag the diagonal. field and coupling are K doubles of
-   scratch.
+   diagonal. indptr, indices and values are L's CSR rows as stored. In
+   row i a finite entry in column i is L_ii, an entry equal to 0.0 is
+   skipped (0.0 times an inf code would be NaN), and every other entry,
+   a non-finite L_ii included, is coupled in, so a non-finite L_ii stops
+   the sweep at sample i. field and coupling are K doubles of scratch.
 
    Returns -1, or i * K + k for the first step (sample i, atom k) whose
    linear term is not finite; the sweep stops there. */
@@ -16,9 +18,9 @@
 int64_t hgdl_sweep(int64_t n, int64_t K, const double *target,
                    const double *gram_cols, const double *gdiag,
                    const int64_t *indptr, const int64_t *indices,
-                   const double *values, const double *ldiag, double alpha,
-                   double beta, double curvature_floor, double *codes,
-                   double *field, double *coupling)
+                   const double *values, double alpha, double beta,
+                   double curvature_floor, double *codes, double *field,
+                   double *coupling)
 {
     for (int64_t i = 0; i < n; i++) {
         double *s = codes + i * K;
@@ -34,16 +36,23 @@ int64_t hgdl_sweep(int64_t n, int64_t K, const double *target,
             for (int64_t k = 0; k < K; k++)
                 field[k] += col[k] * sj;
         }
+        double lii = 0.0;
         for (int64_t p = indptr[i]; p < indptr[i + 1]; p++) {
-            const double *other = codes + indices[p] * K;
             double v = values[p];
+            if (v == 0.0)
+                continue;
+            if (indices[p] == i && isfinite(v)) {
+                lii = v;
+                continue;
+            }
+            const double *other = codes + indices[p] * K;
             for (int64_t k = 0; k < K; k++)
                 coupling[k] += v * other[k];
         }
         for (int64_t k = 0; k < K; k++)
             field[k] = (target[i * K + k] - beta * coupling[k]) - field[k];
 
-        double beta_lii = beta * ldiag[i];
+        double beta_lii = beta * lii;
         for (int64_t k = 0; k < K; k++) {
             double linear = field[k];
             if (!isfinite(linear))

@@ -161,10 +161,11 @@ def _sweep_kernel():
     The build runs sysconfig's CC with _SWEEP_FLAGS, which pin the
     rounding (no FMA contraction, no machine-specific code). It is
     cached in $XDG_CACHE_HOME/hgdl, by default ~/.cache/hgdl, created
-    with mode 0700, under the sha256 of the source and the compile
-    command, so a warm cache loads with no compiler run. A build that
-    cannot run or fails raises InternalError naming the command and
-    giving its error output.
+    with mode 0700, under the sha256 of the source, the compile command
+    and the platform, so a warm cache loads with no compiler run. A build
+    that cannot run or fails raises InternalError naming the command and
+    giving its error output; a cached file that cannot be loaded raises
+    InternalError naming the file.
     """
     global _sweep
     if _sweep is not None:
@@ -172,20 +173,27 @@ def _sweep_kernel():
     compiler = [*shlex.split(sysconfig.get_config_var("CC") or "cc"),
                 *_SWEEP_FLAGS]
     key = hashlib.sha256(_SWEEP_SOURCE.read_bytes()
-                         + shlex.join(compiler).encode()).hexdigest()
+                         + shlex.join(compiler).encode()
+                         + sysconfig.get_platform().encode()).hexdigest()
     cache = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(cache):
         cache = Path.home() / ".cache"
     library = Path(cache) / "hgdl" / f"sweep-{key}.so"
     if not library.exists():
         _build_sweep(compiler, library)
-    kernel = ctypes.CDLL(str(library)).hgdl_sweep
+    try:
+        kernel = ctypes.CDLL(str(library)).hgdl_sweep
+    except OSError as exc:
+        raise InternalError(
+            f"cannot load the beta > 0 code sweep {library}: {exc}; "
+            "the file may be deleted and is rebuilt on the next run"
+        ) from exc
     real = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     index = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
     kernel.argtypes = [ctypes.c_int64, ctypes.c_int64, real, real, real,
-                       index, index, real, real, ctypes.c_double,
-                       ctypes.c_double, ctypes.c_double, out, out, out]
+                       index, index, real, ctypes.c_double, ctypes.c_double,
+                       ctypes.c_double, out, out, out]
     kernel.restype = ctypes.c_int64
     _sweep = kernel
     return kernel
@@ -291,9 +299,11 @@ def update_codes(X, D, S, delta, alpha, beta):
     raises leaves S as the caller gave it. Only column n changes while
     sample n's atoms are visited, and the coupling leaves out L_nn, so
     the coupling sum_{r != n} L_nr S_kr of sample n is read once per
-    sample from the off-diagonal nonzeros of L's row n. delta, the
-    Laplacian L, is a dense ndarray or any scipy sparse matrix and is
-    read only through its nonzeros, as a canonical CSR. delta must be
+    sample from L's row n. delta, the Laplacian L, is a dense ndarray or
+    any scipy sparse matrix and reaches the kernel as a canonical CSR,
+    which the kernel reads as stored: in row n a finite entry in column
+    n is L_nn, a stored zero is skipped, and every other entry is coupled
+    in, so a non-finite L_nn stops the sweep at sample n. delta must be
     symmetric: the objective's coupling runs along L's column n, and a
     row stands in for it. Sample n's running field, the linear term of
     every atom's scalar problem, is formed once per sample from that
@@ -336,11 +346,6 @@ def update_codes(X, D, S, delta, alpha, beta):
         return S
 
     delta = _csr(delta)
-    ldiag = delta.diagonal()
-    # the subtraction drops the zeroed diagonal and any explicit zero
-    off = delta - sp.diags_array(ldiag)
-    indptr = off.indptr.astype(np.int64, copy=False)
-    indices = off.indices.astype(np.int64, copy=False)
     # a change of atom k's code moves the field by column k; taken as
     # columns, not rows, since D^T D need not be bitwise symmetric
     gram_cols = gram.T.copy()
@@ -349,8 +354,11 @@ def update_codes(X, D, S, delta, alpha, beta):
     scratch = np.empty((2, n_atoms))
     failed = _sweep_kernel()(
         n, n_atoms, target.T.copy(), gram_cols, gram.diagonal().copy(),
-        indptr, indices, off.data, ldiag, float(alpha), float(beta),
-        CURVATURE_FLOOR, codes, scratch[0], scratch[1],
+        np.ascontiguousarray(delta.indptr, dtype=np.int64),
+        np.ascontiguousarray(delta.indices, dtype=np.int64),
+        np.ascontiguousarray(delta.data, dtype=np.float64),
+        float(alpha), float(beta), CURVATURE_FLOOR, codes, scratch[0],
+        scratch[1],
     )
     if failed >= 0:
         n_i, k = divmod(failed, n_atoms)

@@ -1,6 +1,8 @@
 """Coordinate-descent coding, blockwise dictionary updates, and training."""
 
+import os
 import subprocess
+import sys
 import sysconfig
 import tracemalloc
 import warnings
@@ -427,9 +429,17 @@ def test_update_codes_writes_through_a_strided_view():
     np.testing.assert_array_equal(buffer[:, 1::2], before[:, 1::2])
 
 
+def _strided(a):
+    """a's values in a view that steps over every other element."""
+    view = np.zeros(2 * a.size, dtype=a.dtype)[::2]
+    view[...] = a
+    return view
+
+
 def test_update_codes_kernel_inputs_give_the_same_bits():
-    """The compiled beta > 0 sweep takes int32 and int64 CSR indices, and
-    C-ordered, F-ordered and strided codes, to the same bits."""
+    """The compiled beta > 0 sweep takes int32 and int64 CSR indices, a
+    CSR whose data or indices are strided views, and C-ordered,
+    F-ordered and strided codes, to the same bits."""
     rng = np.random.default_rng(62)
     lap = _sparse_laplacian(rng, 12)
     X = rng.normal(size=(6, 12))
@@ -440,13 +450,99 @@ def test_update_codes_kernel_inputs_give_the_same_bits():
     wide.indices = wide.indices.astype(np.int64)
     wide.indptr = wide.indptr.astype(np.int64)
     assert narrow.indices.dtype == np.int32
+    strided_data = sp.csr_array(lap)
+    strided_data.data = _strided(strided_data.data)
+    strided_narrow = sp.csr_array(lap)
+    strided_narrow.indices = _strided(strided_narrow.indices)
+    strided_wide = wide.copy()
+    strided_wide.indices = _strided(strided_wide.indices)
     want = update_codes(X, D, S0.copy(), narrow, 0.1, 2.0)
-    assert _same_bits(update_codes(X, D, S0.copy(), wide, 0.1, 2.0), want)
+    for lap_form in (wide, strided_data, strided_narrow, strided_wide):
+        assert _same_bits(update_codes(X, D, S0.copy(), lap_form, 0.1, 2.0),
+                          want)
     strided = np.zeros((5, 24))[:, ::2]
     strided[...] = S0
     for S in (np.asfortranarray(S0), strided):
         assert update_codes(X, D, S, narrow, 0.1, 2.0) is S
         assert _same_bits(S, want)
+
+
+def _stored(dense, zeros):
+    """dense with each (row, column) pair in zeros set to 0.0, as a
+    canonical CSR that stores those zeros explicitly."""
+    dense = dense.copy()
+    keep = dense != 0
+    for r, c in zeros:
+        dense[r, c] = 0.0
+        keep[r, c] = True
+    lap = sp.csr_array((dense[keep], np.nonzero(keep)), shape=dense.shape)
+    assert lap.has_canonical_format
+    assert lap.nnz == np.count_nonzero(dense) + len(set(zeros))
+    return lap
+
+
+@pytest.mark.parametrize("zeros", [
+    [(1, 4), (4, 1)],  # off the diagonal
+    [(2, 2)],  # on the diagonal, so row 2 keeps no diagonal once eliminated
+    [(0, 5), (5, 0), (3, 3), (7, 7)],  # both
+])
+def test_update_codes_stored_zeros_give_the_bits_of_eliminated_zeros(zeros):
+    """The kernel reads L's CSR as stored, so an explicit 0.0 must act as
+    an absent entry, on the diagonal and off it, and a row with no stored
+    L_nn must take L_nn = 0, as the reference sweep does."""
+    rng = np.random.default_rng(66)
+    lap = _sparse_laplacian(rng, 9)
+    X = rng.normal(size=(5, 9))
+    D = _normalized_columns(rng, 5, 4)
+    S0 = rng.normal(size=(4, 9)) * (rng.random((4, 9)) < 0.6)
+    stored = _stored(lap, zeros)
+    eliminated = stored.copy()
+    eliminated.eliminate_zeros()
+    assert eliminated.nnz == stored.nnz - len(zeros)
+    got, want = S0.copy(), S0.copy()
+    for _ in range(3):
+        update_codes(X, D, got, stored, 0.05, 4.0)
+        update_codes(X, D, want, eliminated, 0.05, 4.0)
+        assert _same_bits(got, want)
+    _assert_sweeps_match_reference(X, D, S0, stored.toarray(), 0.05, 4.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_update_codes_non_finite_laplacian_diagonal_raises(value):
+    """A non-finite L_nn stops the sweep at its sample's first atom and
+    leaves S as the caller gave it."""
+    rng = np.random.default_rng(68)
+    lap, _ = _random_laplacian(rng, 6)
+    lap[4, 4] = value
+    X = rng.normal(size=(5, 6))
+    D = _normalized_columns(rng, 5, 3)
+    for S in (rng.normal(size=(3, 6)), np.zeros((3, 6))):
+        before = S.copy()
+        for form in (lap, sp.csr_array(lap)):
+            with pytest.raises(NumericalError,
+                               match="non-finite code update at atom 0, "
+                                     "sample 4$"):
+                update_codes(X, D, S, form, 0.1, 0.9)
+            assert _same_bits(S, before)
+
+
+def test_update_codes_stored_zero_does_not_couple_to_inf_codes():
+    """Sample 1 is linked to sample 3 only by a stored 0.0, and sample 3's
+    codes are inf: 0.0 * inf would be NaN, so the zero must be skipped and
+    the sweep must stop at sample 3, not at sample 1."""
+    rng = np.random.default_rng(69)
+    lap = np.zeros((6, 6))
+    lap[:3, :3] = _random_laplacian(rng, 3)[0]
+    lap[3:, 3:] = _random_laplacian(rng, 3)[0]
+    X = rng.normal(size=(5, 6))
+    D = _normalized_columns(rng, 5, 3)
+    S = rng.normal(size=(3, 6))
+    S[:, 3] = np.inf
+    before = S.copy()
+    with pytest.raises(NumericalError,
+                       match="non-finite code update at atom 0, sample 3$"):
+        update_codes(X, D, S, _stored(lap, [(1, 3), (3, 1)]), 0.1, 0.9)
+    assert _same_bits(S, before)
 
 
 def test_laplacian_indices_outside_its_shape_are_rejected():
@@ -644,6 +740,56 @@ def test_beta_sweep_failed_build_leaves_nothing_in_the_cache(
     with pytest.raises(InternalError, match="exited with"):
         update_codes(X, D, rng.normal(size=(4, 5)), lap, 0.1, 0.9)
     assert list(empty_build_cache.iterdir()) == []
+
+
+def test_beta_sweep_unloadable_cached_kernel_is_an_internal_error(
+        empty_build_cache, tmp_path, capsys):
+    """A cached file that is not a loadable library, as one built for
+    another machine would be, exits 4 and names the file. The build runs
+    in another process: this one would find a library it loaded itself
+    by its path and never read the file again."""
+    subprocess.run(
+        [sys.executable, "-c",
+         "from hgdl.dictlearn import _sweep_kernel; _sweep_kernel()"],
+        check=True,
+        env={**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+             "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    (library,) = empty_build_cache.iterdir()
+    library.write_bytes(b"not a shared library \x00\x01\x02")
+    rng = np.random.default_rng(70)
+    X = rng.normal(size=(6, 5))
+    D = _normalized_columns(rng, 6, 4)
+    lap, _ = _random_laplacian(rng, 5)
+    S = rng.normal(size=(4, 5))
+    before = S.copy()
+    with pytest.raises(InternalError, match=library.name):
+        update_codes(X, D, S, lap, 0.1, 0.9)
+    assert _same_bits(S, before)
+
+    bundle = make_synthetic(3, 4, 3, 8, 0.2, 5)
+    train_csv = str(tmp_path / "train.csv")
+    save_csv(train_csv, bundle.train_features, bundle.train_labels)
+    code = cli.main(["train", "--train", train_csv, "--out",
+                     str(tmp_path / "never.json"), "--knn", "3",
+                     "--dict-size", "8"])
+    assert code == 4
+    assert library.name in capsys.readouterr().err
+
+
+def test_beta_sweep_cache_key_includes_the_platform(
+        empty_build_cache, monkeypatch):
+    """A cache shared by two platforms keeps one library for each."""
+    rng = np.random.default_rng(71)
+    X = rng.normal(size=(6, 5))
+    D = _normalized_columns(rng, 6, 4)
+    lap, _ = _random_laplacian(rng, 5)
+    S0 = rng.normal(size=(4, 5))
+    want = update_codes(X, D, S0.copy(), lap, 0.1, 0.9)
+    monkeypatch.setattr(dictlearn, "_sweep", None)
+    monkeypatch.setattr(sysconfig, "get_platform", lambda: "hgdl-other-arch")
+    assert _same_bits(update_codes(X, D, S0.copy(), lap, 0.1, 0.9), want)
+    assert len(list(empty_build_cache.iterdir())) == 2
 
 
 # ---------------------------------------------------------------- dictionary
