@@ -1,0 +1,102 @@
+"""The compiled kernels of _kernels.c, built on first use.
+
+_FLAGS pin the rounding (no FMA contraction, no machine-specific code),
+so each kernel gives the bits of the numpy code it replaced. Importing
+hgdl compiles and loads nothing: only an attention solve or a β > 0
+code sweep calls kernels().
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from .errors import InternalError
+
+_SOURCE = Path(__file__).with_name("_kernels.c")
+_FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
+_library = None
+
+
+def kernels():
+    """The library of _kernels.c, with hgdl_sweep and hgdl_admm typed,
+    compiled on the first call of the process.
+
+    The build runs sysconfig's CC with _FLAGS. It is cached in
+    $XDG_CACHE_HOME/hgdl, by default ~/.cache/hgdl, created with mode
+    0700, under the sha256 of the source, the compile command and the
+    platform, so a warm cache loads with no compiler run. A build that
+    cannot run or fails raises InternalError naming the command and
+    giving its error output; a cached file that cannot be loaded raises
+    InternalError naming the file.
+    """
+    global _library
+    if _library is not None:
+        return _library
+    compiler = [*shlex.split(sysconfig.get_config_var("CC") or "cc"),
+                *_FLAGS]
+    key = hashlib.sha256(_SOURCE.read_bytes()
+                         + shlex.join(compiler).encode()
+                         + sysconfig.get_platform().encode()).hexdigest()
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache):
+        cache = Path.home() / ".cache"
+    path = Path(cache) / "hgdl" / f"kernels-{key}.so"
+    if not path.exists():
+        _build(compiler, path)
+    try:
+        library = ctypes.CDLL(str(path))
+    except OSError as exc:
+        raise InternalError(
+            f"cannot load the compiled kernels {path}: {exc}; "
+            "the file may be deleted and is rebuilt on the next run"
+        ) from exc
+    real = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    index = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    count = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")
+    flag = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS,WRITEABLE")
+    size, double = ctypes.c_int64, ctypes.c_double
+    library.hgdl_sweep.argtypes = [size, size, real, real, real, index,
+                                   index, real, double, double, double,
+                                   out, out, out]
+    library.hgdl_sweep.restype = size
+    # the q trace is a plain pointer, so that None passes NULL
+    library.hgdl_admm.argtypes = [size, size, real, real, double, double,
+                                  double, size, out, out, out, count, flag,
+                                  ctypes.c_void_p, out, out]
+    library.hgdl_admm.restype = size
+    _library = library
+    return library
+
+
+def _build(compiler, path):
+    """Compile _kernels.c in a temporary directory beside path, then move
+    the result into place, so no process ever loads a partial file."""
+    command = [*compiler, str(_SOURCE), "-o"]
+    try:
+        path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=path.parent) as tmp:
+            partial = os.path.join(tmp, path.name)
+            command.append(partial)
+            built = subprocess.run(command, capture_output=True, text=True)
+            if built.returncode != 0:
+                raise InternalError(
+                    "cannot build the compiled kernels: "
+                    f"{shlex.join(command)} exited with {built.returncode}:"
+                    f"\n{built.stderr}"
+                )
+            os.replace(partial, path)
+    except OSError as exc:
+        raise InternalError(
+            f"cannot build the compiled kernels in {path.parent}: "
+            f"{shlex.join(command)} failed: {exc}"
+        ) from exc

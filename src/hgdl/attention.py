@@ -13,9 +13,11 @@ into q, and takes a dual ascent step on the multiplier m. q is the
 canonical solution because the threshold step gives it exact zeros.
 
 The problem only enters through P^T P and P^T x, so a whole stack of
-equally sized problems is solved at once by one vectorized iteration;
-each problem stops on its own residuals and keeps the iterates it had
-when it stopped, exactly as if it were solved alone.
+equally sized problems is solved in one call: numpy inverts the damped
+Gram matrices, and the iterations run in hgdl_admm, a compiled kernel
+(_kernels.c, built on first use, so a solve needs a C compiler). Each
+problem runs alone there and stops on its own residuals, keeping the
+iterates it had when it stopped.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._native import kernels
 from .errors import InputError, NumericalError, ParameterError
 
 # augmented-Lagrangian penalty, also the dual step size
@@ -99,8 +102,7 @@ def attention_objective(x, P, q, epsilon):
     return float(r @ r + 2.0 * epsilon * np.sum(np.abs(q)))
 
 
-def solve_attention_batch(gram, ptx, params: AdmmParams,
-                          on_iterate=None) -> AttentionBatch:
+def solve_attention_batch(gram, ptx, params: AdmmParams) -> AttentionBatch:
     """Solve a stack of attention problems given their normal equations.
 
     gram is the (n, k, k) stack of P^T P and ptx the (n, k) stack of
@@ -111,12 +113,18 @@ def solve_attention_batch(gram, ptx, params: AdmmParams,
     residual alone can hit exact zero while the iterates are still far
     from optimal (the threshold step is affine wherever no entry sits
     inside the dead zone), so the dual residual must vanish too. A
-    converged problem is frozen, so every row follows the iterates it
-    would follow alone; a problem that reaches max_iter keeps its last
-    iterate and reports converged False. on_iterate, if given, is called
-    with the (running, k) q rows after every iteration. Identical inputs
-    produce bit-identical outputs, whatever the batch around them.
+    converged problem stops, and a problem that reaches max_iter keeps
+    its last iterate and reports converged False. A non-finite z or m
+    raises NumericalError naming the first iteration at which any
+    problem has one. Identical inputs produce bit-identical outputs,
+    whatever the batch around them.
     """
+    return _solve(gram, ptx, params)[0]
+
+
+def _solve(gram, ptx, params, record=False):
+    """solve_attention_batch, plus, if record, the (n, max_iter, k) q
+    iterates, of which problem c fills its first iterations[c] rows."""
     gram = np.asarray(gram, dtype=float)
     ptx = np.asarray(ptx, dtype=float)
     if ptx.ndim != 2 or ptx.shape[1] < 1:
@@ -129,65 +137,33 @@ def solve_attention_batch(gram, ptx, params: AdmmParams,
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(ptx))):
         raise InputError("non-finite entries in attention problem")
 
-    eps = params.epsilon
-    z_out = np.zeros((n, k))
-    q_out = np.zeros((n, k))
-    m_out = np.zeros((n, k))
-    iterations = np.zeros(n, dtype=int)
+    inverse = np.linalg.inv(gram + RHO * np.eye(k))
+    z, q, m = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
+    iterations = np.zeros(n, dtype=np.int64)
     converged = np.zeros(n, dtype=bool)
-
-    # The working arrays put the problems last, on the running ones only:
-    # inverse[j, i, c] is entry (i, j) of problem c's inverse, so the
-    # z step sums k slices in ascending j, elementwise. Each problem's
-    # bits then depend on nothing but its own data.
-    rows = np.arange(n)
-    inverse = np.ascontiguousarray(
-        np.linalg.inv(gram + RHO * np.eye(k)).transpose(2, 1, 0)
+    trace = np.empty((n, params.max_iter, k)) if record else None
+    scratch = np.empty((2, k))
+    diverged = kernels().hgdl_admm(
+        n, k, inverse, np.ascontiguousarray(ptx), RHO, params.epsilon, TOL,
+        params.max_iter, z, q, m, iterations, converged,
+        None if trace is None else trace.ctypes.data, scratch[0],
+        scratch[1],
     )
-    rhs = np.ascontiguousarray(ptx.T)
-    q = np.zeros((k, n))
-    m = np.zeros((k, n))
-    for iteration in range(1, params.max_iter + 1):
-        z = np.sum(inverse * (rhs + RHO * q - m)[:, None, :], axis=0)
-        q_prev = q
-        q = soft_threshold(z + m / RHO, eps / RHO)
-        m = m + RHO * (z - q)
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(m))):
-            raise NumericalError(
-                f"attention solver diverged at iteration {iteration}"
-            )
-        if on_iterate is not None:
-            on_iterate(q.T)
-        done = ((np.max(np.abs(z - q), axis=0) <= TOL)
-                & (np.max(np.abs(q - q_prev), axis=0) <= TOL))
-        if iteration == params.max_iter:
-            stop = np.ones(rows.size, dtype=bool)
-        elif done.any():
-            stop = done
-        else:
-            continue
-        stopped = rows[stop]
-        z_out[stopped] = z[:, stop].T
-        q_out[stopped] = q[:, stop].T
-        m_out[stopped] = m[:, stop].T
-        iterations[stopped] = iteration
-        converged[stopped] = done[stop]
-        keep = ~stop
-        if not keep.any():
-            break
-        rows, inverse, rhs = rows[keep], inverse[:, :, keep], rhs[:, keep]
-        q, m = q[:, keep], m[:, keep]
-
-    return AttentionBatch(z=z_out, q=q_out, m=m_out,
-                          iterations=iterations, converged=converged)
+    if diverged:
+        raise NumericalError(
+            f"attention solver diverged at iteration {diverged}"
+        )
+    return AttentionBatch(z=z, q=q, m=m, iterations=iterations,
+                          converged=converged), trace
 
 
 def solve_attention(x, P, params: AdmmParams) -> AttentionSolution:
     """Solve min_z ||x - P z||^2 + 2 eps ||z||_1 for the given center.
 
     A batch of one for solve_attention_batch, plus the objective of q
-    after every iteration. Identical inputs produce bit-identical
-    outputs.
+    after every iteration, taken from the q iterates that the kernel
+    records in a (max_iter, k) array. Identical inputs produce
+    bit-identical outputs.
     """
     x = np.asarray(x, dtype=float).ravel()
     P = np.asarray(P, dtype=float)
@@ -201,18 +177,17 @@ def solve_attention(x, P, params: AdmmParams) -> AttentionSolution:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(P))):
         raise InputError("non-finite entries in attention problem")
 
-    eps = params.epsilon
-    trace = []
-    batch = solve_attention_batch(
-        (P.T @ P)[None], (P.T @ x)[None], params,
-        on_iterate=lambda q: trace.append(attention_objective(x, P, q[0], eps)),
-    )
+    batch, trace = _solve((P.T @ P)[None], (P.T @ x)[None], params,
+                          record=True)
+    iterations = int(batch.iterations[0])
+    objectives = [attention_objective(x, P, q, params.epsilon)
+                  for q in trace[0, :iterations]]
     return AttentionSolution(
         z=batch.z[0],
         q=batch.q[0],
         m=batch.m[0],
-        iterations=int(batch.iterations[0]),
+        iterations=iterations,
         converged=bool(batch.converged[0]),
-        objective=trace[-1],
-        objective_trace=np.asarray(trace),
+        objective=objectives[-1],
+        objective_trace=np.asarray(objectives),
     )

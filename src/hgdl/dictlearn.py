@@ -15,21 +15,14 @@ columns.
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
 import math
-import os
-import shlex
-import subprocess
-import sysconfig
-import tempfile
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+from ._native import kernels
 from .attention import soft_threshold
 from .errors import (
     InputError,
@@ -48,11 +41,6 @@ ENCODE_REL_TOL = 1e-8
 
 INDUCTIVE = "inductive"
 TRANSDUCTIVE = "transductive"
-
-# the beta > 0 sweep, compiled on first use; see _sweep_kernel
-_SWEEP_SOURCE = Path(__file__).with_name("_sweep.c")
-_SWEEP_FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
-_sweep = None
 
 
 @dataclass
@@ -154,75 +142,6 @@ def _csr(delta):
     return L
 
 
-def _sweep_kernel():
-    """The beta > 0 sweep of _sweep.c as a ctypes function, compiled on
-    the first call of the process.
-
-    The build runs sysconfig's CC with _SWEEP_FLAGS, which pin the
-    rounding (no FMA contraction, no machine-specific code). It is
-    cached in $XDG_CACHE_HOME/hgdl, by default ~/.cache/hgdl, created
-    with mode 0700, under the sha256 of the source, the compile command
-    and the platform, so a warm cache loads with no compiler run. A build
-    that cannot run or fails raises InternalError naming the command and
-    giving its error output; a cached file that cannot be loaded raises
-    InternalError naming the file.
-    """
-    global _sweep
-    if _sweep is not None:
-        return _sweep
-    compiler = [*shlex.split(sysconfig.get_config_var("CC") or "cc"),
-                *_SWEEP_FLAGS]
-    key = hashlib.sha256(_SWEEP_SOURCE.read_bytes()
-                         + shlex.join(compiler).encode()
-                         + sysconfig.get_platform().encode()).hexdigest()
-    cache = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(cache):
-        cache = Path.home() / ".cache"
-    library = Path(cache) / "hgdl" / f"sweep-{key}.so"
-    if not library.exists():
-        _build_sweep(compiler, library)
-    try:
-        kernel = ctypes.CDLL(str(library)).hgdl_sweep
-    except OSError as exc:
-        raise InternalError(
-            f"cannot load the beta > 0 code sweep {library}: {exc}; "
-            "the file may be deleted and is rebuilt on the next run"
-        ) from exc
-    real = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    index = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-    kernel.argtypes = [ctypes.c_int64, ctypes.c_int64, real, real, real,
-                       index, index, real, ctypes.c_double, ctypes.c_double,
-                       ctypes.c_double, out, out, out]
-    kernel.restype = ctypes.c_int64
-    _sweep = kernel
-    return kernel
-
-
-def _build_sweep(compiler, library):
-    """Compile _sweep.c in a temporary directory beside library, then move
-    the result into place, so no process ever loads a partial file."""
-    command = [*compiler, str(_SWEEP_SOURCE), "-o"]
-    try:
-        library.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-        with tempfile.TemporaryDirectory(dir=library.parent) as tmp:
-            partial = os.path.join(tmp, library.name)
-            command.append(partial)
-            built = subprocess.run(command, capture_output=True, text=True)
-            if built.returncode != 0:
-                raise InternalError(
-                    "cannot build the beta > 0 code sweep: "
-                    f"{shlex.join(command)} exited with {built.returncode}:"
-                    f"\n{built.stderr}"
-                )
-            os.replace(partial, library)
-    except OSError as exc:
-        raise InternalError(
-            f"cannot build the beta > 0 code sweep in {library.parent}: "
-            f"{shlex.join(command)} failed: {exc}"
-        ) from exc
-
-
 def objective(X, D, S, delta, alpha, beta):
     """Objective value ||X - DS||_F^2 + 2 alpha ||S||_1 + beta tr(L S^T S).
 
@@ -293,8 +212,8 @@ def update_codes(X, D, S, delta, alpha, beta):
     length-n buffers that every row reuses, and the soft threshold of j
     divided by the curvature is written straight into S's row k.
 
-    With beta > 0 the sweep runs in a compiled kernel (_sweep.c, built
-    on first use by _sweep_kernel) on a C-ordered copy of the codes, and
+    With beta > 0 the sweep runs in a compiled kernel (hgdl_sweep of
+    _kernels.c, built on first use) on a C-ordered copy of the codes, and
     S is written back only when the whole sweep succeeded: a sweep that
     raises leaves S as the caller gave it. Only column n changes while
     sample n's atoms are visited, and the coupling leaves out L_nn, so
@@ -352,7 +271,7 @@ def update_codes(X, D, S, delta, alpha, beta):
     np.fill_diagonal(gram_cols, 0.0)
     codes = S.T.copy()  # row n holds sample n's codes; never a view of S
     scratch = np.empty((2, n_atoms))
-    failed = _sweep_kernel()(
+    failed = kernels().hgdl_sweep(
         n, n_atoms, target.T.copy(), gram_cols, gram.diagonal().copy(),
         np.ascontiguousarray(delta.indptr, dtype=np.int64),
         np.ascontiguousarray(delta.indices, dtype=np.int64),

@@ -9,7 +9,8 @@ manifold penalty and a golden-section scalar minimizer. The
 row-by-row beta = 0 code sweep and dictionary sweep are kept as the
 library first wrote them, one fresh array per arithmetic step, so that
 a rewrite of either can be held to the same bits. The sparse-attention
-incidence is kept the same way, as two loops over neighbor ranks.
+incidence is kept the same way, as two loops over neighbor ranks, and
+so is the vectorized numpy ADMM over a batch of attention problems.
 """
 
 import warnings
@@ -72,6 +73,75 @@ def admm_lasso(x, P, eps, rho=1.0, max_iter=200, tol=1e-6):
                 and np.max(np.abs(q - q_prev)) <= tol):
             return q, iteration, True
     return q, max_iter, False
+
+
+def _soft_threshold(v, t):
+    """v - clip(v, -t, t) in one fresh array, as the batch ADMM took it."""
+    t = abs(t)
+    v = np.asarray(v, dtype=float)
+    out = np.minimum(v, t, out=np.empty(v.shape))
+    np.maximum(out, -t, out=out)
+    np.subtract(v, out, out=out)
+    return out
+
+
+def admm_batch(gram, ptx, eps, max_iter=200, on_iterate=None):
+    """The attention ADMM over a stack of problems, as numpy ran it.
+
+    gram is the (n, k, k) stack of P^T P and ptx the (n, k) stack of
+    P^T x. Each problem stops on its own residuals and keeps the iterates
+    of the iteration at which it stopped. on_iterate, if given, gets the
+    (running, k) q rows after every iteration. A non-finite z or m in a
+    running problem raises ArithmeticError naming the iteration. Returns
+    (z, q, m, iterations, converged).
+    """
+    RHO, TOL = 1.0, 1e-6
+    n, k = ptx.shape
+    z_out = np.zeros((n, k))
+    q_out = np.zeros((n, k))
+    m_out = np.zeros((n, k))
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+
+    rows = np.arange(n)
+    inverse = np.ascontiguousarray(
+        np.linalg.inv(gram + RHO * np.eye(k)).transpose(2, 1, 0)
+    )
+    rhs = np.ascontiguousarray(ptx.T)
+    q = np.zeros((k, n))
+    m = np.zeros((k, n))
+    for iteration in range(1, max_iter + 1):
+        z = np.sum(inverse * (rhs + RHO * q - m)[:, None, :], axis=0)
+        q_prev = q
+        q = _soft_threshold(z + m / RHO, eps / RHO)
+        m = m + RHO * (z - q)
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(m))):
+            raise ArithmeticError(
+                f"attention solver diverged at iteration {iteration}"
+            )
+        if on_iterate is not None:
+            on_iterate(q.T)
+        done = ((np.max(np.abs(z - q), axis=0) <= TOL)
+                & (np.max(np.abs(q - q_prev), axis=0) <= TOL))
+        if iteration == max_iter:
+            stop = np.ones(rows.size, dtype=bool)
+        elif done.any():
+            stop = done
+        else:
+            continue
+        stopped = rows[stop]
+        z_out[stopped] = z[:, stop].T
+        q_out[stopped] = q[:, stop].T
+        m_out[stopped] = m[:, stop].T
+        iterations[stopped] = iteration
+        converged[stopped] = done[stop]
+        keep = ~stop
+        if not keep.any():
+            break
+        rows, inverse, rhs = rows[keep], inverse[:, :, keep], rhs[:, keep]
+        q, m = q[:, keep], m[:, keep]
+
+    return z_out, q_out, m_out, iterations, converged
 
 
 def lasso_objective(x, P, z, eps):

@@ -12,7 +12,7 @@ import pytest
 import scipy.optimize
 import scipy.sparse as sp
 
-from hgdl import cli, dictlearn
+from hgdl import _native, cli, dictlearn
 from hgdl.dictlearn import (
     Classifier,
     DictLearnParams,
@@ -672,9 +672,9 @@ def test_update_dictionary_dead_atom_matches_atom_loop_bitwise(n):
 
 @pytest.fixture
 def empty_build_cache(monkeypatch, tmp_path):
-    """No compiled sweep loaded in the process, and an empty cache; the
+    """No compiled kernels loaded in the process, and an empty cache; the
     loaded handle comes back after the test."""
-    monkeypatch.setattr(dictlearn, "_sweep", None)
+    monkeypatch.setattr(_native, "_library", None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     return tmp_path / "hgdl"
 
@@ -708,6 +708,50 @@ def test_beta_sweep_without_a_compiler_is_an_internal_error(
     assert "hgdl-no-such-cc" in capsys.readouterr().err
 
 
+def test_export_without_a_compiler_exits_4_and_beta0_train_runs(
+        empty_build_cache, monkeypatch, tmp_path, capsys):
+    """The attention solve of export-laplacian needs the compiled kernels;
+    a beta = 0 run builds no hypergraph and needs none."""
+    config_var = sysconfig.get_config_var
+    monkeypatch.setattr(
+        sysconfig, "get_config_var",
+        lambda name: "hgdl-no-such-cc" if name == "CC" else config_var(name))
+    bundle = make_synthetic(3, 4, 3, 8, 0.2, 5)
+    paths = {part: str(tmp_path / f"{part}.csv") for part in ("train", "test")}
+    save_csv(paths["train"], bundle.train_features, bundle.train_labels)
+    save_csv(paths["test"], bundle.test_features, bundle.test_labels)
+    binmat = tmp_path / "laplacian.binmat"
+    code = cli.main(["export-laplacian", "--train", paths["train"],
+                     "--test", paths["test"], "--out", str(binmat),
+                     "--mode", "transductive", "--knn", "3",
+                     "--dict-size", "8"])
+    assert code == 4
+    assert "hgdl-no-such-cc" in capsys.readouterr().err
+    assert not binmat.exists()
+
+    report = tmp_path / "report.json"
+    code = cli.main(["train", "--train", paths["train"], "--test",
+                     paths["test"], "--out", str(report), "--knn", "3",
+                     "--dict-size", "8", "--beta", "0"])
+    assert code == 0
+    assert report.exists()
+    assert _native._library is None
+
+
+def test_importing_hgdl_builds_and_loads_no_kernel(tmp_path):
+    """Importing every module leaves the cache untouched and the library
+    unloaded, so the import time does not include a build."""
+    subprocess.run(
+        [sys.executable, "-c",
+         "import hgdl, hgdl.cli, hgdl._native; "
+         "assert hgdl._native._library is None"],
+        check=True,
+        env={**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+             "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_beta_sweep_loads_a_warm_cache_without_the_compiler(
         empty_build_cache, monkeypatch):
     rng = np.random.default_rng(64)
@@ -722,7 +766,7 @@ def test_beta_sweep_loads_a_warm_cache_without_the_compiler(
     def no_compiler(*args, **kwargs):
         raise AssertionError("the compiler ran on a warm cache")
 
-    monkeypatch.setattr(dictlearn, "_sweep", None)
+    monkeypatch.setattr(_native, "_library", None)
     monkeypatch.setattr(subprocess, "run", no_compiler)
     assert _same_bits(update_codes(X, D, S0.copy(), lap, 0.1, 0.9), want)
 
@@ -750,7 +794,7 @@ def test_beta_sweep_unloadable_cached_kernel_is_an_internal_error(
     by its path and never read the file again."""
     subprocess.run(
         [sys.executable, "-c",
-         "from hgdl.dictlearn import _sweep_kernel; _sweep_kernel()"],
+         "from hgdl._native import kernels; kernels()"],
         check=True,
         env={**os.environ, "XDG_CACHE_HOME": str(tmp_path),
              "PYTHONPATH": os.pathsep.join(sys.path)},
@@ -786,7 +830,7 @@ def test_beta_sweep_cache_key_includes_the_platform(
     lap, _ = _random_laplacian(rng, 5)
     S0 = rng.normal(size=(4, 5))
     want = update_codes(X, D, S0.copy(), lap, 0.1, 0.9)
-    monkeypatch.setattr(dictlearn, "_sweep", None)
+    monkeypatch.setattr(_native, "_library", None)
     monkeypatch.setattr(sysconfig, "get_platform", lambda: "hgdl-other-arch")
     assert _same_bits(update_codes(X, D, S0.copy(), lap, 0.1, 0.9), want)
     assert len(list(empty_build_cache.iterdir())) == 2
