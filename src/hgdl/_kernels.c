@@ -2,19 +2,25 @@
    hgdl_sweep, the exact beta > 0 Gauss-Seidel code sweep of
    hgdl.dictlearn.update_codes, and hgdl_admm, the sparse-attention ADMM
    of hgdl.attention.solve_attention_batch. Both are compiled without FMA
-   contraction, so each operation rounds as the Python it replaced. */
+   contraction, so each operation rounds as the Python it replaced. The
+   callers reject a non-finite L, codes or attention problem, so each
+   kernel only stops where an overflow or a non-finite datum appears. */
 
 #include <math.h>
 #include <stdint.h>
+
+/* the soft threshold at t >= 0, the proximal map of t |.| */
+static double shrink(double v, double t)
+{
+    return v > t ? v - t : (v < -t ? v + t : 0.0);
+}
 
 /* hgdl_sweep: one beta > 0 code sweep. codes is (n, K) row-major: row i
    holds sample i's codes and is updated in place. target is (n, K), row
    i being D^T x_i. gram_cols is (K, K), row k holding column k of D^T D
    with its diagonal zeroed, and gdiag the diagonal. indptr, indices and
-   values are L's CSR rows as stored. In row i a finite entry in column i
-   is L_ii, an entry equal to 0.0 is skipped (0.0 times an inf code would
-   be NaN), and every other entry, a non-finite L_ii included, is coupled
-   in, so a non-finite L_ii stops the sweep at sample i. field and
+   values are L's CSR rows as stored, all finite: in row i the entry in
+   column i is L_ii and every other entry is coupled in. field and
    coupling are K doubles of scratch.
 
    Returns -1, or i * K + k for the first step (sample i, atom k) whose
@@ -44,9 +50,7 @@ int64_t hgdl_sweep(int64_t n, int64_t K, const double *target,
         double lii = 0.0;
         for (int64_t p = indptr[i]; p < indptr[i + 1]; p++) {
             double v = values[p];
-            if (v == 0.0)
-                continue;
-            if (indices[p] == i && isfinite(v)) {
+            if (indices[p] == i) {
                 lii = v;
                 continue;
             }
@@ -63,15 +67,8 @@ int64_t hgdl_sweep(int64_t n, int64_t K, const double *target,
             if (!isfinite(linear))
                 return i * K + k;
             double curvature = gdiag[k] + beta_lii;
-            double updated;
-            if (curvature <= curvature_floor)
-                updated = 0.0;
-            else if (linear > alpha)
-                updated = (linear - alpha) / curvature;
-            else if (linear < -alpha)
-                updated = (linear + alpha) / curvature;
-            else
-                updated = 0.0;
+            double updated = curvature <= curvature_floor
+                             ? 0.0 : shrink(linear, alpha) / curvature;
             double old = s[k];
             if (updated != old) {
                 /* a changed code moves the field by its atom's column */
@@ -86,28 +83,17 @@ int64_t hgdl_sweep(int64_t n, int64_t K, const double *target,
     return -1;
 }
 
-/* NaN-propagating min and max, as numpy.minimum and numpy.maximum */
-static double nan_min(double a, double b)
-{
-    return (a < b || isnan(a)) ? a : b;
-}
-
-static double nan_max(double a, double b)
-{
-    return (a > b || isnan(a)) ? a : b;
-}
-
 /* hgdl_admm: n attention problems of size k, each solved on its own.
    inverse is (n, k, k), row-major, problem c's inverse of
-   P^T P + rho I; ptx is (n, k), row c being P^T x. z, q and m are (n, k)
-   outputs, zeroed here, that hold each problem's iterates and keep those
-   of the iteration at which it stopped: the first at which both
-   max|z - q| and max|q - q_prev| are within tol (converged 1), or
-   max_iter (converged 0 unless that holds there too). iterations gets
-   that count. An iteration is
+   P^T P + rho I; ptx is (n, k), row c being P^T x. rho and eps are
+   positive. z, q and m are (n, k) outputs, zeroed here, that hold each
+   problem's iterates and keep those of the iteration at which it
+   stopped: the first at which both max|z - q| and max|q - q_prev| are
+   within tol (converged 1), or max_iter (converged 0 unless that holds
+   there too). iterations gets that count. An iteration is
        z = inverse (ptx + rho q - m), summed in ascending j from the
            first product,
-       q = shrink(z + m / rho, |eps / rho|),
+       q = shrink(z + m / rho, eps / rho),
        m = m + rho (z - q).
    If trace is not NULL it is (n, max_iter, k), and row it - 1 of
    problem c gets q after iteration it. v and q_prev are k doubles of
@@ -121,7 +107,7 @@ int64_t hgdl_admm(int64_t n, int64_t k, const double *inverse,
                   int64_t *iterations, unsigned char *converged,
                   double *trace, double *v, double *q_prev)
 {
-    double t = fabs(eps / rho);
+    double t = eps / rho;
     int64_t diverged = 0;
     for (int64_t c = 0; c < n; c++) {
         const double *inv = inverse + c * k * k;
@@ -145,8 +131,7 @@ int64_t hgdl_admm(int64_t n, int64_t k, const double *inverse,
             }
             int finite = 1, done = 1;
             for (int64_t i = 0; i < k; i++) {
-                double w = zc[i] + mc[i] / rho;
-                double qi = w - nan_max(nan_min(w, t), -t);
+                double qi = shrink(zc[i] + mc[i] / rho, t);
                 qc[i] = qi;
                 mc[i] = mc[i] + rho * (zc[i] - qi);
                 finite &= isfinite(zc[i]) && isfinite(mc[i]);

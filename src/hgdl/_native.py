@@ -22,6 +22,7 @@ import numpy as np
 from .errors import InternalError
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
+# CI's warnings check reads these too, and adds -Werror
 _FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 _library = None
 

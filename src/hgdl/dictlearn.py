@@ -114,7 +114,7 @@ class TrainedModel:
     mode: str
 
 
-def _check_shapes(X, D, S, delta):
+def _check_shapes(X, D, S):
     dim, n = X.shape
     if D.shape[0] != dim:
         raise ParameterError(f"dictionary rows {D.shape[0]} != feature dim {dim}")
@@ -122,23 +122,37 @@ def _check_shapes(X, D, S, delta):
         raise ParameterError(
             f"codes must be {(D.shape[1], n)}, got {S.shape}"
         )
-    if delta is not None and delta.shape != (n, n):
-        raise ParameterError(f"laplacian must be {(n, n)}, got {delta.shape}")
 
 
-def _csr(delta):
+def _check_problem(X, D, S, delta, alpha, beta):
+    """objective's and update_codes' checks: alpha and beta, a laplacian
+    for beta > 0, the shapes, then L; returns _csr(L), or None."""
+    for name, weight in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ParameterError(f"{name} must be a nonnegative real")
+    if beta != 0.0 and delta is None:
+        raise ParameterError("beta > 0 requires a laplacian")
+    _check_shapes(X, D, S)
+    return None if delta is None else _csr(delta, X.shape[1])
+
+
+def _csr(delta, n):
     """L as a canonical CSR (sorted, duplicate-free indices), so that a
     dense L and any sparse form of it are read in the same order. A
     canonical CSR goes through without a copy; a caller's matrix is
-    never modified. scipy keeps a column index outside the shape, and
-    reading through it reads past the arrays, so such an L raises
-    ParameterError."""
+    never modified. The one check of L: (n, n), column indices inside
+    that shape (ParameterError; scipy keeps an index past it, which
+    would read past the arrays), every stored entry finite (InputError)."""
     L = sp.csr_array(delta, dtype=float)
-    if L.nnz and not 0 <= L.indices.min() <= L.indices.max() < L.shape[1]:
+    if L.shape != (n, n):
+        raise ParameterError(f"laplacian must be {(n, n)}, got {L.shape}")
+    if L.nnz and not 0 <= L.indices.min() <= L.indices.max() < n:
         raise ParameterError("laplacian has column indices outside its shape")
     if not L.has_canonical_format:
         L = L.copy()
         L.sum_duplicates()
+    if not np.isfinite(L.data).all():
+        raise InputError("laplacian contains non-finite entries")
     return L
 
 
@@ -149,18 +163,17 @@ def objective(X, D, S, delta, alpha, beta):
     matrix, and the manifold term reads it through its nonzeros as
     sum_n s_n . (L S^T)_n. delta may be None when beta == 0; in that case
     the returned value is exactly the unregularized objective (the
-    manifold term is skipped, not just multiplied by zero).
+    manifold term is skipped, not just multiplied by zero). The weights
+    and L are checked as in update_codes.
     """
     X = np.asarray(X, dtype=float)
     D = np.asarray(D, dtype=float)
     S = np.asarray(S, dtype=float)
-    if beta != 0.0 and delta is None:
-        raise ParameterError("beta > 0 requires a laplacian")
-    _check_shapes(X, D, S, delta)
+    delta = _check_problem(X, D, S, delta, alpha, beta)
     r = X - D @ S
     value = np.sum(r * r) + 2.0 * alpha * np.sum(np.abs(S))
     if beta != 0.0:
-        value = value + beta * np.sum((_csr(delta) @ S.T) * S.T)
+        value = value + beta * np.sum((delta @ S.T) * S.T)
     return float(value)
 
 
@@ -201,9 +214,10 @@ def update_codes(X, D, S, delta, alpha, beta):
     Entries are visited sample-major (column n outer, atom k inner) and
     each is set to the exact scalar minimizer of the objective: a soft
     threshold at alpha divided by the curvature (D^T D)_kk + beta*L_nn.
-    Curvature at or below the floor parks the entry at zero. alpha must
-    be a nonnegative real; anything else raises ParameterError before S
-    is touched.
+    Curvature at or below the floor parks the entry at zero. Before S is
+    touched, alpha and beta must be nonnegative reals (ParameterError),
+    and S and L finite (InputError). A non-finite value in X or D, or an
+    overflow, raises NumericalError where it first reaches a step.
 
     With beta == 0 the columns decouple, so the sweep runs row-vectorized;
     the result matches the sequential visiting order because no
@@ -219,27 +233,24 @@ def update_codes(X, D, S, delta, alpha, beta):
     sample n's atoms are visited, and the coupling leaves out L_nn, so
     the coupling sum_{r != n} L_nr S_kr of sample n is read once per
     sample from L's row n. delta, the Laplacian L, is a dense ndarray or
-    any scipy sparse matrix and reaches the kernel as a canonical CSR,
-    which the kernel reads as stored: in row n a finite entry in column
-    n is L_nn, a stored zero is skipped, and every other entry is coupled
-    in, so a non-finite L_nn stops the sweep at sample n. delta must be
-    symmetric: the objective's coupling runs along L's column n, and a
-    row stands in for it. Sample n's running field, the linear term of
-    every atom's scalar problem, is formed once per sample from that
-    coupling, D^T x_n and the off-diagonal part of D^T D times all the
-    sample's codes, zero or not. A step reads its atom's entry of the
-    field, and only a code that changes touches the field again, moving
-    it by that atom's column of the off-diagonal D^T D.
+    any scipy sparse matrix and reaches the kernel as _csr's canonical
+    CSR, read as stored: in row n the entry in column n is L_nn and
+    every other entry is coupled in. delta must be symmetric: the
+    objective's coupling runs along L's column n, and a row stands in
+    for it. Sample n's running field, the linear term of every atom's
+    scalar problem, is formed once per sample from that coupling, D^T x_n
+    and the off-diagonal part of D^T D times all the sample's codes,
+    zero or not. A step reads its atom's entry of the field, and only a
+    code that changes touches the field again, moving it by that atom's
+    column of the off-diagonal D^T D.
     """
     X = np.asarray(X, dtype=float)
     D = np.asarray(D, dtype=float)
     if not isinstance(S, np.ndarray) or S.dtype != np.float64:
         raise ParameterError("S must be a float64 ndarray (updated in place)")
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ParameterError("alpha must be a nonnegative real")
-    if beta != 0.0 and delta is None:
-        raise ParameterError("beta > 0 requires a laplacian")
-    _check_shapes(X, D, S, delta)
+    delta = _check_problem(X, D, S, delta, alpha, beta)
+    if not np.isfinite(S).all():
+        raise InputError("codes contain non-finite entries")
 
     gram = D.T @ D
     target = D.T @ X
@@ -264,7 +275,6 @@ def update_codes(X, D, S, delta, alpha, beta):
                 np.divide(soft_threshold(j_row, alpha), curvature, out=row)
         return S
 
-    delta = _csr(delta)
     # a change of atom k's code moves the field by column k; taken as
     # columns, not rows, since D^T D need not be bitwise symmetric
     gram_cols = gram.T.copy()
@@ -301,7 +311,7 @@ def update_dictionary(X, S, D, rng=None):
     if not isinstance(D, np.ndarray) or D.dtype != np.float64:
         raise ParameterError("D must be a float64 ndarray (updated in place)")
     S = np.asarray(S, dtype=float)
-    _check_shapes(X, D, S, None)
+    _check_shapes(X, D, S)
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -332,11 +342,11 @@ def train(X, delta, params: DictLearnParams, callback=None):
     """Alternate code and dictionary updates until the objective settles.
 
     delta, the Laplacian L, is a dense ndarray or any scipy sparse
-    matrix, or None when params.beta == 0. _csr turns it once into a
-    canonical CSR, never modifying the caller's matrix, and every sweep
-    and objective reads that through its nonzeros. train checks in
-    O(nnz) that L is (n, n) (ParameterError), finite (InputError) and
-    symmetric to np.allclose's tolerance (ParameterError).
+    matrix, or None when params.beta == 0. _csr checks it and turns it
+    once into a canonical CSR, never modifying the caller's matrix, and
+    every sweep and objective reads that through its nonzeros. train
+    adds one O(nnz) check: L must be symmetric to np.allclose's
+    tolerance (ParameterError).
 
     Returns (dictionary, codes, objective_trace). The trace holds the
     objective at initialization and after every outer iteration; any
@@ -351,11 +361,7 @@ def train(X, delta, params: DictLearnParams, callback=None):
     if not np.all(np.isfinite(X)):
         raise InputError("training matrix contains non-finite entries")
     if delta is not None:
-        delta = _csr(delta)
-        if delta.shape != (X.shape[1], X.shape[1]):
-            raise ParameterError("laplacian shape does not match X columns")
-        if not np.isfinite(delta.data).all():
-            raise InputError("laplacian contains non-finite entries")
+        delta = _csr(delta, X.shape[1])
         # np.allclose(L, L.T, atol=1e-8) as |L - L^T| - rtol |L^T| <= atol,
         # which only the stored entries of L and L^T can break
         if (abs(delta - delta.T) - 1e-5 * abs(delta.T)).max() > 1e-8:

@@ -507,41 +507,44 @@ def test_update_codes_stored_zeros_give_the_bits_of_eliminated_zeros(zeros):
     _assert_sweeps_match_reference(X, D, S0, stored.toarray(), 0.05, 4.0)
 
 
+@pytest.mark.parametrize("form", [np.asarray, sp.csr_array])
+@pytest.mark.parametrize("entry", [(4, 4), (1, 3)],
+                         ids=["diagonal", "off-diagonal"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_update_codes_non_finite_laplacian_diagonal_raises(value):
-    """A non-finite L_nn stops the sweep at its sample's first atom and
-    leaves S as the caller gave it."""
+def test_non_finite_laplacian_raises_before_touching_codes(value, entry,
+                                                           form):
+    """L is checked once, up front, on the diagonal and off it: the
+    sweep raises InputError with S as the caller gave it, and objective
+    raises too instead of returning a non-finite value."""
     rng = np.random.default_rng(68)
     lap, _ = _random_laplacian(rng, 6)
-    lap[4, 4] = value
+    lap[entry] = value
     X = rng.normal(size=(5, 6))
     D = _normalized_columns(rng, 5, 3)
     for S in (rng.normal(size=(3, 6)), np.zeros((3, 6))):
         before = S.copy()
-        for form in (lap, sp.csr_array(lap)):
-            with pytest.raises(NumericalError,
-                               match="non-finite code update at atom 0, "
-                                     "sample 4$"):
-                update_codes(X, D, S, form, 0.1, 0.9)
-            assert _same_bits(S, before)
+        with pytest.raises(InputError, match="laplacian contains non-finite"):
+            update_codes(X, D, S, form(lap), 0.1, 0.9)
+        assert _same_bits(S, before)
+        with pytest.raises(InputError, match="laplacian contains non-finite"):
+            objective(X, D, S, form(lap), 0.1, 0.9)
 
 
-def test_update_codes_stored_zero_does_not_couple_to_inf_codes():
-    """Sample 1 is linked to sample 3 only by a stored 0.0, and sample 3's
-    codes are inf: 0.0 * inf would be NaN, so the zero must be skipped and
-    the sweep must stop at sample 3, not at sample 1."""
+@pytest.mark.parametrize("beta", [0.0, 0.9])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_update_codes_rejects_non_finite_codes_before_touching_them(value,
+                                                                   beta):
+    """Codes are checked once, up front, so the sweep never meets a
+    stored 0.0 of L times an inf code."""
     rng = np.random.default_rng(69)
-    lap = np.zeros((6, 6))
-    lap[:3, :3] = _random_laplacian(rng, 3)[0]
-    lap[3:, 3:] = _random_laplacian(rng, 3)[0]
+    lap, _ = _random_laplacian(rng, 6)
     X = rng.normal(size=(5, 6))
     D = _normalized_columns(rng, 5, 3)
     S = rng.normal(size=(3, 6))
-    S[:, 3] = np.inf
+    S[1, 3] = value
     before = S.copy()
-    with pytest.raises(NumericalError,
-                       match="non-finite code update at atom 0, sample 3$"):
-        update_codes(X, D, S, _stored(lap, [(1, 3), (3, 1)]), 0.1, 0.9)
+    with pytest.raises(InputError, match="codes contain non-finite"):
+        update_codes(X, D, S, lap, 0.1, beta)
     assert _same_bits(S, before)
 
 
@@ -572,6 +575,24 @@ def test_update_codes_rejects_bad_alpha_before_touching_codes(alpha, beta):
     with pytest.raises(ParameterError, match="alpha"):
         update_codes(X, D, S, lap, alpha, beta)
     assert np.array_equal(S, before)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+@pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+def test_bad_weights_are_rejected_by_name_before_touching_codes(bad, name):
+    """A negative or non-finite alpha or beta is a ParameterError naming
+    that weight, from update_codes and objective alike."""
+    rng = np.random.default_rng(47)
+    X = rng.normal(size=(6, 5))
+    D = _normalized_columns(rng, 6, 4)
+    lap, _ = _random_laplacian(rng, 5)
+    S = rng.normal(size=(4, 5))
+    before = S.copy()
+    weights = {"alpha": 0.1, "beta": 0.9, name: bad}
+    for call in (update_codes, objective):
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            call(X, D, S, lap, **weights)
+        assert _same_bits(S, before)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.9])
