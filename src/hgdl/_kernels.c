@@ -24,7 +24,8 @@ static double shrink(double v, double t)
    coupling are K doubles of scratch.
 
    Returns -1, or i * K + k for the first step (sample i, atom k) whose
-   linear term is not finite; the sweep stops there. */
+   linear term or updated code is not finite; the sweep stops there,
+   before that code is written. */
 
 int64_t hgdl_sweep(int64_t n, int64_t K, const double *target,
                    const double *gram_cols, const double *gdiag,
@@ -69,6 +70,8 @@ int64_t hgdl_sweep(int64_t n, int64_t K, const double *target,
             double curvature = gdiag[k] + beta_lii;
             double updated = curvature <= curvature_floor
                              ? 0.0 : shrink(linear, alpha) / curvature;
+            if (!isfinite(updated))
+                return i * K + k;
             double old = s[k];
             if (updated != old) {
                 /* a changed code moves the field by its atom's column */
@@ -90,14 +93,14 @@ int64_t hgdl_sweep(int64_t n, int64_t K, const double *target,
    problem's iterates and keep those of the iteration at which it
    stopped: the first at which both max|z - q| and max|q - q_prev| are
    within tol (converged 1), or max_iter (converged 0 unless that holds
-   there too). iterations gets that count. An iteration is
+   there too). iterations gets that count. Nothing is kept per
+   iteration, so a run capped at max_iter = t ends with the t-th
+   iterate of any longer run. An iteration is
        z = inverse (ptx + rho q - m), summed in ascending j from the
            first product,
        q = shrink(z + m / rho, eps / rho),
        m = m + rho (z - q).
-   If trace is not NULL it is (n, max_iter, k), and row it - 1 of
-   problem c gets q after iteration it. v and q_prev are k doubles of
-   scratch.
+   v and q_prev are k doubles of scratch.
 
    Returns 0, or the first iteration at which some problem's z or m is
    not finite; that problem stops there, the others run as before. */
@@ -105,7 +108,7 @@ int64_t hgdl_admm(int64_t n, int64_t k, const double *inverse,
                   const double *ptx, double rho, double eps, double tol,
                   int64_t max_iter, double *z, double *q, double *m,
                   int64_t *iterations, unsigned char *converged,
-                  double *trace, double *v, double *q_prev)
+                  double *v, double *q_prev)
 {
     double t = eps / rho;
     int64_t diverged = 0;
@@ -143,9 +146,6 @@ int64_t hgdl_admm(int64_t n, int64_t k, const double *inverse,
                     diverged = it;
                 break;
             }
-            if (trace)
-                for (int64_t i = 0; i < k; i++)
-                    trace[(c * max_iter + it - 1) * k + i] = qc[i];
             if (done || it == max_iter) {
                 iterations[c] = it;
                 converged[c] = (unsigned char)done;

@@ -70,10 +70,9 @@ def kernels():
                                    index, real, double, double, double,
                                    out, out, out]
     library.hgdl_sweep.restype = size
-    # the q trace is a plain pointer, so that None passes NULL
     library.hgdl_admm.argtypes = [size, size, real, real, double, double,
                                   double, size, out, out, out, count, flag,
-                                  ctypes.c_void_p, out, out]
+                                  out, out]
     library.hgdl_admm.restype = size
     _library = library
     return library

@@ -17,7 +17,10 @@ equally sized problems is solved in one call: numpy inverts the damped
 Gram matrices, and the iterations run in hgdl_admm, a compiled kernel
 (_kernels.c, built on first use, so a solve needs a C compiler). Each
 problem runs alone there and stops on its own residuals, keeping the
-iterates it had when it stopped.
+iterates it had when it stopped; nothing is kept per iteration, so the
+t-th iterate of a solve is the result of the same solve capped at
+max_iter = t. solve_attention, a batch of one, adds the objective of
+its final q.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ class AttentionSolution:
     iterations: int
     converged: bool
     objective: float
-    objective_trace: np.ndarray
 
 
 @dataclass
@@ -119,12 +121,6 @@ def solve_attention_batch(gram, ptx, params: AdmmParams) -> AttentionBatch:
     problem has one. Identical inputs produce bit-identical outputs,
     whatever the batch around them.
     """
-    return _solve(gram, ptx, params)[0]
-
-
-def _solve(gram, ptx, params, record=False):
-    """solve_attention_batch, plus, if record, the (n, max_iter, k) q
-    iterates, of which problem c fills its first iterations[c] rows."""
     gram = np.asarray(gram, dtype=float)
     ptx = np.asarray(ptx, dtype=float)
     if ptx.ndim != 2 or ptx.shape[1] < 1:
@@ -141,12 +137,10 @@ def _solve(gram, ptx, params, record=False):
     z, q, m = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
     iterations = np.zeros(n, dtype=np.int64)
     converged = np.zeros(n, dtype=bool)
-    trace = np.empty((n, params.max_iter, k)) if record else None
     scratch = np.empty((2, k))
     diverged = kernels().hgdl_admm(
         n, k, inverse, np.ascontiguousarray(ptx), RHO, params.epsilon, TOL,
-        params.max_iter, z, q, m, iterations, converged,
-        None if trace is None else trace.ctypes.data, scratch[0],
+        params.max_iter, z, q, m, iterations, converged, scratch[0],
         scratch[1],
     )
     if diverged:
@@ -154,16 +148,14 @@ def _solve(gram, ptx, params, record=False):
             f"attention solver diverged at iteration {diverged}"
         )
     return AttentionBatch(z=z, q=q, m=m, iterations=iterations,
-                          converged=converged), trace
+                          converged=converged)
 
 
 def solve_attention(x, P, params: AdmmParams) -> AttentionSolution:
     """Solve min_z ||x - P z||^2 + 2 eps ||z||_1 for the given center.
 
-    A batch of one for solve_attention_batch, plus the objective of q
-    after every iteration, taken from the q iterates that the kernel
-    records in a (max_iter, k) array. Identical inputs produce
-    bit-identical outputs.
+    A batch of one for solve_attention_batch, plus the objective of the
+    final q. Identical inputs produce bit-identical outputs.
     """
     x = np.asarray(x, dtype=float).ravel()
     P = np.asarray(P, dtype=float)
@@ -177,17 +169,12 @@ def solve_attention(x, P, params: AdmmParams) -> AttentionSolution:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(P))):
         raise InputError("non-finite entries in attention problem")
 
-    batch, trace = _solve((P.T @ P)[None], (P.T @ x)[None], params,
-                          record=True)
-    iterations = int(batch.iterations[0])
-    objectives = [attention_objective(x, P, q, params.epsilon)
-                  for q in trace[0, :iterations]]
+    batch = solve_attention_batch((P.T @ P)[None], (P.T @ x)[None], params)
     return AttentionSolution(
         z=batch.z[0],
         q=batch.q[0],
         m=batch.m[0],
-        iterations=iterations,
+        iterations=int(batch.iterations[0]),
         converged=bool(batch.converged[0]),
-        objective=objectives[-1],
-        objective_trace=np.asarray(objectives),
+        objective=attention_objective(x, P, batch.q[0], params.epsilon),
     )

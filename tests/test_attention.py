@@ -146,12 +146,16 @@ def test_deterministic_bitwise():
 
 
 def test_objective_tail_non_increasing():
+    """The objective of the last 10 iterates, iterate t being the final q
+    of a solve capped at t, does not increase."""
     rng = np.random.default_rng(6)
     for _ in range(20):
         P = rng.normal(size=(18, 9))
         x = rng.normal(size=18)
-        sol = solve_attention(x, P, AdmmParams(epsilon=0.05))
-        tail = sol.objective_trace[-10:]
+        last = solve_attention(x, P, AdmmParams(epsilon=0.05)).iterations
+        tail = [solve_attention(x, P, AdmmParams(epsilon=0.05,
+                                                 max_iter=t)).objective
+                for t in range(max(1, last - 9), last + 1)]
         for earlier, later in zip(tail, tail[1:]):
             assert later <= earlier + 1e-9
 
@@ -173,6 +177,21 @@ def test_non_convergence_returns_best_iterate():
     assert not sol.converged
     assert sol.iterations == 2
     assert np.all(np.isfinite(sol.q))
+
+
+def test_huge_max_iter_gives_the_default_bits():
+    """max_iter only caps the loop: nothing is sized by it, so a cap of
+    10**12 on a problem that converges early gives the default solve."""
+    rng = np.random.default_rng(12)
+    P = rng.normal(size=(10, 5))
+    x = rng.normal(size=10)
+    want = solve_attention(x, P, AdmmParams(epsilon=0.05))
+    assert want.converged and want.iterations < 200
+    got = solve_attention(x, P, AdmmParams(epsilon=0.05, max_iter=10**12))
+    for field in ("z", "q", "m"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert (got.iterations, got.converged, got.objective) == (
+        want.iterations, want.converged, want.objective)
 
 
 def test_objective_value_matches_reported():

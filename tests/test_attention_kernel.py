@@ -109,19 +109,25 @@ def test_strided_inputs_give_the_bits_of_contiguous_ones():
 
 @pytest.mark.parametrize("max_iter", [2, 200])
 def test_objective_trace_gives_the_numpy_loop_bits(max_iter):
+    """A solve capped at t stops with exactly its t-th iterate, so every
+    iterate of a solve, and the objective after every iteration, is
+    rebuilt from capped solves without the library recording any."""
     rng = np.random.default_rng(320)
     params = AdmmParams(epsilon=0.05, max_iter=max_iter)
     for k in (1, 3, 6):
         for x, P in _mixed_problems(rng, k):
-            trace = []
-            want = admm_batch(
-                (P.T @ P)[None], (P.T @ x)[None], params.epsilon, max_iter,
-                on_iterate=lambda q: trace.append(
-                    attention_objective(x, P, q[0], params.epsilon)))
+            gram, ptx = (P.T @ P)[None], (P.T @ x)[None]
+            iterates = []
+            want = admm_batch(gram, ptx, params.epsilon, max_iter,
+                              on_iterate=lambda q: iterates.append(q[0]))
             sol = solve_attention(x, P, params)
-            assert sol.iterations == want[3][0] == len(sol.objective_trace)
-            assert sol.objective_trace.tobytes() == np.asarray(trace).tobytes()
-            assert sol.objective == trace[-1]
+            assert sol.iterations == want[3][0] == len(iterates)
+            for t, q in enumerate(iterates, start=1):
+                capped = solve_attention_batch(
+                    gram, ptx, AdmmParams(epsilon=params.epsilon, max_iter=t))
+                assert capped.q[0].tobytes() == q.tobytes()
+            assert sol.objective == attention_objective(x, P, iterates[-1],
+                                                        params.epsilon)
             assert sol.q.tobytes() == want[1][0].tobytes()
 
 

@@ -637,34 +637,57 @@ def test_beta_zero_sweep_parks_a_zero_column_bitwise():
 
 
 def test_beta_zero_sweep_through_a_strided_view_bitwise():
+    """A strided or Fortran-ordered S gives the bits of the row loop on a
+    contiguous copy; at K = 200, n = 400 a product with a strided S
+    rounds differently, so the sweep must not read S in place."""
     rng = np.random.default_rng(50)
-    X = rng.normal(size=(6, 5))
-    D = _normalized_columns(rng, 6, 4)
-    buffer = rng.normal(size=(4, 10))
-    want = buffer.copy()
-    S = buffer[:, ::2]
-    row_sweep_beta0(X, D, want[:, ::2], 0.1)
-    assert update_codes(X, D, S, None, 0.1, 0.0) is S
-    assert _same_bits(buffer, want)
+    for dim, n_atoms, n in ((6, 4, 5), (30, 200, 400)):
+        X = rng.normal(size=(dim, n))
+        D = _normalized_columns(rng, dim, n_atoms)
+        buffer = rng.normal(size=(n_atoms, 2 * n))
+        before = buffer.copy()
+        for S in (buffer[:, ::2], np.asfortranarray(buffer[:, 1::2])):
+            want = row_sweep_beta0(X, D, S.copy(), 0.1)
+            assert update_codes(X, D, S, None, 0.1, 0.0) is S
+            assert _same_bits(S, want)
+        assert _same_bits(buffer[:, 1::2], before[:, 1::2])
 
 
 def test_beta_zero_sweep_non_finite_later_row_matches_row_loop():
     """Atoms 1 and 2 coincide and are orthogonal to atom 0, so row 0
-    stays finite and row 1's cross term overflows."""
+    stays finite and row 1's cross term overflows; S is left as given."""
     D = np.zeros((3, 3))
     D[0, 0] = D[1, 1] = D[1, 2] = 1.0
     X = np.random.default_rng(51).normal(size=(3, 4))
     S = np.zeros((3, 4))
     S[1:] = 1e308
-    ref = S.copy()
+    before = S.copy()
     with np.errstate(over="ignore"):
         with pytest.raises(ArithmeticError) as want:
-            row_sweep_beta0(X, D, ref, 0.1)
+            row_sweep_beta0(X, D, S.copy(), 0.1)
         with pytest.raises(NumericalError,
                            match="non-finite code update in atom row 1") as got:
             update_codes(X, D, S, None, 0.1, 0.0)
     assert str(got.value) == str(want.value)
-    assert _same_bits(S, ref)
+    assert _same_bits(S, before)
+
+
+@pytest.mark.parametrize("beta, message", [
+    (0.0, "non-finite code update in atom row 0"),
+    (1.0, "non-finite code update at atom 0, sample 0"),
+])
+def test_update_codes_overflowing_code_raises(beta, message):
+    """The linear term 3e299 and the curvature 9e-12 (plus 1e-13 from L)
+    are finite, but their quotient overflows: the sweep raises instead
+    of writing inf, and S is left as given."""
+    D = np.array([[3e-6]])
+    X = np.array([[1e305, 1.0]])
+    S = np.zeros((1, 2))
+    lap = 1e-13 * np.eye(2) if beta else None
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericalError, match=message):
+        update_codes(X, D, S, lap, 0.1, beta)
+    assert _same_bits(S, np.zeros((1, 2)))
 
 
 @pytest.mark.parametrize("n", [1, 8])
