@@ -1,10 +1,13 @@
 /* The compiled kernels of hgdl, built once per process by hgdl._native:
    hgdl_sweep, the exact beta > 0 Gauss-Seidel code sweep of
-   hgdl.dictlearn.update_codes, and hgdl_admm, the sparse-attention ADMM
-   of hgdl.attention.solve_attention_batch. Both are compiled without FMA
-   contraction, so each operation rounds as the Python it replaced. The
-   callers reject a non-finite L, codes or attention problem, so each
-   kernel only stops where an overflow or a non-finite datum appears. */
+   hgdl.dictlearn.update_codes, hgdl_encode, the lasso coding of held-out
+   columns of hgdl.dictlearn.encode_test, and hgdl_admm, the
+   sparse-attention ADMM of hgdl.attention.solve_attention_batch. The two
+   code kernels share one scalar step, sample_steps. All are compiled
+   without FMA contraction, so each operation rounds as written here, and
+   the test oracles can repeat it in Python floats. The callers reject a
+   non-finite L, codes, test matrix or attention problem, so each kernel
+   only stops where an overflow or a non-finite datum appears. */
 
 #include <math.h>
 #include <stdint.h>
@@ -13,6 +16,42 @@
 static double shrink(double v, double t)
 {
     return v > t ? v - t : (v < -t ? v + t : 0.0);
+}
+
+/* sample_steps: one sample's K scalar steps, atoms in order. field holds
+   the sample's linear terms: (D^T x - beta L_off S^T) - G_off s, G_off
+   being D^T D with its diagonal zeroed. Step k sets the code at
+   s[k * stride] to shrink(field[k], alpha) / (gdiag[k] + shift), or parks
+   it at 0 where that curvature is at or below curvature_floor. Only a
+   code that changes moves the field, by its atom's column of G_off (row
+   k of gram_cols).
+
+   Returns -1, or the first atom whose linear term or updated code is not
+   finite; the steps stop there, before that code is written. */
+static int64_t sample_steps(int64_t K, const double *gram_cols,
+                            const double *gdiag, double shift,
+                            double alpha, double curvature_floor,
+                            double *s, int64_t stride, double *field)
+{
+    for (int64_t k = 0; k < K; k++) {
+        double linear = field[k];
+        if (!isfinite(linear))
+            return k;
+        double curvature = gdiag[k] + shift;
+        double updated = curvature <= curvature_floor
+                         ? 0.0 : shrink(linear, alpha) / curvature;
+        if (!isfinite(updated))
+            return k;
+        double old = s[k * stride];
+        if (updated != old) {
+            const double *col = gram_cols + k * K;
+            double step = old - updated;
+            for (int64_t m = 0; m < K; m++)
+                field[m] += step * col[m];
+            s[k * stride] = updated;
+        }
+    }
+    return -1;
 }
 
 /* hgdl_sweep: one beta > 0 code sweep. codes is (n, K) row-major: row i
@@ -62,28 +101,108 @@ int64_t hgdl_sweep(int64_t n, int64_t K, const double *target,
         for (int64_t k = 0; k < K; k++)
             field[k] = (target[i * K + k] - beta * coupling[k]) - field[k];
 
-        double beta_lii = beta * lii;
-        for (int64_t k = 0; k < K; k++) {
-            double linear = field[k];
-            if (!isfinite(linear))
-                return i * K + k;
-            double curvature = gdiag[k] + beta_lii;
-            double updated = curvature <= curvature_floor
-                             ? 0.0 : shrink(linear, alpha) / curvature;
-            if (!isfinite(updated))
-                return i * K + k;
-            double old = s[k];
-            if (updated != old) {
-                /* a changed code moves the field by its atom's column */
-                const double *col = gram_cols + k * K;
-                double step = old - updated;
-                for (int64_t m = 0; m < K; m++)
-                    field[m] += step * col[m];
-                s[k] = updated;
-            }
-        }
+        int64_t k = sample_steps(K, gram_cols, gdiag, beta * lii, alpha,
+                                 curvature_floor, s, 1, field);
+        if (k >= 0)
+            return i * K + k;
     }
     return -1;
+}
+
+/* hgdl_encode: lasso codes of n held-out columns on a frozen dictionary,
+   min_s ||y - D s||^2 + 2 gamma ||s||_1 for each column y of Y, by
+   cyclic coordinate descent from s = 0. dictionary is (dim, K) and
+   test (dim, n), both row-major; codes is the (K, n) row-major output,
+   zeroed here. The scratch is target and field, (n, K) each, gram
+   (K, K), gdiag (K) and ysq (n).
+
+   D^T D and D^T Y are formed once, each entry summed from 0 over
+   ascending d, so D^T D is exactly symmetric. Column i keeps one running
+   field f = D^T y - G_off s, which starts as D^T y and which only
+   sample_steps moves; it is never formed again. A sweep runs
+   sample_steps on column 0, 1, ..., n - 1 in turn. After it, the objective is summed column by
+   column in O(K) from the field,
+       ||y||^2 + sum_k s_k ((G_kk s_k - (D^T y)_k) - f_k) + 2 gamma |s_k|,
+   and the sweeps stop once the relative change of the sum,
+   |previous - value| / max(1, |previous|), is below tol, or after
+   max_sweeps. The sum at s = 0 is the sum of the ||y||^2.
+
+   sweeps gets the sweeps run and change the last relative change.
+   Returns -1 when the stop rule held, -2 when max_sweeps ran without it,
+   or i * K + k for the first step (sample i, atom k) whose linear term or
+   updated code is not finite; the sweeps stop there, before that code
+   is written. */
+int64_t hgdl_encode(int64_t dim, int64_t K, int64_t n,
+                    const double *dictionary, const double *test,
+                    double gamma, double curvature_floor, double tol,
+                    int64_t max_sweeps, double *codes, double *target,
+                    double *field, double *gram, double *gdiag,
+                    double *ysq, int64_t *sweeps, double *change)
+{
+    for (int64_t k = 0; k < K; k++) {
+        double *row = gram + k * K;
+        for (int64_t m = 0; m < K; m++)
+            row[m] = 0.0;
+        for (int64_t d = 0; d < dim; d++) {
+            const double *atoms = dictionary + d * K;
+            for (int64_t m = 0; m < K; m++)
+                row[m] += atoms[k] * atoms[m];
+        }
+        gdiag[k] = row[k];
+        row[k] = 0.0;
+    }
+    double previous = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double *b = target + i * K;
+        double norm = 0.0;
+        for (int64_t k = 0; k < K; k++)
+            b[k] = 0.0;
+        for (int64_t d = 0; d < dim; d++) {
+            const double *atoms = dictionary + d * K;
+            double y = test[d * n + i];
+            norm += y * y;
+            for (int64_t k = 0; k < K; k++)
+                b[k] += atoms[k] * y;
+        }
+        ysq[i] = norm;
+        previous += norm;
+        for (int64_t k = 0; k < K; k++) {
+            field[i * K + k] = b[k];
+            codes[k * n + i] = 0.0;
+        }
+    }
+
+    double twice = 2.0 * gamma;
+    for (int64_t t = 1; t <= max_sweeps; t++) {
+        for (int64_t i = 0; i < n; i++) {
+            int64_t k = sample_steps(K, gram, gdiag, 0.0, gamma,
+                                     curvature_floor, codes + i, n,
+                                     field + i * K);
+            if (k >= 0) {
+                *sweeps = t;
+                return i * K + k;
+            }
+        }
+        double value = 0.0;
+        for (int64_t i = 0; i < n; i++) {
+            const double *b = target + i * K, *f = field + i * K;
+            double sum = ysq[i];
+            for (int64_t k = 0; k < K; k++) {
+                double sk = codes[k * n + i];
+                sum += sk * ((gdiag[k] * sk - b[k]) - f[k])
+                       + twice * fabs(sk);
+            }
+            value += sum;
+        }
+        double scale = fmax(1.0, fabs(previous));
+        double moved = fabs(previous - value);
+        *sweeps = t;
+        *change = moved / scale;
+        if (moved < tol * scale)
+            return -1;
+        previous = value;
+    }
+    return -2;
 }
 
 /* hgdl_admm: n attention problems of size k, each solved on its own.

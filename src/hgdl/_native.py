@@ -2,8 +2,8 @@
 
 _FLAGS pin the rounding (no FMA contraction, no machine-specific code),
 so each kernel gives the bits of the numpy code it replaced. Importing
-hgdl compiles and loads nothing: only an attention solve or a β > 0
-code sweep calls kernels().
+hgdl compiles and loads nothing: only an attention solve, a β > 0
+code sweep or a test encoding calls kernels().
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ _library = None
 
 
 def kernels():
-    """The library of _kernels.c, with hgdl_sweep and hgdl_admm typed,
-    compiled on the first call of the process.
+    """The library of _kernels.c, with hgdl_sweep, hgdl_encode and
+    hgdl_admm typed, compiled on the first call of the process.
 
     The build runs sysconfig's CC with _FLAGS. It is cached in
     $XDG_CACHE_HOME/hgdl, by default ~/.cache/hgdl, created with mode
@@ -70,6 +70,10 @@ def kernels():
                                    index, real, double, double, double,
                                    out, out, out]
     library.hgdl_sweep.restype = size
+    library.hgdl_encode.argtypes = [size, size, size, real, real, double,
+                                    double, double, size, out, out, out, out,
+                                    out, out, count, out]
+    library.hgdl_encode.restype = size
     library.hgdl_admm.argtypes = [size, size, real, real, double, double,
                                   double, size, out, out, out, count, flag,
                                   out, out]

@@ -8,14 +8,15 @@ subject to unit-norm dictionary atoms, where L is the normalized
 hypergraph Laplacian over the training columns. Training alternates
 exact coordinate-descent updates of S with blockwise updates of D's
 atoms, recording the objective each outer iteration. Held-out samples
-are encoded on the frozen dictionary by the same coordinate descent with
-beta = 0 and classified by a ridge-fitted linear map on the labeled code
-columns.
+are encoded on the frozen dictionary by the same exact scalar steps with
+beta = 0, all columns in one call of a compiled kernel, and classified
+by a ridge-fitted linear map on the labeled code columns.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 
@@ -38,6 +39,8 @@ MONOTONE_SLACK = 1e-9
 CURVATURE_FLOOR = 1e-12
 # test encoding stops once the relative objective change falls below this
 ENCODE_REL_TOL = 1e-8
+# hgdl_encode's status when max_sweeps ran out before ENCODE_REL_TOL held
+_ENCODE_CAPPED = -2
 
 INDUCTIVE = "inductive"
 TRANSDUCTIVE = "transductive"
@@ -413,41 +416,73 @@ def train(X, delta, params: DictLearnParams, callback=None):
 def encode_test(Y, D, gamma, max_sweeps=500):
     """Code held-out columns on a frozen dictionary.
 
-    Solves min_S ||Y - D S||_F^2 + 2 gamma ||S||_1 with the same
-    coordinate-descent sweeps as update_codes (no manifold coupling),
-    stopping once the relative objective change drops below
+    Solves min_S ||Y - D S||_F^2 + 2 gamma ||S||_1 with the exact scalar
+    steps of update_codes (no manifold coupling), in one call of the
+    compiled kernel hgdl_encode (_kernels.c, built on first use, so test
+    encoding needs a C compiler). D^T D and D^T Y are formed once per
+    call. Each column keeps a running field, the linear terms of its
+    atoms' scalar problems, which starts as D^T y and which only a code
+    that changes moves. The columns are swept in lockstep, atoms in order
+    within a column, and the sweeps stop once the relative change of the
+    objective, summed over the columns from their fields, drops below
     ENCODE_REL_TOL. A call that reaches max_sweeps first keeps its last
     sweep's codes and emits one RuntimeWarning with the last relative
-    change.
+    change and the worst column's relative duality gap. A non-finite
+    value in D, or an overflowing code, raises NumericalError naming the
+    atom and sample where it first reaches a step.
     """
-    Y = np.asarray(Y, dtype=float)
-    D = np.asarray(D, dtype=float)
+    Y = np.ascontiguousarray(Y, dtype=float)
+    D = np.ascontiguousarray(D, dtype=float)
     if Y.ndim != 2 or Y.shape[1] < 1:
         raise ParameterError("Y must be 2-d with at least one column")
     if not (np.isfinite(gamma) and gamma > 0):
         raise ParameterError("gamma must be a positive real")
+    max_sweeps = operator.index(max_sweeps)
     if max_sweeps < 1:
         raise ParameterError("max_sweeps must be at least 1")
     if not np.all(np.isfinite(Y)):
         raise InputError("test matrix contains non-finite entries")
-    S = np.zeros((D.shape[1], Y.shape[1]))
-    previous = objective(Y, D, S, None, gamma, 0.0)
-    for _ in range(max_sweeps):
-        update_codes(Y, D, S, None, gamma, 0.0)
-        value = objective(Y, D, S, None, gamma, 0.0)
-        change = abs(previous - value)
-        scale = max(1.0, abs(previous))
-        if change < ENCODE_REL_TOL * scale:
-            break
-        previous = value
-    else:
+    (dim, n), n_atoms = Y.shape, D.shape[1]
+    S = np.empty((n_atoms, n))
+    _check_shapes(Y, D, S)
+    target, field = np.empty((2, n, n_atoms))
+    sweeps = np.zeros(1, dtype=np.int64)
+    change = np.zeros(1)
+    status = kernels().hgdl_encode(
+        dim, n_atoms, n, D, Y, float(gamma), CURVATURE_FLOOR,
+        ENCODE_REL_TOL, max_sweeps, S, target, field,
+        np.empty((n_atoms, n_atoms)), np.empty(n_atoms), np.empty(n),
+        sweeps, change,
+    )
+    del target, field
+    if status >= 0:
+        n_i, k = divmod(status, n_atoms)
+        raise NumericalError(f"non-finite code update at atom {k}, sample {n_i}")
+    if status == _ENCODE_CAPPED:
         warnings.warn(
             f"test encoding hit max_sweeps ({max_sweeps}) with a relative "
-            f"objective change of {change / scale:.3g} (ENCODE_REL_TOL "
-            f"{ENCODE_REL_TOL:g}); the codes keep their last sweep",
+            f"objective change of {change[0]:.3g} (ENCODE_REL_TOL "
+            f"{ENCODE_REL_TOL:g}) and a worst relative duality gap of "
+            f"{_worst_relative_gap(Y, D, S, gamma):.3g}; the codes keep "
+            "their last sweep",
             RuntimeWarning,
         )
     return S
+
+
+def _worst_relative_gap(Y, D, S, gamma):
+    """The largest lasso duality gap over the columns, each relative to
+    its primal value ||r||^2 + 2 gamma ||s||_1, r = y - D s, with the
+    feasible dual point theta = r / max(1, ||D^T r||_inf / gamma), whose
+    dual value is ||y||^2 - ||y - theta||^2. A column with primal value
+    0 is solved exactly and has gap 0."""
+    R = Y - D @ S
+    theta = R / np.maximum(1.0, np.abs(D.T @ R).max(axis=0) / gamma)
+    primal = np.sum(R * R, axis=0) + 2.0 * gamma * np.sum(np.abs(S), axis=0)
+    dual = np.sum(Y * Y, axis=0) - np.sum((Y - theta) ** 2, axis=0)
+    gap = np.divide(primal - dual, primal, out=np.zeros(primal.shape),
+                    where=primal > 0)
+    return float(gap.max())
 
 
 def fit_classifier(S, labels, ridge=1e-3):

@@ -8,11 +8,14 @@ hypergraph-Laplacian formula, the literal pairwise expansion of the
 manifold penalty and a golden-section scalar minimizer. The
 row-by-row beta = 0 code sweep and dictionary sweep are kept as the
 library first wrote them, one fresh array per arithmetic step, so that
-a rewrite of either can be held to the same bits. The sparse-attention
+a rewrite of either can be held to the same bits. The held-out lasso
+coding is kept in Python floats, in the compiled kernel's operation
+order, so that kernel can be held to its bits. The sparse-attention
 incidence is kept the same way, as two loops over neighbor ranks, and
 so is the vectorized numpy ADMM over a batch of attention problems.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -295,6 +298,60 @@ def row_sweep_beta0(X, D, S, alpha):
         else:
             S[k] = shrink(j_row, alpha) / gdiag[k]
     return S
+
+
+def encode_sweeps(Y, D, gamma, t):
+    """The codes after t lockstep sweeps of the held-out lasso coding, in
+    Python floats, so with no fused multiply-add.
+
+    D^T D and D^T Y are summed from 0 over ascending d. Column i's field
+    starts as D^T y_i with all codes at zero. A sweep visits column 0,
+    1, ... in turn and, in each, atom 0, 1, ...: code k becomes
+    shrink(f_k, gamma) / G_kk, or 0 where G_kk <= 1e-12, and a change by
+    step = old - new adds step * G_km to every f_m, with G_kk read as 0. A non-finite f_k or new code raises ArithmeticError
+    naming the atom and sample. Returns the (K, n) codes.
+    """
+    dim, n_atoms = np.shape(D)
+    D = np.asarray(D, dtype=float).tolist()
+    Y = np.asarray(Y, dtype=float).T.tolist()
+
+    def summed(a, b):
+        total = 0.0
+        for d in range(dim):
+            total += a[d] * b[d]
+        return total
+
+    atoms = [[D[d][k] for d in range(dim)] for k in range(n_atoms)]
+    gram = [[summed(a, b) for b in atoms] for a in atoms]
+    curvature = [gram[k][k] for k in range(n_atoms)]
+    for k in range(n_atoms):
+        gram[k][k] = 0.0
+    fields = [[summed(a, y) for a in atoms] for y in Y]
+    codes = [[0.0] * n_atoms for _ in Y]
+    for _ in range(t):
+        for i, (s, f) in enumerate(zip(codes, fields)):
+            for k in range(n_atoms):
+                linear = f[k]
+                if not math.isfinite(linear):
+                    raise ArithmeticError(
+                        f"non-finite code update at atom {k}, sample {i}")
+                if curvature[k] <= 1e-12:
+                    new = 0.0
+                elif linear > gamma:
+                    new = (linear - gamma) / curvature[k]
+                elif linear < -gamma:
+                    new = (linear + gamma) / curvature[k]
+                else:
+                    new = 0.0
+                if not math.isfinite(new):
+                    raise ArithmeticError(
+                        f"non-finite code update at atom {k}, sample {i}")
+                if new != s[k]:
+                    step = s[k] - new
+                    for m in range(n_atoms):
+                        f[m] += step * gram[k][m]
+                    s[k] = new
+    return np.asarray(codes).T
 
 
 def atom_sweep(X, S, D, rng):

@@ -48,6 +48,7 @@ from hgdl.hypergraph import (
 from oracles import (
     atom_sweep,
     cd_lasso,
+    encode_sweeps,
     golden_section,
     lasso_objective,
     literal_manifold_penalty,
@@ -754,8 +755,10 @@ def test_beta_sweep_without_a_compiler_is_an_internal_error(
 
 def test_export_without_a_compiler_exits_4_and_beta0_train_runs(
         empty_build_cache, monkeypatch, tmp_path, capsys):
-    """The attention solve of export-laplacian needs the compiled kernels;
-    a beta = 0 run builds no hypergraph and needs none."""
+    """The attention solve of export-laplacian and the test encoding of
+    an inductive --test run need the compiled kernels; a beta = 0 train
+    without --test, or in transductive mode, builds no hypergraph,
+    encodes nothing and needs none."""
     config_var = sysconfig.get_config_var
     monkeypatch.setattr(
         sysconfig, "get_config_var",
@@ -773,12 +776,23 @@ def test_export_without_a_compiler_exits_4_and_beta0_train_runs(
     assert "hgdl-no-such-cc" in capsys.readouterr().err
     assert not binmat.exists()
 
-    report = tmp_path / "report.json"
+    never = tmp_path / "never.json"
     code = cli.main(["train", "--train", paths["train"], "--test",
-                     paths["test"], "--out", str(report), "--knn", "3",
+                     paths["test"], "--out", str(never), "--knn", "3",
                      "--dict-size", "8", "--beta", "0"])
-    assert code == 0
-    assert report.exists()
+    assert code == 4
+    assert "hgdl-no-such-cc" in capsys.readouterr().err
+    assert not never.exists()
+
+    # transductive test codes come from training, not from encode_test
+    for extra in ([], ["--test", paths["test"], "--mode", "transductive"]):
+        report = tmp_path / "report.json"
+        code = cli.main(["train", "--train", paths["train"], "--out",
+                         str(report), "--knn", "3", "--dict-size", "8",
+                         "--beta", "0", *extra])
+        assert code == 0
+        assert report.exists()
+        report.unlink()
     assert _native._library is None
 
 
@@ -1220,9 +1234,7 @@ def test_encode_test_warns_once_at_the_sweep_cap():
     assert "relative objective change of" in messages[0]
     assert "went dead" not in messages[0]
     # the capped call keeps the codes of its one sweep
-    want = np.zeros((7, 4))
-    update_codes(Y, D, want, None, 0.05, 0.0)
-    assert np.array_equal(capped, want)
+    assert _same_bits(capped, encode_sweeps(Y, D, 0.05, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         encode_test(Y, D, 0.05)
@@ -1230,20 +1242,76 @@ def test_encode_test_warns_once_at_the_sweep_cap():
         encode_test(Y, D, 0.05, max_sweeps=0)
 
 
-def test_encode_test_runs_one_code_sweep_per_sweep(monkeypatch):
-    counts = _count_calls(monkeypatch, "update_codes")
+def test_encode_test_runs_one_code_sweep_per_sweep():
+    """A call capped at t sweeps returns the oracle's codes after t
+    lockstep sweeps, bit for bit, and each sweep moves them."""
     rng = np.random.default_rng(44)
     D = _normalized_columns(rng, 9, 7)
     Y = rng.normal(size=(9, 4))
-    with pytest.warns(RuntimeWarning, match=r"max_sweeps \(3\)"):
-        encode_test(Y, D, 0.05, max_sweeps=3)
-    assert counts == {"update_codes": 3}
+    codes = []
+    for t in (1, 2, 3):
+        with pytest.warns(RuntimeWarning, match=rf"max_sweeps \({t}\)"):
+            codes.append(encode_test(Y, D, 0.05, max_sweeps=t))
+        assert _same_bits(codes[-1], encode_sweeps(Y, D, 0.05, t))
+    for before, after in zip(codes, codes[1:]):
+        assert not np.array_equal(before, after)
+
+
+def test_encode_test_cap_warning_names_the_worst_relative_duality_gap():
+    rng = np.random.default_rng(45)
+    D = _normalized_columns(rng, 12, 9)
+    Y = rng.normal(size=(12, 6))
+    gamma = 0.2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        S = encode_test(Y, D, gamma, max_sweeps=4)
+    (message,) = [str(w.message) for w in caught]
+    reported = float(message.split("worst relative duality gap of ")[1]
+                     .split(";")[0])
+    gaps = []
+    for i in range(Y.shape[1]):
+        y, s = Y[:, i], S[:, i]
+        r = y - D @ s
+        theta = r / max(1.0, np.max(np.abs(D.T @ r)) / gamma)
+        primal = lasso_objective(y, D, s, gamma)
+        dual = y @ y - (y - theta) @ (y - theta)
+        gaps.append((primal - dual) / primal)
+    assert 0.0 < max(gaps) and reported == pytest.approx(max(gaps), rel=5e-3)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("atom", [0, 3, 6])
+def test_encode_test_non_finite_dictionary_raises_at_that_atom(value, atom):
+    rng = np.random.default_rng(46)
+    D = _normalized_columns(rng, 9, 7)
+    D[4, atom] = value
+    Y = rng.normal(size=(9, 4))
+    with pytest.raises(NumericalError,
+                       match=f"non-finite code update at atom {atom}, "
+                             "sample 0"):
+        encode_test(Y, D, 0.05)
+
+
+def test_encode_test_zero_atom_stays_zero_and_matches_the_oracle():
+    rng = np.random.default_rng(47)
+    D = _normalized_columns(rng, 9, 7)
+    D[:, 2] = 0.0
+    Y = rng.normal(size=(9, 5))
+    with pytest.warns(RuntimeWarning, match=r"max_sweeps \(6\)"):
+        S = encode_test(Y, D, 0.05, max_sweeps=6)
+    assert not S[2].any()
+    assert _same_bits(S, encode_sweeps(Y, D, 0.05, 6))
 
 
 def test_encode_test_validation():
     D = np.eye(3)
     with pytest.raises(ParameterError):
         encode_test(np.zeros((3, 2)), D, 0.0)
+    with pytest.raises(ParameterError, match="dictionary rows 4 != feature dim 3"):
+        encode_test(np.ones((3, 2)), np.eye(4), 0.1)
+    # no features: every code stays zero, and nothing is read past D or Y
+    assert _same_bits(encode_test(np.zeros((0, 3)), np.zeros((0, 2)), 0.1),
+                      np.zeros((2, 3)))
     with pytest.raises(InputError):
         encode_test(np.full((3, 2), np.nan), D, 0.1)
 
