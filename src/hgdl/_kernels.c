@@ -1,7 +1,8 @@
 /* The compiled kernels of hgdl, built once per process by hgdl._native:
    hgdl_sweep, the exact beta > 0 Gauss-Seidel code sweep of
-   hgdl.dictlearn.update_codes, hgdl_encode, the lasso coding of held-out
-   columns of hgdl.dictlearn.encode_test, and hgdl_admm, the
+   hgdl.dictlearn.update_codes, hgdl_dictionary, the blockwise atom sweep
+   of hgdl.dictlearn.update_dictionary, hgdl_encode, the lasso coding of
+   held-out columns of hgdl.dictlearn.encode_test, and hgdl_admm, the
    sparse-attention ADMM of hgdl.attention.solve_attention_batch. The two
    code kernels share one scalar step, sample_steps. All are compiled
    without FMA contraction, so each operation rounds as written here, and
@@ -105,6 +106,52 @@ int64_t hgdl_sweep(int64_t n, int64_t K, const double *target,
                                  curvature_floor, s, 1, field);
         if (k >= 0)
             return i * K + k;
+    }
+    return -1;
+}
+
+/* hgdl_dictionary: one blockwise sweep over the atoms, from atom start
+   on. atoms is (K, dim) row-major, row k holding atom k, and is updated
+   in place; corr is X S^T, (dim, K), and code_gram S S^T, (K, K), both
+   row-major. Atom k becomes u / ||u|| with
+       u = (corr_k - D g_k) + D_k g_kk,
+   g_k being column k of code_gram. D g_k is K axpy steps over
+   contiguous atoms, so each of its entries is summed from 0 over
+   ascending atoms, whatever the vector width, and reads the atoms
+   before k as this sweep left them; ||u||^2 is summed from 0 over
+   ascending d. u is dim doubles of scratch.
+
+   Returns -1 when every atom from start on was updated, k when atom k
+   is dead (||u|| at or below curvature_floor), or K + k when ||u|| is
+   not finite; the sweep stops there, before atom k is written. */
+int64_t hgdl_dictionary(int64_t dim, int64_t K, int64_t start,
+                        const double *corr, const double *code_gram,
+                        double curvature_floor, double *atoms, double *u)
+{
+    for (int64_t k = start; k < K; k++) {
+        double *atom = atoms + k * dim;
+        int64_t d;
+        for (d = 0; d < dim; d++)
+            u[d] = 0.0;
+        for (int64_t m = 0; m < K; m++) {
+            const double *other = atoms + m * dim;
+            double g = code_gram[m * K + k];
+            for (d = 0; d < dim; d++)
+                u[d] += other[d] * g;
+        }
+        double gkk = code_gram[k * K + k];
+        for (d = 0; d < dim; d++)
+            u[d] = (corr[d * K + k] - u[d]) + atom[d] * gkk;
+        double squares = 0.0;
+        for (d = 0; d < dim; d++)
+            squares += u[d] * u[d];
+        double norm = sqrt(squares);
+        if (!isfinite(norm))
+            return K + k;
+        if (norm <= curvature_floor)
+            return k;
+        for (d = 0; d < dim; d++)
+            atom[d] = u[d] / norm;
     }
     return -1;
 }

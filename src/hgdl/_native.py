@@ -1,9 +1,10 @@
 """The compiled kernels of _kernels.c, built on first use.
 
 _FLAGS pin the rounding (no FMA contraction, no machine-specific code),
-so each kernel gives the bits of the numpy code it replaced. Importing
-hgdl compiles and loads nothing: only an attention solve, a β > 0
-code sweep or a test encoding calls kernels().
+so each kernel rounds every operation as its source is written.
+Importing hgdl compiles and loads nothing: an attention solve, a β > 0
+code sweep, a dictionary sweep (so every train) and a test encoding
+call kernels().
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ _library = None
 
 
 def kernels():
-    """The library of _kernels.c, with hgdl_sweep, hgdl_encode and
-    hgdl_admm typed, compiled on the first call of the process.
+    """The library of _kernels.c, with hgdl_sweep, hgdl_dictionary,
+    hgdl_encode and hgdl_admm typed, compiled on the first call of the
+    process.
 
     The build runs sysconfig's CC with _FLAGS. It is cached in
     $XDG_CACHE_HOME/hgdl, by default ~/.cache/hgdl, created with mode
@@ -70,6 +72,9 @@ def kernels():
                                    index, real, double, double, double,
                                    out, out, out]
     library.hgdl_sweep.restype = size
+    library.hgdl_dictionary.argtypes = [size, size, size, real, real, double,
+                                        out, out]
+    library.hgdl_dictionary.restype = size
     library.hgdl_encode.argtypes = [size, size, size, real, real, double,
                                     double, double, size, out, out, out, out,
                                     out, out, count, out]

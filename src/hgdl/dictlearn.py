@@ -117,11 +117,18 @@ class TrainedModel:
     mode: str
 
 
-def _check_shapes(X, D, S):
+def _check_shapes(X, D, S=None):
+    """The data matrix X, the dictionary D and, if given, the codes S
+    must be 2-d, with D's rows matching X's and S of shape (atoms, n)."""
+    for name, operand in (("data matrix", X), ("dictionary", D),
+                          ("codes", S)):
+        if operand is not None and operand.ndim != 2:
+            raise ParameterError(
+                f"the {name} must be 2-d, got {operand.ndim}-d")
     dim, n = X.shape
     if D.shape[0] != dim:
         raise ParameterError(f"dictionary rows {D.shape[0]} != feature dim {dim}")
-    if S.shape != (D.shape[1], n):
+    if S is not None and S.shape != (D.shape[1], n):
         raise ParameterError(
             f"codes must be {(D.shape[1], n)}, got {S.shape}"
         )
@@ -325,10 +332,17 @@ def update_dictionary(X, S, D, rng=None):
     Atom k moves to the unit vector best explaining what the other atoms
     leave unexplained: the normalization of u = X S_k^T - D~ S S_k^T with
     atom k zeroed inside D~, computed as (X S^T)_k - D (S S^T)_k +
-    D_k (S S^T)_kk in two length-dim buffers that every atom reuses and
-    divided by its norm straight into D's column k. A vanishing
+    D_k (S S^T)_kk. Atoms are visited in order, and each one sees the
+    atoms already updated in this sweep. X S^T and S S^T are formed once
+    per sweep with numpy, and the atom loop runs in the compiled kernel
+    hgdl_dictionary (_kernels.c, built on first use, so every sweep needs
+    a C compiler) on a private (K, dim) copy of D^T. A vanishing
     direction (dead atom) is reinitialized to a normalized random data
-    column with a warning.
+    column drawn from rng, with a warning, and the kernel resumes at the
+    next atom. A non-finite norm raises NumericalError naming the atom.
+    As in update_codes, D is written back only when the whole sweep
+    succeeded: a sweep that raises leaves D as the caller gave it, and
+    D's memory layout does not change the result's bits.
     """
     X = np.asarray(X, dtype=float)
     if not isinstance(D, np.ndarray) or D.dtype != np.float64:
@@ -338,26 +352,24 @@ def update_dictionary(X, S, D, rng=None):
     if rng is None:
         rng = np.random.default_rng(0)
 
+    dim, n_atoms = D.shape
     data_corr = X @ S.T  # (dim, n_atoms)
     code_gram = S @ S.T  # (n_atoms, n_atoms)
-    u = np.empty(D.shape[0])
-    term = np.empty(D.shape[0])
-    for k in range(D.shape[1]):
-        np.matmul(D, code_gram[:, k], out=term)
-        np.subtract(data_corr[:, k], term, out=u)
-        np.multiply(D[:, k], code_gram[k, k], out=term)
-        np.add(u, term, out=u)
-        norm = math.sqrt(u @ u)
-        if not math.isfinite(norm):
-            raise NumericalError(f"non-finite dictionary update at atom {k}")
-        if norm <= CURVATURE_FLOOR:
-            warnings.warn(
-                f"atom {k} went dead; reinitializing from a data column",
-                RuntimeWarning,
-            )
-            D[:, k] = _unit_atom(X[:, int(rng.integers(X.shape[1]))], rng)
-        else:
-            np.divide(u, norm, out=D[:, k])
+    atoms = D.T.copy()  # row k holds atom k; never a view of D
+    sweep = kernels().hgdl_dictionary
+    args = (data_corr, code_gram, CURVATURE_FLOOR, atoms, np.empty(dim))
+    k = sweep(dim, n_atoms, 0, *args)
+    while 0 <= k < n_atoms:
+        warnings.warn(
+            f"atom {k} went dead; reinitializing from a data column",
+            RuntimeWarning,
+        )
+        atoms[k] = _unit_atom(X[:, int(rng.integers(X.shape[1]))], rng)
+        k = sweep(dim, n_atoms, k + 1, *args)
+    if k >= n_atoms:
+        raise NumericalError(
+            f"non-finite dictionary update at atom {k - n_atoms}")
+    D[...] = atoms.T
     return D
 
 
@@ -442,9 +454,9 @@ def encode_test(Y, D, gamma, max_sweeps=500):
         raise ParameterError("max_sweeps must be at least 1")
     if not np.all(np.isfinite(Y)):
         raise InputError("test matrix contains non-finite entries")
+    _check_shapes(Y, D)
     (dim, n), n_atoms = Y.shape, D.shape[1]
     S = np.empty((n_atoms, n))
-    _check_shapes(Y, D, S)
     target, field = np.empty((2, n, n_atoms))
     sweeps = np.zeros(1, dtype=np.int64)
     change = np.zeros(1)

@@ -3,10 +3,9 @@
 The CLI maps these onto exit codes: parameter problems exit with 2,
 malformed or invalid input data with 3, numerical failures and internal
 errors with 4. An attention solve (export-laplacian builds one), a
-β > 0 code sweep or a test encoding on a machine where the compiled
-kernels cannot be built (no C compiler) is an internal error, so it
-exits with 4; β = 0 runs that encode no held-out columns need no
-compiler.
+β > 0 code sweep, a dictionary sweep (every train, at β = 0 too) or a
+test encoding on a machine where the compiled kernels cannot be built
+(no C compiler) is an internal error, so it exits with 4.
 """
 
 

@@ -8,9 +8,11 @@ hypergraph-Laplacian formula, the literal pairwise expansion of the
 manifold penalty and a golden-section scalar minimizer. The
 row-by-row beta = 0 code sweep and dictionary sweep are kept as the
 library first wrote them, one fresh array per arithmetic step, so that
-a rewrite of either can be held to the same bits. The held-out lasso
-coding is kept in Python floats, in the compiled kernel's operation
-order, so that kernel can be held to its bits. The sparse-attention
+a rewrite of either can be held to the same bits or, where a compiled
+kernel sums in another order, to a stated tolerance. The held-out lasso
+coding and the dictionary sweep are kept in Python floats, in their
+compiled kernels' operation order, so those kernels can be held to
+their bits. The sparse-attention
 incidence is kept the same way, as two loops over neighbor ranks, and
 so is the vectorized numpy ADMM over a batch of attention problems.
 """
@@ -370,19 +372,63 @@ def atom_sweep(X, S, D, rng):
         if not np.isfinite(norm):
             raise ArithmeticError(f"non-finite dictionary update at atom {k}")
         if norm <= 1e-12:
-            warnings.warn(
-                f"atom {k} went dead; reinitializing from a data column",
-                RuntimeWarning,
-            )
-            col = X[:, int(rng.integers(X.shape[1]))]
-            col_norm = float(np.linalg.norm(col))
-            if col_norm <= 1e-12:
-                col = rng.standard_normal(X.shape[0])
-                col_norm = float(np.linalg.norm(col))
-            D[:, k] = col / col_norm
+            D[:, k] = _redrawn_atom(X, k, rng)
         else:
             D[:, k] = u / norm
     return D
+
+
+def atom_sweep_floats(X, S, D, rng):
+    """One blockwise dictionary sweep in Python floats, in place, so with
+    no fused multiply-add.
+
+    X S^T and S S^T are the library's numpy products, X @ S.T and
+    S @ S.T. Atom k becomes u / ||u|| with
+    u_d = (corr_dk - t_d) + D_dk g_kk, where t_d sums D_dm g_mk from 0
+    over ascending m, reading the atoms before k as this sweep left them,
+    and ||u||^2 is summed from 0 over ascending d. A norm at or below
+    1e-12 warns and redraws the atom from rng as atom_sweep does; a
+    non-finite norm raises ArithmeticError naming the atom.
+    """
+    corr = (X @ S.T).tolist()
+    gram = (S @ S.T).tolist()
+    dim, n_atoms = D.shape
+    atoms = np.asarray(D, dtype=float).T.tolist()
+    for k in range(n_atoms):
+        u = []
+        for d in range(dim):
+            total = 0.0
+            for m in range(n_atoms):
+                total += atoms[m][d] * gram[m][k]
+            u.append((corr[d][k] - total) + atoms[k][d] * gram[k][k])
+        squares = 0.0
+        for value in u:
+            squares += value * value
+        norm = math.sqrt(squares)
+        if not math.isfinite(norm):
+            raise ArithmeticError(f"non-finite dictionary update at atom {k}")
+        if norm <= 1e-12:
+            atoms[k] = _redrawn_atom(X, k, rng).tolist()
+        else:
+            atoms[k] = [value / norm for value in u]
+        D[:, k] = atoms[k]
+    return D
+
+
+def _redrawn_atom(X, k, rng):
+    """The dead-atom warning, then a random data column of X drawn from
+    rng divided by its norm, or, if that norm is at or below 1e-12, a
+    normal draw divided by its own."""
+    warnings.warn(
+        f"atom {k} went dead; reinitializing from a data column",
+        RuntimeWarning,
+    )
+    col = X[:, int(rng.integers(X.shape[1]))]
+    col_norm = float(np.linalg.norm(col))
+    if col_norm <= 1e-12:
+        col = rng.standard_normal(X.shape[0])
+        col_norm = float(np.linalg.norm(col))
+    return col / col_norm
 
 
 def saf_incidence_two_loops(X, neighbors, solve=None):

@@ -47,6 +47,7 @@ from hgdl.hypergraph import (
 )
 from oracles import (
     atom_sweep,
+    atom_sweep_floats,
     cd_lasso,
     encode_sweeps,
     golden_section,
@@ -608,21 +609,63 @@ def test_update_codes_accepts_zero_alpha(beta):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_beta_zero_sweeps_match_the_row_loops_bitwise(seed):
-    """Alternating code and dictionary sweeps, as train runs them, give
-    the bits of the row-by-row loops they replaced."""
+    """Code sweeps alternating with dictionary sweeps, as train runs
+    them, give the bits of the row-by-row loop they replaced."""
     rng = np.random.default_rng(seed)
     dim, n, n_atoms = 9, 23, 7
     X = rng.normal(size=(dim, n))
     D = _normalized_columns(rng, dim, n_atoms)
     S = rng.normal(size=(n_atoms, n)) * (rng.random((n_atoms, n)) < 0.5)
-    D_ref, S_ref = D.copy(), S.copy()
+    S_ref = S.copy()
     for _ in range(5):
         update_codes(X, D, S, None, 0.05, 0.0)
-        row_sweep_beta0(X, D_ref, S_ref, 0.05)
+        row_sweep_beta0(X, D, S_ref, 0.05)
         assert _same_bits(S, S_ref)
         update_dictionary(X, S, D, rng=np.random.default_rng(seed))
-        atom_sweep(X, S_ref, D_ref, np.random.default_rng(seed))
-        assert _same_bits(D, D_ref)
+
+
+# the numpy atom loop sums D (S S^T)_k and ||u||^2 in BLAS's order, the
+# kernel in ascending order; on these well-conditioned sweeps the unit
+# atoms agree to this absolute tolerance
+ATOM_LOOP_ATOL = 1e-13
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dictionary_sweeps_match_the_float_oracle_bitwise(seed):
+    """Dictionary sweeps alternating with code sweeps, as train runs
+    them, give the bits of the atom loop in Python floats, and the numpy
+    atom loop's atoms within ATOM_LOOP_ATOL."""
+    rng = np.random.default_rng(seed)
+    dim, n, n_atoms = 9, 23, 7
+    X = rng.normal(size=(dim, n))
+    D = _normalized_columns(rng, dim, n_atoms)
+    S = rng.normal(size=(n_atoms, n)) * (rng.random((n_atoms, n)) < 0.5)
+    for _ in range(5):
+        update_codes(X, D, S, None, 0.05, 0.0)
+        close = atom_sweep(X, S, D.copy(), np.random.default_rng(seed))
+        want = atom_sweep_floats(X, S, D.copy(), np.random.default_rng(seed))
+        assert update_dictionary(X, S, D, rng=np.random.default_rng(seed)) is D
+        assert _same_bits(D, want)
+        np.testing.assert_allclose(D, close, rtol=0, atol=ATOM_LOOP_ATOL)
+
+
+@pytest.mark.parametrize("dim, n_atoms, n", [
+    (5, 1, 7),     # one atom
+    (3, 5, 4),     # fewer features than one block of the kernel
+    (32, 4, 6),    # whole blocks
+    (37, 3, 9),    # two blocks and five features left over
+    (100, 60, 60),
+])
+def test_update_dictionary_matches_the_float_oracle_bitwise(dim, n_atoms, n):
+    rng = np.random.default_rng(dim * n_atoms)
+    X = rng.normal(size=(dim, n))
+    D = _normalized_columns(rng, dim, n_atoms)
+    S = rng.normal(size=(n_atoms, n)) * (rng.random((n_atoms, n)) < 0.5)
+    want = atom_sweep_floats(X, S, D.copy(), np.random.default_rng(0))
+    close = atom_sweep(X, S, D.copy(), np.random.default_rng(0))
+    update_dictionary(X, S, D)
+    assert _same_bits(D, want)
+    np.testing.assert_allclose(D, close, rtol=0, atol=ATOM_LOOP_ATOL)
 
 
 def test_beta_zero_sweep_parks_a_zero_column_bitwise():
@@ -691,25 +734,142 @@ def test_update_codes_overflowing_code_raises(beta, message):
     assert _same_bits(S, np.zeros((1, 2)))
 
 
-@pytest.mark.parametrize("n", [1, 8])
-def test_update_dictionary_dead_atom_matches_atom_loop_bitwise(n):
-    """A dead atom draws the same replacement from the same generator;
-    with one zero data column the draw is a normal vector."""
+def _dead_atom_problem(n):
+    """Atom 1 gets no signal (zero codes); with n = 1 the one data column
+    is zero, so its redraw is a normal vector."""
     rng = np.random.default_rng(52)
     X = rng.normal(size=(6, n)) if n > 1 else np.zeros((6, 1))
     D = _normalized_columns(rng, 6, 3)
     S = rng.normal(size=(3, n))
     S[1, :] = 0.0
+    return X, S, D
+
+
+def _sweep_warnings(sweep, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sweep(*args)
+    return [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_update_dictionary_dead_atom_matches_atom_loop_bitwise(n):
+    """A dead atom draws the same replacement from the same generator,
+    with the same warning, as the atom loop in Python floats."""
+    X, S, D = _dead_atom_problem(n)
     D_ref = D.copy()
-    with warnings.catch_warnings(record=True) as want:
-        warnings.simplefilter("always")
-        atom_sweep(X, S, D_ref, np.random.default_rng(99))
-    with warnings.catch_warnings(record=True) as got:
-        warnings.simplefilter("always")
-        update_dictionary(X, S, D, rng=np.random.default_rng(99))
-    assert [str(w.message) for w in got] == [str(w.message) for w in want]
-    assert [w.category for w in got] == [RuntimeWarning]
+    want = _sweep_warnings(atom_sweep_floats, X, S, D_ref,
+                           np.random.default_rng(99))
+    got = _sweep_warnings(update_dictionary, X, S, D,
+                          np.random.default_rng(99))
+    assert got == want
+    assert [category for category, _ in got] == [RuntimeWarning]
     assert _same_bits(D, D_ref)
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_update_dictionary_dead_atom_matches_the_numpy_atom_loop(n):
+    X, S, D = _dead_atom_problem(n)
+    D_ref = D.copy()
+    want = _sweep_warnings(atom_sweep, X, S, D_ref, np.random.default_rng(99))
+    got = _sweep_warnings(update_dictionary, X, S, D,
+                          np.random.default_rng(99))
+    assert got == want
+    np.testing.assert_allclose(D, D_ref, rtol=0, atol=ATOM_LOOP_ATOL)
+
+
+def test_update_dictionary_dead_atom_mid_sweep_reaches_later_atoms():
+    """X s_1^T is atom 2 times s_1 . s_2 = 1, and s_1 . s_0 = 0, so atom
+    1's direction cancels exactly; atom 2, visited after the redraw,
+    reads it through s_1 . s_2, so two generators give two atom 2s."""
+    X = np.array([[1.0, 1.0, 1.0, 0.0],
+                  [2.0, 2.0, 0.0, -1.0],
+                  [-2.0, -1.0, 2.0, 2.0]])
+    S = np.array([[-1.0, -1.0, 0.0, 0.0],
+                  [1.0, -1.0, 0.0, 1.0],
+                  [1.0, 0.0, -1.0, 0.0]])
+    D0 = np.array([[-1.0, -1.0, 0.0],
+                   [0.0, -1.0, -1.0],
+                   [-1.0, 1.0, 1.0]])
+    swept = []
+    for seed in (5, 6):
+        D, D_ref = D0.copy(), D0.copy()
+        want = _sweep_warnings(atom_sweep_floats, X, S, D_ref,
+                               np.random.default_rng(seed))
+        got = _sweep_warnings(update_dictionary, X, S, D,
+                              np.random.default_rng(seed))
+        assert got == want == [
+            (RuntimeWarning,
+             "atom 1 went dead; reinitializing from a data column")]
+        assert _same_bits(D, D_ref)
+        swept.append(D)
+    assert _same_bits(swept[0][:, 0], swept[1][:, 0])
+    assert not np.array_equal(swept[0][:, 1], swept[1][:, 1])
+    assert not np.array_equal(swept[0][:, 2], swept[1][:, 2])
+
+
+def test_update_dictionary_writes_through_a_strided_view():
+    """A strided or Fortran-ordered D is updated in place with the bits
+    of a contiguous copy, and the rest of its buffer is not touched."""
+    rng = np.random.default_rng(53)
+    X = rng.normal(size=(20, 9))
+    S = rng.normal(size=(4, 9))
+    buffer = rng.normal(size=(20, 8))
+    before = buffer.copy()
+    for D in (buffer[:, ::2], np.asfortranarray(buffer[:, 1::2])):
+        want = atom_sweep_floats(X, S, D.copy(), np.random.default_rng(0))
+        assert update_dictionary(X, S, D) is D
+        assert _same_bits(D, want)
+    assert _same_bits(buffer[:, 1::2], before[:, 1::2])
+
+
+def test_update_dictionary_failed_sweep_leaves_d_as_given():
+    """S S^T overflows in atom 1's diagonal, so atom 1's norm is not
+    finite after atom 0 has moved; D keeps its bits, as in
+    update_codes."""
+    rng = np.random.default_rng(54)
+    X = rng.normal(size=(4, 3))
+    D = _normalized_columns(rng, 4, 2)
+    S = np.array([[0.0, 1.0, 0.5], [1e200, 0.0, 0.0]])
+    before = D.copy()
+    with pytest.raises(ArithmeticError) as want:
+        atom_sweep_floats(X, S, D.copy(), np.random.default_rng(0))
+    with pytest.raises(NumericalError,
+                       match="non-finite dictionary update at atom 1") as got:
+        update_dictionary(X, S, D)
+    assert str(got.value) == str(want.value)
+    assert _same_bits(D, before)
+
+
+@pytest.mark.parametrize("call, operand", [
+    ("objective", "data matrix"),
+    ("objective", "dictionary"),
+    ("objective", "codes"),
+    ("update_codes", "data matrix"),
+    ("update_codes", "dictionary"),
+    ("update_codes", "codes"),
+    ("update_dictionary", "data matrix"),
+    ("update_dictionary", "dictionary"),
+    ("update_dictionary", "codes"),
+    ("encode_test", "dictionary"),
+])
+def test_one_dimensional_operands_are_rejected_by_name(call, operand):
+    """A 1-d operand is a ParameterError naming it, not a bare
+    IndexError or unpacking error from its shape."""
+    rng = np.random.default_rng(55)
+    operands = {"data matrix": rng.normal(size=(4, 3)),
+                "dictionary": _normalized_columns(rng, 4, 2),
+                "codes": rng.normal(size=(2, 3))}
+    operands[operand] = operands[operand][:, 0].copy()
+    X, D, S = operands.values()
+    calls = {
+        "objective": lambda: objective(X, D, S, None, 0.1, 0.0),
+        "update_codes": lambda: update_codes(X, D, S, None, 0.1, 0.0),
+        "update_dictionary": lambda: update_dictionary(X, S, D),
+        "encode_test": lambda: encode_test(X, D, 0.1),
+    }
+    with pytest.raises(ParameterError, match=f"the {operand} must be 2-d"):
+        calls[call]()
 
 
 # ---------------------------------------------------------------- kernel build
@@ -739,7 +899,11 @@ def test_beta_sweep_without_a_compiler_is_an_internal_error(
     with pytest.raises(InternalError, match="hgdl-no-such-cc"):
         update_codes(X, D, S, lap, 0.1, 0.9)
     assert _same_bits(S, before)
-    # beta = 0 needs no compiler
+    D_before = D.copy()
+    with pytest.raises(InternalError, match="hgdl-no-such-cc"):
+        update_dictionary(X, S, D)
+    assert _same_bits(D, D_before)
+    # the beta = 0 code sweep needs no compiler
     want = row_sweep_beta0(X, D, S.copy(), 0.1)
     assert _same_bits(update_codes(X, D, S, None, 0.1, 0.0), want)
 
@@ -753,12 +917,12 @@ def test_beta_sweep_without_a_compiler_is_an_internal_error(
     assert "hgdl-no-such-cc" in capsys.readouterr().err
 
 
-def test_export_without_a_compiler_exits_4_and_beta0_train_runs(
+def test_export_and_beta0_train_without_a_compiler_exit_4(
         empty_build_cache, monkeypatch, tmp_path, capsys):
-    """The attention solve of export-laplacian and the test encoding of
-    an inductive --test run need the compiled kernels; a beta = 0 train
-    without --test, or in transductive mode, builds no hypergraph,
-    encodes nothing and needs none."""
+    """The attention solve of export-laplacian and the dictionary sweep
+    of every train need the compiled kernels: without a compiler both
+    exit 4 and write nothing, a beta = 0 train too, with or without
+    --test and in either mode."""
     config_var = sysconfig.get_config_var
     monkeypatch.setattr(
         sysconfig, "get_config_var",
@@ -777,22 +941,14 @@ def test_export_without_a_compiler_exits_4_and_beta0_train_runs(
     assert not binmat.exists()
 
     never = tmp_path / "never.json"
-    code = cli.main(["train", "--train", paths["train"], "--test",
-                     paths["test"], "--out", str(never), "--knn", "3",
-                     "--dict-size", "8", "--beta", "0"])
-    assert code == 4
-    assert "hgdl-no-such-cc" in capsys.readouterr().err
-    assert not never.exists()
-
-    # transductive test codes come from training, not from encode_test
-    for extra in ([], ["--test", paths["test"], "--mode", "transductive"]):
-        report = tmp_path / "report.json"
+    for extra in ([], ["--test", paths["test"]],
+                  ["--test", paths["test"], "--mode", "transductive"]):
         code = cli.main(["train", "--train", paths["train"], "--out",
-                         str(report), "--knn", "3", "--dict-size", "8",
+                         str(never), "--knn", "3", "--dict-size", "8",
                          "--beta", "0", *extra])
-        assert code == 0
-        assert report.exists()
-        report.unlink()
+        assert code == 4
+        assert "hgdl-no-such-cc" in capsys.readouterr().err
+        assert not never.exists()
     assert _native._library is None
 
 
