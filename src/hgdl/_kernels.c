@@ -2,13 +2,15 @@
    hgdl_sweep, the exact beta > 0 Gauss-Seidel code sweep of
    hgdl.dictlearn.update_codes, hgdl_dictionary, the blockwise atom sweep
    of hgdl.dictlearn.update_dictionary, hgdl_encode, the lasso coding of
-   held-out columns of hgdl.dictlearn.encode_test, and hgdl_admm, the
-   sparse-attention ADMM of hgdl.attention.solve_attention_batch. The two
-   code kernels share one scalar step, sample_steps. All are compiled
+   held-out columns of hgdl.dictlearn.encode_test, hgdl_admm, the
+   sparse-attention ADMM of hgdl.attention.solve_attention_batch, and
+   hgdl_knn, the neighbor search of hgdl.hypergraph.knn_neighbors. The
+   two code kernels share one scalar step, sample_steps. All are compiled
    without FMA contraction, so each operation rounds as written here, and
    the test oracles can repeat it in Python floats. The callers reject a
-   non-finite L, codes, test matrix or attention problem, so each kernel
-   only stops where an overflow or a non-finite datum appears. */
+   non-finite L, codes, test matrix, attention problem or feature matrix,
+   so each kernel only stops where an overflow or a non-finite datum
+   appears. */
 
 #include <math.h>
 #include <stdint.h>
@@ -250,6 +252,64 @@ int64_t hgdl_encode(int64_t dim, int64_t K, int64_t n,
         previous = value;
     }
     return -2;
+}
+
+/* before: whether (distance r, index j) comes before (rho, m) in the
+   order of the neighbor lists, distance first, then index */
+static int before(double r, int64_t j, double rho, int64_t m)
+{
+    return r < rho || (r == rho && j < m);
+}
+
+/* offer: puts (r, j) into one neighbor list of k (distance, index)
+   pairs, sorted by before, unless it comes after the last one, which
+   then drops out */
+static void offer(int64_t k, double *dist, int64_t *index, double r,
+                  int64_t j)
+{
+    int64_t p = k - 1;
+    if (!before(r, j, dist[p], index[p]))
+        return;
+    for (; p > 0 && before(r, j, dist[p - 1], index[p - 1]); p--) {
+        dist[p] = dist[p - 1];
+        index[p] = index[p - 1];
+    }
+    dist[p] = r;
+    index[p] = j;
+}
+
+/* hgdl_knn: each of n points' k nearest other points, 1 <= k < n.
+   points is (n, dim) row-major, row i holding point i, all finite. A
+   pair's distance is the square root of its squared differences summed
+   from 0 over ascending d; a difference that overflows gives +inf. It
+   is computed once per unordered pair and offered to both points'
+   lists, which keep the k smallest (distance, index) pairs with
+   distance first, so equal distances, +inf too, keep ascending index
+   and a list does not depend on the order of its offers. neighbors and
+   dist are the (n, k) row-major outputs: row i holds point i's
+   neighbors and their distances, nearest first. */
+void hgdl_knn(int64_t n, int64_t dim, int64_t k, const double *points,
+              int64_t *neighbors, double *dist)
+{
+    /* the placeholder (+inf, n) comes after every real pair */
+    for (int64_t p = 0; p < n * k; p++) {
+        dist[p] = INFINITY;
+        neighbors[p] = n;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        const double *a = points + i * dim;
+        for (int64_t j = i + 1; j < n; j++) {
+            const double *b = points + j * dim;
+            double sum = 0.0;
+            for (int64_t d = 0; d < dim; d++) {
+                double diff = a[d] - b[d];
+                sum += diff * diff;
+            }
+            double r = sqrt(sum);
+            offer(k, dist + i * k, neighbors + i * k, r, j);
+            offer(k, dist + j * k, neighbors + j * k, r, i);
+        }
+    }
 }
 
 /* hgdl_admm: n attention problems of size k, each solved on its own.

@@ -2,9 +2,9 @@
 
 _FLAGS pin the rounding (no FMA contraction, no machine-specific code),
 so each kernel rounds every operation as its source is written.
-Importing hgdl compiles and loads nothing: an attention solve, a β > 0
-code sweep, a dictionary sweep (so every train) and a test encoding
-call kernels().
+Importing hgdl compiles and loads nothing: a kNN search (so every
+hypergraph), an attention solve, a β > 0 code sweep, a dictionary sweep
+(so every train) and a test encoding call kernels().
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ _library = None
 
 def kernels():
     """The library of _kernels.c, with hgdl_sweep, hgdl_dictionary,
-    hgdl_encode and hgdl_admm typed, compiled on the first call of the
-    process.
+    hgdl_encode, hgdl_admm and hgdl_knn typed, compiled on the first call
+    of the process.
 
     The build runs sysconfig's CC with _FLAGS. It is cached in
     $XDG_CACHE_HOME/hgdl, by default ~/.cache/hgdl, created with mode
@@ -83,6 +83,8 @@ def kernels():
                                   double, size, out, out, out, count, flag,
                                   out, out]
     library.hgdl_admm.restype = size
+    library.hgdl_knn.argtypes = [size, size, size, real, count, out]
+    library.hgdl_knn.restype = None
     _library = library
     return library
 

@@ -21,13 +21,14 @@ holds up to rounding.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial.distance import cdist
 
+from ._native import kernels
 from .attention import AdmmParams, solve_attention_batch
 from .errors import InputError, InternalError, ParameterError
 
@@ -101,35 +102,48 @@ class HypergraphConfig:
     use_labels: bool = True
 
     def __post_init__(self):
+        self.k_nn = _neighbor_count(self.k_nn)
         if self.k_nn < 1:
             raise ParameterError("k_nn (--knn) must be at least 1")
+
+
+def _neighbor_count(k):
+    """k as an int; a float or other non-integer raises ParameterError."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise ParameterError(
+            f"k_nn (--knn) must be an integer, got {k!r}") from None
 
 
 def knn_neighbors(X, k):
     """Indices of each column's k nearest other columns.
 
     Euclidean distance between columns; neighbors are sorted by ascending
-    distance with ties broken by ascending column index. Returns an
-    (N, k) integer array that owns its data, so the N x N distances and
-    their argsort are freed when this returns.
+    distance with ties broken by ascending column index. One call of the
+    compiled kernel hgdl_knn (_kernels.c, built on first use) computes
+    each pair's distance once, summed as scipy's cdist sums it, and keeps
+    only each column's k best, so memory stays O(N k) beside the (N, dim)
+    copy of X^T. A distance that overflows is +inf and ranks by index
+    among the others that do; a column is never its own neighbor.
+    Returns an (N, k) int64 array that owns its data.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ParameterError("feature matrix must be 2-d (features x samples)")
     if not np.all(np.isfinite(X)):
         raise InputError("feature matrix contains non-finite entries")
-    n = X.shape[1]
+    dim, n = X.shape
+    k = _neighbor_count(k)
     if not 1 <= k < n:
         raise ParameterError(
             f"k_nn (--knn) must be at least 1 and below the number of "
             f"hypergraph vertices ({n}), got {k}"
         )
-    dist = cdist(X.T, X.T)
-    np.fill_diagonal(dist, np.inf)
-    # stable sort keeps ascending index order among exact distance ties
-    order = np.argsort(dist, axis=1, kind="stable")
-    del dist  # so that the copy below does not raise the peak
-    return order[:, :k].copy()
+    neighbors = np.empty((n, k), dtype=np.int64)
+    kernels().hgdl_knn(n, dim, k, np.ascontiguousarray(X.T), neighbors,
+                       np.empty((n, k)))
+    return neighbors
 
 
 def build_saf_hypergraph(X, k, attention_params: AdmmParams,

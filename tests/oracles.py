@@ -14,13 +14,16 @@ coding and the dictionary sweep are kept in Python floats, in their
 compiled kernels' operation order, so those kernels can be held to
 their bits. The sparse-attention
 incidence is kept the same way, as two loops over neighbor ranks, and
-so is the vectorized numpy ADMM over a batch of attention problems.
+so is the vectorized numpy ADMM over a batch of attention problems, and
+the dense neighbor search the compiled one replaced: scipy's cdist, then
+a stable argsort of every row.
 """
 
 import math
 import warnings
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 def cd_lasso(x, P, eps, tol=1e-10, max_sweeps=20000):
@@ -169,6 +172,17 @@ def brute_force_knn(X, k):
         scored.sort(key=lambda t: (t[0], t[1]))
         out.append([i for _, i in scored[:k]])
     return out
+
+
+def cdist_knn(X, k):
+    """Per-column k nearest others as the library first found them: the
+    full N x N cdist matrix with +inf on its diagonal, each row stably
+    argsorted, so ties keep ascending index. Where distances overflow to
+    +inf the diagonal ties with them, and a column can rank itself."""
+    X = np.asarray(X, dtype=float)
+    dist = cdist(X.T, X.T)
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
 
 
 def python_degrees(H, W):

@@ -919,8 +919,8 @@ def test_beta_sweep_without_a_compiler_is_an_internal_error(
 
 def test_export_and_beta0_train_without_a_compiler_exit_4(
         empty_build_cache, monkeypatch, tmp_path, capsys):
-    """The attention solve of export-laplacian and the dictionary sweep
-    of every train need the compiled kernels: without a compiler both
+    """The kNN search of export-laplacian and the dictionary sweep of
+    every train need the compiled kernels: without a compiler both
     exit 4 and write nothing, a beta = 0 train too, with or without
     --test and in either mode."""
     config_var = sysconfig.get_config_var

@@ -123,6 +123,8 @@ def test_config_maps_onto_components():
     ("beta", -1.0, "--beta"),
     ("gamma", float("nan"), "--gamma"),
     ("k_nn", 0, "--knn"),
+    ("k_nn", 2.0, "--knn"),
+    ("k_nn", np.float64(3.0), "--knn"),
     ("dict_size", 0, "--dict-size"),
     ("mask_fraction", 1.0, "--mask-fraction"),
     ("seed", -1, "--seed"),

@@ -1,11 +1,16 @@
 """Hypergraph construction, degrees, and normalized Laplacian."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial.distance import cdist
 
+from hgdl._native import kernels
 from hgdl.attention import AdmmParams, solve_attention, solve_attention_batch
 from hgdl.errors import InputError, InternalError, ParameterError
 from hgdl.hypergraph import (
@@ -26,6 +31,7 @@ from hgdl.hypergraph import (
 from oracles import (
     brute_force_knn,
     cd_lasso,
+    cdist_knn,
     hypergraph_laplacian,
     literal_manifold_penalty,
     normalized_graph_laplacian,
@@ -51,7 +57,7 @@ def test_knn_matches_brute_force():
 
 
 def test_knn_neighbors_owns_its_data():
-    """No view into the n x n argsort, which would keep it alive."""
+    """No view into a larger buffer, which would keep it alive."""
     X = np.random.default_rng(12).normal(size=(5, 30))
     nbrs = knn_neighbors(X, 4)
     assert nbrs.base is None and nbrs.flags.owndata
@@ -88,6 +94,156 @@ def test_knn_validation():
     bad[1, 2] = np.nan
     with pytest.raises(InputError):
         knn_neighbors(bad, 2)
+
+
+def _assert_knn_is_cdist_knn(X, k):
+    got = knn_neighbors(X, k)
+    assert got.dtype == np.int64 and got.shape == (X.shape[1], k)
+    assert np.array_equal(got, cdist_knn(X, k))
+
+
+def test_knn_matches_cdist_on_duplicate_columns():
+    rng = np.random.default_rng(13)
+    base = rng.normal(size=(5, 6))
+    X = base[:, [0, 1, 2, 0, 1, 3, 0, 4, 5, 2, 0]]
+    for k in (1, 2, 3, 5, 10):
+        _assert_knn_is_cdist_knn(X, k)
+    # every column the same: all distances 0, neighbors by index
+    _assert_knn_is_cdist_knn(np.ones((3, 7)), 4)
+
+
+def test_knn_matches_cdist_on_integer_grids_with_exact_ties():
+    # the 5 x 5 grid, its points in shuffled order: many exact ties
+    grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0))).reshape(2, -1)
+    X = grid[:, np.random.default_rng(14).permutation(25)]
+    for k in (1, 4, 8, 12, 24):
+        _assert_knn_is_cdist_knn(X, k)
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        dim, n = int(rng.integers(1, 5)), int(rng.integers(2, 30))
+        X = rng.integers(-2, 3, size=(dim, n)).astype(float)
+        _assert_knn_is_cdist_knn(X, int(rng.integers(1, n)))
+
+
+def test_knn_matches_cdist_at_every_other_column():
+    rng = np.random.default_rng(15)
+    for n in (2, 3, 17):
+        _assert_knn_is_cdist_knn(rng.normal(size=(4, n)), n - 1)
+
+
+def test_knn_matches_cdist_in_one_dimension():
+    rng = np.random.default_rng(16)
+    _assert_knn_is_cdist_knn(rng.normal(size=(1, 40)), 6)
+    _assert_knn_is_cdist_knn(rng.integers(0, 4, size=(1, 30)).astype(float), 9)
+
+
+def test_knn_overflowing_distances_rank_by_index():
+    """A difference past 1e154 squares to +inf. Columns 0-5 lie near 0,
+    6-8 near 1e200, too far apart to give a finite distance: each of 6-8
+    has only +inf distances, which rank by index."""
+    rng = np.random.default_rng(17)
+    near = rng.normal(size=(3, 6))
+    far = 1e200 * (1.0 + np.arange(3.0)) + rng.normal(size=(3, 3)) * 1e199
+    X = np.hstack([near, far])
+    assert np.isinf(cdist(X.T, X.T)[6:]).sum() == 3 * 8
+    for k in (1, 3, 5):
+        _assert_knn_is_cdist_knn(X, k)
+    assert knn_neighbors(X, 5)[6:].tolist() == [[0, 1, 2, 3, 4]] * 3
+
+
+def test_knn_never_ranks_a_column_itself_when_every_distance_overflows():
+    """Every pair's distance is +inf, so each list is the other columns
+    by index. cdist_knn puts +inf on its diagonal too, so it ranks
+    columns 0 and 1 among their own neighbors here; knn_neighbors keeps
+    its rule that a column is never its own neighbor."""
+    X = np.array([[1e200, -1e200, 3e200, 5e200]])
+    got = knn_neighbors(X, 2)
+    assert got.tolist() == [[1, 2], [0, 2], [0, 1], [0, 1]]
+    assert cdist_knn(X, 2)[:2].tolist() == [[0, 1], [0, 1]]
+    assert knn_neighbors(X, 3).tolist() == [
+        [c for c in range(4) if c != i] for i in range(4)]
+
+
+def test_knn_matches_cdist_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n=st.integers(2, 40),
+        dim=st.integers(1, 8),
+        k_share=st.floats(0.0, 1.0),
+        values=st.sampled_from(["normal", "integers", "duplicates"]),
+    )
+    def check(seed, n, dim, k_share, values):
+        rng = np.random.default_rng(seed)
+        if values == "normal":
+            X = rng.normal(size=(dim, n))
+        elif values == "integers":
+            X = rng.integers(-1, 2, size=(dim, n)).astype(float)
+        else:
+            X = rng.normal(size=(dim, 3))[:, rng.integers(0, 3, size=n)]
+        k = 1 + min(n - 2, int(k_share * (n - 1)))
+        _assert_knn_is_cdist_knn(X, k)
+
+    check()
+
+
+def test_knn_kernel_distances_are_cdist_bits():
+    """With k = n - 1 the kernel's distances output holds every pair's
+    distance, which must be cdist's value bit for bit."""
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(100, 60)) * np.logspace(-3, 3, 100)[:, None]
+    n = X.shape[1]
+    neighbors = np.empty((n, n - 1), dtype=np.int64)
+    dist = np.empty((n, n - 1))
+    kernels().hgdl_knn(n, X.shape[0], n - 1, np.ascontiguousarray(X.T),
+                       neighbors, dist)
+    want = np.take_along_axis(cdist(X.T, X.T), neighbors, axis=1)
+    assert np.array_equal(dist.view(np.uint64), want.view(np.uint64))
+    assert np.all(np.diff(dist, axis=1) >= 0)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, np.float64(2.0), "2", None],
+                         ids=["2.5", "2.0", "numpy-2.0", "str", "None"])
+def test_knn_rejects_a_non_integer_k_naming_the_flag(k):
+    X = np.random.default_rng(19).normal(size=(3, 6))
+    with pytest.raises(ParameterError, match="--knn.*integer"):
+        knn_neighbors(X, k)
+    with pytest.raises(ParameterError, match="--knn.*integer"):
+        HypergraphConfig(admm=PARAMS, k_nn=k)
+
+
+def test_knn_takes_a_numpy_integer_k():
+    X = np.random.default_rng(20).normal(size=(3, 6))
+    assert np.array_equal(knn_neighbors(X, np.int64(2)), knn_neighbors(X, 2))
+    config = HypergraphConfig(admm=PARAMS, k_nn=np.int32(3))
+    assert type(config.k_nn) is int and config.k_nn == 3
+
+
+def test_export_laplacian_imports_neither_scipy_spatial_nor_linalg(tmp_path):
+    """kNN is compiled, so an export loads no scipy.spatial, which would
+    bring in scipy.linalg, scipy.special and their libraries with it."""
+    script = (
+        "import sys\n"
+        "from hgdl import cli, data\n"
+        "b = data.make_synthetic(3, 4, 3, 8, 0.3, 0)\n"
+        f"train, test = {str(tmp_path / 'train.csv')!r}, "
+        f"{str(tmp_path / 'test.csv')!r}\n"
+        "data.save_csv(train, b.train_features, b.train_labels)\n"
+        "data.save_csv(test, b.test_features, b.test_labels)\n"
+        "assert cli.main(['export-laplacian', '--train', train, '--test',"
+        f" test, '--out', {str(tmp_path / 'l.binmat')!r}, '--mode',"
+        " 'transductive', '--knn', '3']) == 0\n"
+        "loaded = [m for m in ('scipy.spatial', 'scipy.linalg')"
+        " if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (tmp_path / "l.binmat").stat().st_size > 0
 
 
 # ---------------------------------------------------------------- saf modal
