@@ -5,15 +5,34 @@
    held-out columns of hgdl.dictlearn.encode_test, hgdl_admm, the
    sparse-attention ADMM of hgdl.attention.solve_attention_batch, and
    hgdl_knn, the neighbor search of hgdl.hypergraph.knn_neighbors. The
-   two code kernels share one scalar step, sample_steps. All are compiled
-   without FMA contraction, so each operation rounds as written here, and
-   the test oracles can repeat it in Python floats. The callers reject a
-   non-finite L, codes, test matrix, attention problem or feature matrix,
-   so each kernel only stops where an overflow or a non-finite datum
-   appears. */
+   two code kernels share one scalar step, sample_steps, inlined into
+   both. All are compiled without FMA contraction, so each operation
+   rounds as written here, and the test oracles can repeat it in Python
+   floats. The callers reject a non-finite L, codes, test matrix,
+   attention problem or feature matrix, so each kernel only stops where
+   an overflow or a non-finite datum appears.
+
+   On x86-64 ELF with glibc, the three coordinate-descent kernels
+   (hgdl_sweep, hgdl_dictionary, hgdl_encode) are built twice, for AVX2
+   and for the baseline ISA, and the dynamic loader picks one for the CPU
+   it runs on. Their inner loops are elementwise y += a * x steps, which
+   round the same at every vector width, and no sum is reordered, so
+   both clones give the same bits. hgdl_knn and hgdl_admm are not cloned:
+   their inner loops are sums, which stay scalar either way. */
 
 #include <math.h>
 #include <stdint.h>
+
+/* CLONED builds a function once per listed ISA behind an ifunc resolver */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) \
+    && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONED __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef CLONED
+#define CLONED
+#endif
 
 /* the soft threshold at t >= 0, the proximal map of t |.| */
 static double shrink(double v, double t)
@@ -30,11 +49,12 @@ static double shrink(double v, double t)
    k of gram_cols).
 
    Returns -1, or the first atom whose linear term or updated code is not
-   finite; the steps stop there, before that code is written. */
-static int64_t sample_steps(int64_t K, const double *gram_cols,
-                            const double *gdiag, double shift,
-                            double alpha, double curvature_floor,
-                            double *s, int64_t stride, double *field)
+   finite; the steps stop there, before that code is written. Always
+   inlined, so each clone of its callers runs it at the clone's width. */
+static inline __attribute__((always_inline)) int64_t
+sample_steps(int64_t K, const double *gram_cols, const double *gdiag,
+             double shift, double alpha, double curvature_floor, double *s,
+             int64_t stride, double *field)
 {
     for (int64_t k = 0; k < K; k++) {
         double linear = field[k];
@@ -65,10 +85,17 @@ static int64_t sample_steps(int64_t K, const double *gram_cols,
    column i is L_ii and every other entry is coupled in. field and
    coupling are K doubles of scratch.
 
+   G_off s_i is summed from 0 over ascending j. Where every entry of
+   gram_cols is finite, a code equal to 0 (or -0) is skipped: its
+   products are +-0, and adding +-0 leaves a round-to-nearest sum that
+   started at +0 as it was, so the skip keeps every bit. Where some
+   entry is not finite, its inf * 0 = NaN must reach the field, so no
+   code is skipped in that call.
+
    Returns -1, or i * K + k for the first step (sample i, atom k) whose
    linear term or updated code is not finite; the sweep stops there,
    before that code is written. */
-
+CLONED
 int64_t hgdl_sweep(int64_t n, int64_t K, const double *target,
                    const double *gram_cols, const double *gdiag,
                    const int64_t *indptr, const int64_t *indices,
@@ -76,10 +103,12 @@ int64_t hgdl_sweep(int64_t n, int64_t K, const double *target,
                    double curvature_floor, double *codes, double *field,
                    double *coupling)
 {
+    int skip_zeros = 1;
+    for (int64_t p = 0; p < K * K; p++)
+        skip_zeros &= isfinite(gram_cols[p]) != 0;
     for (int64_t i = 0; i < n; i++) {
         double *s = codes + i * K;
-        /* field = (D^T x_i - beta L_off S^T) - G_off s_i; zero codes are
-           not skipped, so a non-finite atom reaches every entry */
+        /* field = (D^T x_i - beta L_off S^T) - G_off s_i */
         for (int64_t k = 0; k < K; k++) {
             field[k] = 0.0;
             coupling[k] = 0.0;
@@ -87,6 +116,8 @@ int64_t hgdl_sweep(int64_t n, int64_t K, const double *target,
         for (int64_t j = 0; j < K; j++) {
             const double *col = gram_cols + j * K;
             double sj = s[j];
+            if (sj == 0.0 && skip_zeros)
+                continue;
             for (int64_t k = 0; k < K; k++)
                 field[k] += col[k] * sj;
         }
@@ -126,6 +157,7 @@ int64_t hgdl_sweep(int64_t n, int64_t K, const double *target,
    Returns -1 when every atom from start on was updated, k when atom k
    is dead (||u|| at or below curvature_floor), or K + k when ||u|| is
    not finite; the sweep stops there, before atom k is written. */
+CLONED
 int64_t hgdl_dictionary(int64_t dim, int64_t K, int64_t start,
                         const double *corr, const double *code_gram,
                         double curvature_floor, double *atoms, double *u)
@@ -181,6 +213,7 @@ int64_t hgdl_dictionary(int64_t dim, int64_t K, int64_t start,
    or i * K + k for the first step (sample i, atom k) whose linear term or
    updated code is not finite; the sweeps stop there, before that code
    is written. */
+CLONED
 int64_t hgdl_encode(int64_t dim, int64_t K, int64_t n,
                     const double *dictionary, const double *test,
                     double gamma, double curvature_floor, double tol,

@@ -1,7 +1,10 @@
 """The compiled kernels of _kernels.c, built on first use.
 
-_FLAGS pin the rounding (no FMA contraction, no machine-specific code),
-so each kernel rounds every operation as its source is written.
+_FLAGS pin the rounding (no FMA contraction), so each kernel rounds
+every operation as its source is written. The built file is portable
+across the CPUs of its platform: on x86-64 the coordinate-descent
+kernels carry an AVX2 clone beside the baseline one, the dynamic loader
+picks one for the CPU, and both clones give the same bits.
 Importing hgdl compiles and loads nothing: a kNN search (so every
 hypergraph), an attention solve, a β > 0 code sweep, a dictionary sweep
 (so every train) and a test encoding call kernels().
@@ -9,9 +12,11 @@ hypergraph), an attention solve, a β > 0 code sweep, a dictionary sweep
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
+import re
 import shlex
 import subprocess
 import sysconfig
@@ -35,33 +40,43 @@ def kernels():
 
     The build runs sysconfig's CC with _FLAGS. It is cached in
     $XDG_CACHE_HOME/hgdl, by default ~/.cache/hgdl, created with mode
-    0700, under the sha256 of the source, the compile command and the
-    platform, so a warm cache loads with no compiler run. A build that
-    cannot run or fails raises InternalError naming the command and
-    giving its error output; a cached file that cannot be loaded raises
-    InternalError naming the file.
+    0700, as kernels-<platform>-<sha256>.so, the hash being that of the
+    source, the compile command and the platform, so a warm cache loads
+    with no compiler run. A build removes the platform's other
+    kernels-*.so files, left by an older source or another compiler, and
+    leaves other platforms' files alone. A build that cannot run or
+    fails raises InternalError naming the command and giving its error
+    output; a cached file that cannot be loaded raises InternalError
+    naming the file, unless it was deleted before the load, in which
+    case it is built once more.
     """
     global _library
     if _library is not None:
         return _library
     compiler = [*shlex.split(sysconfig.get_config_var("CC") or "cc"),
                 *_FLAGS]
+    platform = sysconfig.get_platform()
     key = hashlib.sha256(_SOURCE.read_bytes()
                          + shlex.join(compiler).encode()
-                         + sysconfig.get_platform().encode()).hexdigest()
+                         + platform.encode()).hexdigest()
     cache = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(cache):
         cache = Path.home() / ".cache"
-    path = Path(cache) / "hgdl" / f"kernels-{key}.so"
-    if not path.exists():
-        _build(compiler, path)
-    try:
-        library = ctypes.CDLL(str(path))
-    except OSError as exc:
-        raise InternalError(
-            f"cannot load the compiled kernels {path}: {exc}; "
-            "the file may be deleted and is rebuilt on the next run"
-        ) from exc
+    path = Path(cache) / "hgdl" / f"kernels-{platform}-{key}.so"
+    for retry in (False, True):
+        if not path.exists():
+            _build(compiler, path)
+        try:
+            library = ctypes.CDLL(str(path))
+            break
+        except OSError as exc:
+            # a file deleted since the check above, by hand or by another
+            # build, is built once more
+            if retry or path.exists():
+                raise InternalError(
+                    f"cannot load the compiled kernels {path}: {exc}; "
+                    "the file may be deleted and is rebuilt on the next run"
+                ) from exc
     real = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     index = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
@@ -91,7 +106,8 @@ def kernels():
 
 def _build(compiler, path):
     """Compile _kernels.c in a temporary directory beside path, then move
-    the result into place, so no process ever loads a partial file."""
+    the result into place, so no process ever loads a partial file, and
+    remove the other files of path's platform."""
     command = [*compiler, str(_SOURCE), "-o"]
     try:
         path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -111,3 +127,11 @@ def _build(compiler, path):
             f"cannot build the compiled kernels in {path.parent}: "
             f"{shlex.join(command)} failed: {exc}"
         ) from exc
+    prefix = path.name.rsplit("-", 1)[0]  # kernels-<platform>
+    stale = re.compile(re.escape(prefix) + r"-[0-9a-f]{64}\.so")
+    for other in path.parent.iterdir():
+        if other != path and stale.fullmatch(other.name):
+            # another process may be removing it too, or loading it: a
+            # load that finds it gone builds it again
+            with contextlib.suppress(OSError):
+                other.unlink()

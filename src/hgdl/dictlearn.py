@@ -251,10 +251,12 @@ def update_codes(X, D, S, delta, alpha, beta):
     objective's coupling runs along L's column n, and a row stands in
     for it. Sample n's running field, the linear term of every atom's
     scalar problem, is formed once per sample from that coupling, D^T x_n
-    and the off-diagonal part of D^T D times all the sample's codes,
-    zero or not. A step reads its atom's entry of the field, and only a
-    code that changes touches the field again, moving it by that atom's
-    column of the off-diagonal D^T D.
+    and the off-diagonal part of D^T D times the sample's codes. A zero
+    code is skipped there, which keeps every bit, unless D^T D holds a
+    non-finite entry: its product with 0 is NaN, and reaches the field.
+    A step reads its atom's entry of the field, and only a code that
+    changes touches the field again, moving it by that atom's column of
+    the off-diagonal D^T D.
     """
     X = np.asarray(X, dtype=float)
     D = np.asarray(D, dtype=float)

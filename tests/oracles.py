@@ -9,10 +9,10 @@ manifold penalty and a golden-section scalar minimizer. The
 row-by-row beta = 0 code sweep and dictionary sweep are kept as the
 library first wrote them, one fresh array per arithmetic step, so that
 a rewrite of either can be held to the same bits or, where a compiled
-kernel sums in another order, to a stated tolerance. The held-out lasso
-coding and the dictionary sweep are kept in Python floats, in their
-compiled kernels' operation order, so those kernels can be held to
-their bits. The sparse-attention
+kernel sums in another order, to a stated tolerance. The beta > 0 code
+sweep, the held-out lasso coding and the dictionary sweep are kept in
+Python floats, in their compiled kernels' operation order, so those
+kernels can be held to their bits. The sparse-attention
 incidence is kept the same way, as two loops over neighbor ranks, and
 so is the vectorized numpy ADMM over a batch of attention problems, and
 the dense neighbor search the compiled one replaced: scipy's cdist, then
@@ -23,6 +23,7 @@ import math
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 
@@ -314,6 +315,77 @@ def row_sweep_beta0(X, D, S, alpha):
         else:
             S[k] = shrink(j_row, alpha) / gdiag[k]
     return S
+
+
+def sweep_floats(X, D, S, L, alpha, beta):
+    """One beta > 0 code sweep in Python floats, so with no fused
+    multiply-add, and with no code skipped. Returns the (K, n) codes and
+    leaves S as given.
+
+    D^T D and D^T X are numpy's, D.T @ D and D.T @ X, and G_off is D^T D
+    with its diagonal read as 0. L is read as a canonical CSR (sorted,
+    duplicates summed), stored zeros included. Samples are visited in
+    order, each seeing the codes of the samples before it as this sweep
+    left them. Sample i's field f_k sums G_off[k][j] * s_j from 0 over
+    every j in ascending order, zero codes included, and its coupling c_k
+    sums L_ir * S_kr from 0 over row i's stored entries in order, except
+    r = i, whose entry is L_ii (0 where none is stored); then
+    f_k = ((D^T X)_ki - beta * c_k) - f_k. Atom k's step: the code becomes
+    shrink(f_k, alpha) / (G_kk + beta * L_ii), or 0 where that curvature
+    is at or below 1e-12, and a change by step = old - new adds
+    step * G_off[m][k] to every f_m. A non-finite f_k or new code raises
+    ArithmeticError naming the atom and sample.
+    """
+    gram = (np.asarray(D).T @ np.asarray(D)).tolist()
+    target = (np.asarray(D).T @ np.asarray(X)).T.tolist()
+    n_atoms = len(gram)
+    curvature = [gram[k][k] for k in range(n_atoms)]
+    for k in range(n_atoms):
+        gram[k][k] = 0.0
+    L = sp.csr_array(L, dtype=float).copy()
+    L.sum_duplicates()
+    indptr, indices = L.indptr.tolist(), L.indices.tolist()
+    values = L.data.tolist()
+    codes = np.asarray(S, dtype=float).T.tolist()
+    for i, s in enumerate(codes):
+        field = [0.0] * n_atoms
+        for j in range(n_atoms):
+            for k in range(n_atoms):
+                field[k] += gram[k][j] * s[j]
+        coupling = [0.0] * n_atoms
+        lii = 0.0
+        for p in range(indptr[i], indptr[i + 1]):
+            if indices[p] == i:
+                lii = values[p]
+                continue
+            other = codes[indices[p]]
+            for k in range(n_atoms):
+                coupling[k] += values[p] * other[k]
+        for k in range(n_atoms):
+            field[k] = (target[i][k] - beta * coupling[k]) - field[k]
+        for k in range(n_atoms):
+            linear = field[k]
+            if not math.isfinite(linear):
+                raise ArithmeticError(
+                    f"non-finite code update at atom {k}, sample {i}")
+            total = curvature[k] + beta * lii
+            if total <= 1e-12:
+                new = 0.0
+            elif linear > alpha:
+                new = (linear - alpha) / total
+            elif linear < -alpha:
+                new = (linear + alpha) / total
+            else:
+                new = 0.0
+            if not math.isfinite(new):
+                raise ArithmeticError(
+                    f"non-finite code update at atom {k}, sample {i}")
+            if new != s[k]:
+                step = s[k] - new
+                for m in range(n_atoms):
+                    field[m] += step * gram[m][k]
+                s[k] = new
+    return np.asarray(codes, dtype=float).reshape(len(codes), n_atoms).T
 
 
 def encode_sweeps(Y, D, gamma, t):

@@ -1,5 +1,6 @@
 """Coordinate-descent coding, blockwise dictionary updates, and training."""
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -55,6 +56,7 @@ from oracles import (
     literal_manifold_penalty,
     random_hypergraph,
     row_sweep_beta0,
+    sweep_floats,
 )
 
 
@@ -415,6 +417,133 @@ def test_update_codes_non_finite_dictionary_raises(column):
         with pytest.raises(NumericalError,
                            match="non-finite code update at atom 0, sample 0"):
             update_codes(X, D, S, lap, 0.1, 0.9)
+
+
+def _assert_sweeps_match_floats(X, D, S0, lap, alpha, beta, sweeps=3):
+    """update_codes against sweep_floats bit for bit, sweep after sweep;
+    the oracle skips no zero code, so this pins the kernel's skip as
+    bit-neutral on whichever clone the machine runs."""
+    got = S0.copy()
+    want = S0.copy()
+    for _ in range(sweeps):
+        update_codes(X, D, got, lap, alpha, beta)
+        want = sweep_floats(X, D, want, lap, alpha, beta)
+        assert _same_bits(got, want)
+
+
+def _sparse_codes(rng, shape, zero_fraction):
+    return rng.normal(size=shape) * (rng.random(shape) >= zero_fraction)
+
+
+@pytest.mark.parametrize("codes", ["half zero", "all zero", "negative zero"])
+def test_update_codes_matches_sweep_floats_bitwise(codes):
+    rng = np.random.default_rng(47)
+    X = rng.normal(size=(7, 9))
+    D = _normalized_columns(rng, 7, 6)
+    lap, _ = _random_laplacian(rng, 9)
+    S0 = {"half zero": _sparse_codes(rng, (6, 9), 0.5),
+          "all zero": np.zeros((6, 9)),
+          "negative zero": np.where(_sparse_codes(rng, (6, 9), 0.5) == 0.0,
+                                    -0.0, rng.normal(size=(6, 9)))}[codes]
+    _assert_sweeps_match_floats(X, D, S0, lap, 0.1, 0.9)
+
+
+def test_update_codes_alpha_zero_matches_sweep_floats_bitwise():
+    rng = np.random.default_rng(48)
+    X = rng.normal(size=(5, 8))
+    D = _normalized_columns(rng, 5, 7)
+    lap, _ = _random_laplacian(rng, 8)
+    _assert_sweeps_match_floats(X, D, _sparse_codes(rng, (7, 8), 0.5), lap,
+                                0.0, 2.0)
+
+
+def test_update_codes_zero_atom_matches_sweep_floats_bitwise():
+    rng = np.random.default_rng(49)
+    X = rng.normal(size=(6, 7))
+    D = _normalized_columns(rng, 6, 5)
+    D[:, 3] = 0.0
+    lap, _ = _random_laplacian(rng, 7)
+    _assert_sweeps_match_floats(X, D, _sparse_codes(rng, (5, 7), 0.5), lap,
+                                0.1, 0.8)
+
+
+def test_update_codes_isolated_vertex_matches_sweep_floats_bitwise():
+    rng = np.random.default_rng(50)
+    H_rest, W_rest = random_hypergraph(rng, 5, 3)
+    H = np.zeros((6, 4))
+    H[0, 0] = 0.7
+    H[1:, 1:] = H_rest
+    lap = _laplacian_of(H, np.concatenate([[1.3], W_rest]))
+    assert not lap[0, 1:].any() and not lap[1:, 0].any()
+    X = rng.normal(size=(7, 6))
+    D = _normalized_columns(rng, 7, 4)
+    _assert_sweeps_match_floats(X, D, _sparse_codes(rng, (4, 6), 0.5), lap,
+                                0.1, 2.0)
+
+
+def test_update_codes_stored_zeros_in_l_match_sweep_floats_bitwise():
+    """Stored zeros, on and off the diagonal, are read like any entry."""
+    rng = np.random.default_rng(51)
+    lap, _ = _random_laplacian(rng, 8)
+    L = sp.csr_array(lap)
+    j = int(np.flatnonzero(lap[0, 1:])[0]) + 1
+    for r, c in ((0, j), (j, 0), (2, 2)):
+        row = slice(L.indptr[r], L.indptr[r + 1])
+        L.data[row][L.indices[row] == c] = 0.0
+    assert L.nnz == np.count_nonzero(lap)
+    assert np.count_nonzero(L.data) == L.nnz - 3
+    X = rng.normal(size=(6, 8))
+    D = _normalized_columns(rng, 6, 5)
+    _assert_sweeps_match_floats(X, D, _sparse_codes(rng, (5, 8), 0.5), L,
+                                0.1, 0.9)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_update_codes_non_finite_atom_with_zero_codes_matches_sweep_floats(
+        value):
+    """inf * 0 is NaN, so a non-finite atom must reach every field entry
+    through the zero codes too: no code is skipped for such a D, and the
+    sweep stops at atom 0 of sample 0, with the oracle's message."""
+    rng = np.random.default_rng(52)
+    X = rng.normal(size=(6, 5))
+    D = _normalized_columns(rng, 6, 4)
+    D[1, 2] = value
+    lap, _ = _random_laplacian(rng, 5)
+    S = np.zeros((4, 5))
+    with pytest.raises(ArithmeticError) as oracle:
+        sweep_floats(X, D, S, lap, 0.1, 0.9)
+    assert str(oracle.value) == "non-finite code update at atom 0, sample 0"
+    with pytest.raises(NumericalError, match=str(oracle.value)):
+        update_codes(X, D, S, lap, 0.1, 0.9)
+    assert _same_bits(S, np.zeros((4, 5)))
+
+
+def test_update_codes_matches_sweep_floats_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n_atoms=st.integers(1, 7),
+        n=st.integers(1, 8),
+        dim=st.integers(1, 8),
+        density=st.sampled_from([0.2, 0.5, 1.0]),
+        zero_fraction=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        alpha=st.sampled_from([0.0, 0.01, 0.1, 0.5]),
+        beta=st.sampled_from([0.05, 1.0, 8.0]),
+    )
+    def check(seed, n_atoms, n, dim, density, zero_fraction, alpha, beta):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(dim, n))
+        D = rng.normal(size=(dim, n_atoms))
+        H, W = random_hypergraph(rng, n, max(1, n // 2), density)
+        S0 = _sparse_codes(rng, (n_atoms, n), zero_fraction)
+        _assert_sweeps_match_floats(X, D, S0, _laplacian_of(H, W), alpha,
+                                    beta, sweeps=2)
+
+    check()
 
 
 def test_update_codes_writes_through_a_strided_view():
@@ -1048,6 +1177,66 @@ def test_beta_sweep_cache_key_includes_the_platform(
     monkeypatch.setattr(sysconfig, "get_platform", lambda: "hgdl-other-arch")
     assert _same_bits(update_codes(X, D, S0.copy(), lap, 0.1, 0.9), want)
     assert len(list(empty_build_cache.iterdir())) == 2
+
+
+def test_a_build_prunes_only_its_own_platforms_stale_kernels(
+        empty_build_cache):
+    """A build removes the kernels-<platform>-<sha256>.so files an older
+    source or compiler left for this platform, and no other file: not
+    another platform's, not one whose platform merely starts like this
+    one's, and not one from before the platform tag."""
+    platform = sysconfig.get_platform()
+    empty_build_cache.mkdir(mode=0o700)
+    stale = empty_build_cache / f"kernels-{platform}-{'0' * 64}.so"
+    kept = {empty_build_cache / f"kernels-hgdl-other-arch-{'1' * 64}.so",
+            empty_build_cache / f"kernels-{platform}-x-{'2' * 64}.so",
+            empty_build_cache / f"kernels-{'3' * 64}.so"}
+    for path in (stale, *kept):
+        path.write_bytes(b"an old build")
+    rng = np.random.default_rng(72)
+    X = rng.normal(size=(6, 5))
+    D = _normalized_columns(rng, 6, 4)
+    lap, _ = _random_laplacian(rng, 5)
+    update_codes(X, D, rng.normal(size=(4, 5)), lap, 0.1, 0.9)
+    (built,) = set(empty_build_cache.iterdir()) - kept
+    assert built.name.startswith(f"kernels-{platform}-")
+    assert built != stale and not stale.exists()
+    assert all(path.read_bytes() == b"an old build" for path in kept)
+
+
+def test_a_kernel_deleted_before_its_load_is_rebuilt(
+        empty_build_cache, monkeypatch, tmp_path):
+    """A cached file removed between the check that it exists and its
+    load, by hand or by another process's build, is built once more and
+    loaded, instead of failing the run with exit 4. The warm cache comes
+    from another process, so this one has never loaded that file."""
+    subprocess.run(
+        [sys.executable, "-c",
+         "from hgdl._native import kernels; kernels()"],
+        check=True,
+        env={**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+             "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    (library,) = empty_build_cache.iterdir()
+    load = ctypes.CDLL
+    loads = []
+
+    def deleted_first(name, *args, **kwargs):
+        if not loads:
+            os.unlink(name)
+        loads.append(name)
+        return load(name, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", deleted_first)
+    rng = np.random.default_rng(73)
+    X = rng.normal(size=(6, 5))
+    D = _normalized_columns(rng, 6, 4)
+    lap, _ = _random_laplacian(rng, 5)
+    S = rng.normal(size=(4, 5))
+    want = sweep_floats(X, D, S, lap, 0.1, 0.9)
+    assert _same_bits(update_codes(X, D, S, lap, 0.1, 0.9), want)
+    assert loads == [str(library)] * 2
+    assert list(empty_build_cache.iterdir()) == [library]
 
 
 # ---------------------------------------------------------------- dictionary
