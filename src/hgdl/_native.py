@@ -44,11 +44,12 @@ def kernels():
     source, the compile command and the platform, so a warm cache loads
     with no compiler run. A build removes the platform's other
     kernels-*.so files, left by an older source or another compiler, and
-    leaves other platforms' files alone. A build that cannot run or
-    fails raises InternalError naming the command and giving its error
-    output; a cached file that cannot be loaded raises InternalError
-    naming the file, unless it was deleted before the load, in which
-    case it is built once more.
+    the untagged kernels-<sha256>.so and sweep-<sha256>.so of older
+    versions, and leaves other platforms' files alone. A build that
+    cannot run or fails raises InternalError naming the command and
+    giving its error output; a cached file that cannot be loaded raises
+    InternalError naming the file, unless it was deleted before the
+    load, in which case it is built once more.
     """
     global _library
     if _library is not None:
@@ -77,11 +78,9 @@ def kernels():
                     f"cannot load the compiled kernels {path}: {exc}; "
                     "the file may be deleted and is rebuilt on the next run"
                 ) from exc
-    real = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    index = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    out = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
-    count = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")
-    flag = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS,WRITEABLE")
+    real, index = _Array(np.float64), _Array(np.int64)
+    out, count = _Array(np.float64, True), _Array(np.int64, True)
+    flag = _Array(np.bool_, True)
     size, double = ctypes.c_int64, ctypes.c_double
     library.hgdl_sweep.argtypes = [size, size, real, real, real, index,
                                    index, real, double, double, double,
@@ -104,10 +103,37 @@ def kernels():
     return library
 
 
+class _Array:
+    """A kernel argument that is an ndarray of one dtype, C-contiguous and,
+    for an output, writeable; anything else raises TypeError, which
+    ctypes reports as an ArgumentError naming the argument, before the
+    kernel runs. The kernel gets the array's data pointer, as a c_void_p:
+    ctypes would pass a bare int as a 32-bit C int. numpy's own pointer
+    argtype makes the same checks at about twice the cost per call."""
+
+    __slots__ = ("dtype", "writeable")
+
+    def __init__(self, dtype, writeable=False):
+        self.dtype = np.dtype(dtype)
+        self.writeable = writeable
+
+    def from_param(self, array):
+        if not isinstance(array, np.ndarray):
+            raise TypeError(f"expected an ndarray, got {type(array).__name__}")
+        if array.dtype != self.dtype:
+            raise TypeError(f"expected {self.dtype}, got {array.dtype}")
+        flags = array.flags
+        if not flags.c_contiguous:
+            raise TypeError("expected a C-contiguous array")
+        if self.writeable and not flags.writeable:
+            raise TypeError("expected a writeable array")
+        return ctypes.c_void_p(array.ctypes.data)
+
+
 def _build(compiler, path):
     """Compile _kernels.c in a temporary directory beside path, then move
     the result into place, so no process ever loads a partial file, and
-    remove the other files of path's platform."""
+    remove the other files of path's platform and the untagged ones."""
     command = [*compiler, str(_SOURCE), "-o"]
     try:
         path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -128,7 +154,10 @@ def _build(compiler, path):
             f"{shlex.join(command)} failed: {exc}"
         ) from exc
     prefix = path.name.rsplit("-", 1)[0]  # kernels-<platform>
-    stale = re.compile(re.escape(prefix) + r"-[0-9a-f]{64}\.so")
+    # kernels-<sha256>.so and sweep-<sha256>.so came from versions without
+    # the platform tag, which no version writes any more
+    stale = re.compile(
+        f"(?:{re.escape(prefix)}|kernels|sweep)" + r"-[0-9a-f]{64}\.so")
     for other in path.parent.iterdir():
         if other != path and stale.fullmatch(other.name):
             # another process may be removing it too, or loading it: a

@@ -31,7 +31,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .hypergraph import UNLABELED, HypergraphConfig, build_laplacian
+from .hypergraph import UNLABELED, HypergraphConfig, _integer, build_laplacian
 
 # increase in the recorded objective tolerated before declaring a bug
 MONOTONE_SLACK = 1e-9
@@ -64,6 +64,9 @@ class DictLearnParams:
     seed: int = 0
 
     def __post_init__(self):
+        self.n_atoms = _integer(self.n_atoms, "n_atoms (--dict-size)")
+        self.max_outer_iter = _integer(self.max_outer_iter, "max_outer_iter")
+        self.seed = _integer(self.seed, "seed (--seed)")
         if self.n_atoms < 1:
             raise ParameterError("n_atoms (--dict-size) must be at least 1")
         if not (np.isfinite(self.alpha) and self.alpha > 0):
@@ -146,16 +149,36 @@ def _check_problem(X, D, S, delta, alpha, beta):
     return None if delta is None else _csr(delta, X.shape[1])
 
 
+class _Laplacian:
+    """L after _csr's checks: matrix, its canonical CSR, which objective
+    and train's symmetry check read, and the int64 indptr and indices
+    and float64 data that hgdl_sweep reads, converted once."""
+
+    __slots__ = ("matrix", "indptr", "indices", "data")
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.indptr = np.ascontiguousarray(matrix.indptr, dtype=np.int64)
+        self.indices = np.ascontiguousarray(matrix.indices, dtype=np.int64)
+        self.data = np.ascontiguousarray(matrix.data, dtype=np.float64)
+
+
 def _csr(delta, n):
-    """L as a canonical CSR (sorted, duplicate-free indices), so that a
-    dense L and any sparse form of it are read in the same order. A
-    canonical CSR goes through without a copy; a caller's matrix is
-    never modified. The one check of L: (n, n), column indices inside
-    that shape (ParameterError; scipy keeps an index past it, which
-    would read past the arrays), every stored entry finite (InputError)."""
-    L = sp.csr_array(delta, dtype=float)
+    """L as a _Laplacian over a canonical CSR (sorted, duplicate-free
+    indices), so that a dense L and any sparse form of it are read in the
+    same order. A canonical CSR goes through without a copy; a caller's
+    matrix is never modified. The one check of L: (n, n), column indices
+    inside that shape (ParameterError; scipy keeps an index past it,
+    which would read past the arrays), every stored entry finite
+    (InputError). A _Laplacian, checked when it was built, goes through
+    as it is once its shape is (n, n): train checks L once, not in every
+    sweep and objective."""
+    checked = isinstance(delta, _Laplacian)
+    L = delta.matrix if checked else sp.csr_array(delta, dtype=float)
     if L.shape != (n, n):
         raise ParameterError(f"laplacian must be {(n, n)}, got {L.shape}")
+    if checked:
+        return delta
     if L.nnz and not 0 <= L.indices.min() <= L.indices.max() < n:
         raise ParameterError("laplacian has column indices outside its shape")
     if not L.has_canonical_format:
@@ -163,7 +186,7 @@ def _csr(delta, n):
         L.sum_duplicates()
     if not np.isfinite(L.data).all():
         raise InputError("laplacian contains non-finite entries")
-    return L
+    return _Laplacian(L)
 
 
 def objective(X, D, S, delta, alpha, beta):
@@ -183,7 +206,7 @@ def objective(X, D, S, delta, alpha, beta):
     r = X - D @ S
     value = np.sum(r * r) + 2.0 * alpha * np.sum(np.abs(S))
     if beta != 0.0:
-        value = value + beta * np.sum((delta @ S.T) * S.T)
+        value = value + beta * np.sum((delta.matrix @ S.T) * S.T)
     return float(value)
 
 
@@ -303,11 +326,8 @@ def update_codes(X, D, S, delta, alpha, beta):
     scratch = np.empty((2, n_atoms))
     failed = kernels().hgdl_sweep(
         n, n_atoms, target.T.copy(), gram_cols, gram.diagonal().copy(),
-        np.ascontiguousarray(delta.indptr, dtype=np.int64),
-        np.ascontiguousarray(delta.indices, dtype=np.int64),
-        np.ascontiguousarray(delta.data, dtype=np.float64),
-        float(alpha), float(beta), CURVATURE_FLOOR, codes, scratch[0],
-        scratch[1],
+        delta.indptr, delta.indices, delta.data, float(alpha), float(beta),
+        CURVATURE_FLOOR, codes, scratch[0], scratch[1],
     )
     if failed >= 0:
         n_i, k = divmod(failed, n_atoms)
@@ -380,10 +400,11 @@ def train(X, delta, params: DictLearnParams, callback=None):
 
     delta, the Laplacian L, is a dense ndarray or any scipy sparse
     matrix, or None when params.beta == 0. _csr checks it and turns it
-    once into a canonical CSR, never modifying the caller's matrix, and
-    every sweep and objective reads that through its nonzeros. train
-    adds one O(nnz) check: L must be symmetric to np.allclose's
-    tolerance (ParameterError).
+    once per call into a canonical CSR with the kernel's int64 indices,
+    never modifying the caller's matrix. Every sweep and objective gets
+    that _Laplacian, which they neither check nor convert again, and
+    reads it through its nonzeros. train adds one O(nnz) check: L must
+    be symmetric to np.allclose's tolerance (ParameterError).
 
     Returns (dictionary, codes, objective_trace). The trace holds the
     objective at initialization and after every outer iteration; any
@@ -399,9 +420,10 @@ def train(X, delta, params: DictLearnParams, callback=None):
         raise InputError("training matrix contains non-finite entries")
     if delta is not None:
         delta = _csr(delta, X.shape[1])
+        L = delta.matrix
         # np.allclose(L, L.T, atol=1e-8) as |L - L^T| - rtol |L^T| <= atol,
         # which only the stored entries of L and L^T can break
-        if (abs(delta - delta.T) - 1e-5 * abs(delta.T)).max() > 1e-8:
+        if (abs(L - L.T) - 1e-5 * abs(L.T)).max() > 1e-8:
             raise ParameterError("laplacian must be symmetric")
 
     rng = np.random.default_rng(params.seed)

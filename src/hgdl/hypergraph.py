@@ -102,18 +102,19 @@ class HypergraphConfig:
     use_labels: bool = True
 
     def __post_init__(self):
-        self.k_nn = _neighbor_count(self.k_nn)
+        self.k_nn = _integer(self.k_nn, "k_nn (--knn)")
         if self.k_nn < 1:
             raise ParameterError("k_nn (--knn) must be at least 1")
 
 
-def _neighbor_count(k):
-    """k as an int; a float or other non-integer raises ParameterError."""
+def _integer(value, name):
+    """value as an int; a float or other non-integer raises
+    ParameterError naming the setting."""
     try:
-        return operator.index(k)
+        return operator.index(value)
     except TypeError:
         raise ParameterError(
-            f"k_nn (--knn) must be an integer, got {k!r}") from None
+            f"{name} must be an integer, got {value!r}") from None
 
 
 def knn_neighbors(X, k):
@@ -134,7 +135,7 @@ def knn_neighbors(X, k):
     if not np.all(np.isfinite(X)):
         raise InputError("feature matrix contains non-finite entries")
     dim, n = X.shape
-    k = _neighbor_count(k)
+    k = _integer(k, "k_nn (--knn)")
     if not 1 <= k < n:
         raise ParameterError(
             f"k_nn (--knn) must be at least 1 and below the number of "

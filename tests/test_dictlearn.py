@@ -1182,16 +1182,22 @@ def test_beta_sweep_cache_key_includes_the_platform(
 def test_a_build_prunes_only_its_own_platforms_stale_kernels(
         empty_build_cache):
     """A build removes the kernels-<platform>-<sha256>.so files an older
-    source or compiler left for this platform, and no other file: not
-    another platform's, not one whose platform merely starts like this
-    one's, and not one from before the platform tag."""
+    source or compiler left for this platform, and the untagged
+    kernels-<sha256>.so and sweep-<sha256>.so that versions before the
+    platform tag wrote, and no other file: not another platform's, not
+    one whose platform merely starts like this one's, and not one whose
+    name only looks like an old build's."""
     platform = sysconfig.get_platform()
     empty_build_cache.mkdir(mode=0o700)
-    stale = empty_build_cache / f"kernels-{platform}-{'0' * 64}.so"
+    stale = {empty_build_cache / f"kernels-{platform}-{'0' * 64}.so",
+             empty_build_cache / f"kernels-{'3' * 64}.so",
+             empty_build_cache / f"sweep-{'4' * 64}.so"}
     kept = {empty_build_cache / f"kernels-hgdl-other-arch-{'1' * 64}.so",
             empty_build_cache / f"kernels-{platform}-x-{'2' * 64}.so",
-            empty_build_cache / f"kernels-{'3' * 64}.so"}
-    for path in (stale, *kept):
+            empty_build_cache / f"sweep-{'5' * 63}.so",
+            empty_build_cache / f"sweep-{'6' * 64}.so.bak",
+            empty_build_cache / f"my-sweep-{'7' * 64}.so"}
+    for path in (*stale, *kept):
         path.write_bytes(b"an old build")
     rng = np.random.default_rng(72)
     X = rng.normal(size=(6, 5))
@@ -1200,7 +1206,7 @@ def test_a_build_prunes_only_its_own_platforms_stale_kernels(
     update_codes(X, D, rng.normal(size=(4, 5)), lap, 0.1, 0.9)
     (built,) = set(empty_build_cache.iterdir()) - kept
     assert built.name.startswith(f"kernels-{platform}-")
-    assert built != stale and not stale.exists()
+    assert built not in stale and not any(path.exists() for path in stale)
     assert all(path.read_bytes() == b"an old build" for path in kept)
 
 
@@ -1377,6 +1383,74 @@ def test_train_runs_one_code_and_one_dictionary_sweep_per_iteration(
     _, _, trace = train(X, None, params)
     assert len(trace) == 5
     assert counts == {"update_codes": 4, "update_dictionary": 4}
+
+
+def test_train_builds_and_checks_the_laplacian_once(monkeypatch):
+    """train converts the caller's L once per call, a dense L and a
+    sparse one alike: one sp.csr_array call per train. Its sweeps and
+    objectives get train's checked L, which _csr passes through."""
+    rng = np.random.default_rng(54)
+    X = rng.normal(size=(6, 9))
+    lap, _ = _random_laplacian(rng, 9)
+    conversions = []
+    csr_array = sp.csr_array
+
+    def counted(arg, *args, **kwargs):
+        conversions.append(arg)
+        return csr_array(arg, *args, **kwargs)
+
+    monkeypatch.setattr(sp, "csr_array", counted)
+    checks = _count_calls(monkeypatch, "_csr")
+    params = DictLearnParams(n_atoms=4, alpha=0.1, beta=0.5,
+                             max_outer_iter=5, obj_tol=0.0, seed=0)
+    for form in (lambda L: L, csr_array, sp.coo_array):
+        conversions.clear()
+        delta = form(lap)
+        _, _, trace = train(X, delta, params)
+        assert len(trace) == 6
+        assert len(conversions) == 1 and conversions[0] is delta
+    # per call one check in train, then 5 sweeps and 6 objectives
+    assert checks == {"_csr": 3 * 12}
+
+
+@pytest.mark.parametrize("form", [sp.coo_array, sp.csr_matrix,
+                                  lambda L: L])
+def test_train_matches_a_loop_of_the_public_calls_bitwise(form):
+    """train on a raw L gives the bits of the loop it documents, written
+    with the public update_codes, update_dictionary and objective, each
+    of which checks and converts L itself."""
+    rng = np.random.default_rng(55)
+    X = rng.normal(size=(7, 10))
+    lap = form(_random_laplacian(rng, 10)[0])
+    params = DictLearnParams(n_atoms=5, alpha=0.1, beta=0.7,
+                             max_outer_iter=6, obj_tol=0.0, seed=3)
+    D, S, trace = train(X, lap, params)
+
+    rng_d = np.random.default_rng(params.seed)
+    D_ref = init_dictionary(X, params.n_atoms, params.seed)
+    S_ref = np.zeros((params.n_atoms, X.shape[1]))
+    trace_ref = [objective(X, D_ref, S_ref, lap, params.alpha, params.beta)]
+    for _ in range(params.max_outer_iter):
+        update_codes(X, D_ref, S_ref, lap, params.alpha, params.beta)
+        update_dictionary(X, S_ref, D_ref, rng=rng_d)
+        trace_ref.append(
+            objective(X, D_ref, S_ref, lap, params.alpha, params.beta))
+    assert _same_bits(D, D_ref)
+    assert _same_bits(S, S_ref)
+    assert _same_bits(trace, trace_ref)
+
+
+def test_a_checked_laplacian_of_another_size_is_refused():
+    """train's handle of L goes through only at its own size."""
+    rng = np.random.default_rng(56)
+    handle = dictlearn._csr(_random_laplacian(rng, 6)[0], 6)
+    assert dictlearn._csr(handle, 6) is handle
+    X = rng.normal(size=(4, 5))
+    D = _normalized_columns(rng, 4, 3)
+    with pytest.raises(ParameterError, match=r"laplacian must be \(5, 5\)"):
+        update_codes(X, D, np.zeros((3, 5)), handle, 0.1, 0.5)
+    with pytest.raises(ParameterError, match=r"laplacian must be \(5, 5\)"):
+        objective(X, D, np.zeros((3, 5)), handle, 0.1, 0.5)
 
 
 # ---------------------------------------------------------------- sparse L
@@ -1868,3 +1942,27 @@ def test_params_validation_and_gamma_default():
     ):
         with pytest.raises(ParameterError):
             DictLearnParams(**kwargs)
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("n_atoms", 2.5, "--dict-size"),
+    ("n_atoms", np.float64(4.0), "--dict-size"),
+    ("n_atoms", "4", "--dict-size"),
+    ("max_outer_iter", 2.5, "max_outer_iter"),
+    ("seed", 1.5, "--seed"),
+])
+def test_params_reject_a_non_integer_count_or_seed(field, value, named):
+    """A count or seed that is not an integer is a ParameterError naming
+    the setting, not numpy's TypeError from inside train."""
+    kwargs = dict(n_atoms=4, alpha=0.1, beta=0.0)
+    kwargs[field] = value
+    with pytest.raises(ParameterError, match=f"{named}.*must be an integer"):
+        DictLearnParams(**kwargs)
+
+
+def test_params_keep_numpy_integers_as_ints():
+    params = DictLearnParams(n_atoms=np.int64(4), alpha=0.1, beta=0.0,
+                             max_outer_iter=np.int32(3), seed=np.uint8(7))
+    assert [type(v) for v in (params.n_atoms, params.max_outer_iter,
+                              params.seed)] == [int, int, int]
+    assert (params.n_atoms, params.max_outer_iter, params.seed) == (4, 3, 7)
