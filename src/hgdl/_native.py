@@ -6,8 +6,9 @@ across the CPUs of its platform: on x86-64 the coordinate-descent
 kernels carry an AVX2 clone beside the baseline one, the dynamic loader
 picks one for the CPU, and both clones give the same bits.
 Importing hgdl compiles and loads nothing: a kNN search (so every
-hypergraph), an attention solve, a β > 0 code sweep, a dictionary sweep
-(so every train) and a test encoding call kernels().
+hypergraph), an attention solve, a Laplacian, a β > 0 code sweep or
+objective, a dictionary sweep (so every train) and a test encoding call
+kernels().
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ _library = None
 
 def kernels():
     """The library of _kernels.c, with hgdl_sweep, hgdl_dictionary,
-    hgdl_encode, hgdl_admm and hgdl_knn typed, compiled on the first call
-    of the process.
+    hgdl_encode, hgdl_admm, hgdl_knn, hgdl_laplacian and hgdl_csr_product
+    typed, compiled on the first call of the process.
 
     The build runs sysconfig's CC with _FLAGS. It is cached in
     $XDG_CACHE_HOME/hgdl, by default ~/.cache/hgdl, created with mode
@@ -99,6 +100,12 @@ def kernels():
     library.hgdl_admm.restype = size
     library.hgdl_knn.argtypes = [size, size, size, real, count, out]
     library.hgdl_knn.restype = None
+    library.hgdl_laplacian.argtypes = [size, size, index, index, real, real,
+                                       real, out, out, out]
+    library.hgdl_laplacian.restype = None
+    library.hgdl_csr_product.argtypes = [size, size, index, index, real,
+                                         real, out]
+    library.hgdl_csr_product.restype = None
     _library = library
     return library
 

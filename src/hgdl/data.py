@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InputError, ParameterError
-from .hypergraph import UNLABELED
+from .hypergraph import UNLABELED, _integer
 
 BINMAT_MAGIC = b"SAHD"
 BINMAT_VERSION = 1
@@ -258,8 +258,16 @@ def make_synthetic(n_classes, per_class_train, per_class_test, dim,
     Euclidean norm is noise_sigma (per-coordinate standard deviation
     noise_sigma/sqrt(dim)), so noise_sigma measures corruption relative
     to the unit-norm centers regardless of dim. Samples are grouped
-    class-major. Deterministic for a fixed seed.
+    class-major. Deterministic for a fixed seed. The counts, dim and
+    seed must be integers (ParameterError naming the flag).
     """
+    n_classes = _integer(n_classes, "n_classes (--classes)")
+    per_class_train = _integer(per_class_train,
+                               "per_class_train (--per-class-train)")
+    per_class_test = _integer(per_class_test,
+                              "per_class_test (--per-class-test)")
+    dim = _integer(dim, "dim (--dim)")
+    seed = _integer(seed, "seed (--seed)")
     if n_classes < 2:
         raise ParameterError("need at least two classes")
     if per_class_train < 1 or per_class_test < 0:

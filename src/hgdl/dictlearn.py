@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._native import kernels
 from .attention import soft_threshold
@@ -31,7 +30,13 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .hypergraph import UNLABELED, HypergraphConfig, _integer, build_laplacian
+from .hypergraph import (
+    UNLABELED,
+    HypergraphConfig,
+    _indptr,
+    _integer,
+    build_laplacian,
+)
 
 # increase in the recorded objective tolerated before declaring a bug
 MONOTONE_SLACK = 1e-9
@@ -150,51 +155,98 @@ def _check_problem(X, D, S, delta, alpha, beta):
 
 
 class _Laplacian:
-    """L after _csr's checks: matrix, its canonical CSR, which objective
-    and train's symmetry check read, and the int64 indptr and indices
-    and float64 data that hgdl_sweep reads, converted once."""
+    """L after _csr's checks, as its canonical CSR (each row's column
+    indices strictly ascending): int64 indptr and indices and float64
+    data, which objective, train's symmetry check and hgdl_sweep read as
+    stored."""
 
-    __slots__ = ("matrix", "indptr", "indices", "data")
+    __slots__ = ("shape", "indptr", "indices", "data")
 
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self.indptr = np.ascontiguousarray(matrix.indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(matrix.indices, dtype=np.int64)
-        self.data = np.ascontiguousarray(matrix.data, dtype=np.float64)
+    def __init__(self, shape, indptr, indices, data):
+        self.shape = shape
+        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
+
+    def positions(self):
+        """r n + c for each stored entry (r, c), in storage order: strictly
+        ascending exactly when the CSR is canonical."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return rows * self.shape[1] + self.indices
 
 
 def _csr(delta, n):
-    """L as a _Laplacian over a canonical CSR (sorted, duplicate-free
-    indices), so that a dense L and any sparse form of it are read in the
-    same order. A canonical CSR goes through without a copy; a caller's
-    matrix is never modified. The one check of L: (n, n), column indices
-    inside that shape (ParameterError; scipy keeps an index past it,
-    which would read past the arrays), every stored entry finite
-    (InputError). A _Laplacian, checked when it was built, goes through
-    as it is once its shape is (n, n): train checks L once, not in every
-    sweep and objective."""
-    checked = isinstance(delta, _Laplacian)
-    L = delta.matrix if checked else sp.csr_array(delta, dtype=float)
-    if L.shape != (n, n):
-        raise ParameterError(f"laplacian must be {(n, n)}, got {L.shape}")
-    if checked:
-        return delta
-    if L.nnz and not 0 <= L.indices.min() <= L.indices.max() < n:
-        raise ParameterError("laplacian has column indices outside its shape")
-    if not L.has_canonical_format:
-        L = L.copy()
-        L.sum_duplicates()
-    if not np.isfinite(L.data).all():
+    """L as a _Laplacian over a canonical CSR, so that a dense L and any
+    sparse form of it are read in the same order. A _Laplacian, checked
+    when it was built, goes through as it is once its shape is (n, n):
+    train checks L once, not in every sweep and objective. Anything else
+    is converted and checked by _to_csr."""
+    if not isinstance(delta, _Laplacian):
+        return _to_csr(delta, n)
+    _check_square(delta.shape, n)
+    return delta
+
+
+def _to_csr(delta, n):
+    """The one conversion and check of L. A dense L keeps its nonzeros;
+    a sparse one (any object with tocsr(), such as a scipy sparse array
+    or matrix) is read through its own tocsr(), and, when its rows are
+    not sorted and duplicate-free, through sum_duplicates() on a copy. A
+    canonical CSR goes through without a copy; a caller's matrix is never
+    modified. Checks: (n, n), column indices inside that shape
+    (ParameterError; a scipy matrix can keep an index past it, which
+    would read past the arrays), every stored entry finite (InputError).
+    """
+    if hasattr(delta, "tocsr"):
+        L = delta.tocsr()
+        _check_square(tuple(L.shape), n)
+        if L.nnz and not 0 <= L.indices.min() <= L.indices.max() < n:
+            raise ParameterError(
+                "laplacian has column indices outside its shape")
+        lap = _Laplacian((n, n), L.indptr, L.indices, L.data)
+        if not (np.diff(lap.positions()) > 0).all():
+            L = L.copy()
+            L.sum_duplicates()
+            lap = _Laplacian((n, n), L.indptr, L.indices, L.data)
+    else:
+        dense = np.asarray(delta, dtype=float)
+        _check_square(dense.shape, n)
+        rows, cols = np.nonzero(dense)
+        lap = _Laplacian((n, n), _indptr(np.bincount(rows, minlength=n)),
+                         cols, dense[rows, cols])
+    if not np.isfinite(lap.data).all():
         raise InputError("laplacian contains non-finite entries")
-    return _Laplacian(L)
+    return lap
+
+
+def _check_square(shape, n):
+    if shape != (n, n):
+        raise ParameterError(f"laplacian must be {(n, n)}, got {shape}")
+
+
+def _is_symmetric(L):
+    """np.allclose(L, L^T) on a _Laplacian's stored entries:
+    |L_rc - L_cr| - 1e-5 |L_cr| <= 1e-8 for every pair, an entry that is
+    not stored reading 0, so only the stored entries can break it."""
+    n = L.shape[0]
+    keys = L.positions()  # ascending: the CSR is canonical
+    mirror_keys = L.indices * n + keys // n
+    at = np.minimum(np.searchsorted(keys, mirror_keys), max(keys.size - 1, 0))
+    mirror = np.where(keys[at] == mirror_keys, L.data[at], 0.0)
+    # where L_cr is not stored, |L_rc| <= 1e-8 here also settles the pair
+    # (c, r), |0 - L_rc| - 1e-5 |L_rc| <= 1e-8
+    return bool(np.all(np.abs(L.data - mirror) - 1e-5 * np.abs(mirror)
+                       <= 1e-8))
 
 
 def objective(X, D, S, delta, alpha, beta):
     """Objective value ||X - DS||_F^2 + 2 alpha ||S||_1 + beta tr(L S^T S).
 
-    delta, the Laplacian L, is a dense ndarray or any scipy sparse
-    matrix, and the manifold term reads it through its nonzeros as
-    sum_n s_n . (L S^T)_n. delta may be None when beta == 0; in that case
+    delta, the Laplacian L, is a dense ndarray or any sparse matrix with
+    tocsr(), and the manifold term reads it through its nonzeros as
+    sum_n s_n . (L S^T)_n, L S^T coming from one call of the compiled
+    kernel hgdl_csr_product (_kernels.c, built on first use). delta may
+    be None when beta == 0; in that case
     the returned value is exactly the unregularized objective (the
     manifold term is skipped, not just multiplied by zero). The weights
     and L are checked as in update_codes.
@@ -206,8 +258,19 @@ def objective(X, D, S, delta, alpha, beta):
     r = X - D @ S
     value = np.sum(r * r) + 2.0 * alpha * np.sum(np.abs(S))
     if beta != 0.0:
-        value = value + beta * np.sum((delta.matrix @ S.T) * S.T)
+        value = value + beta * np.sum(_coupled(delta, S) * S.T)
     return float(value)
+
+
+def _coupled(L, S):
+    """L S^T as an (n, K) C-ordered array, from one call of
+    hgdl_csr_product on the _Laplacian L: each row summed from 0 over
+    L's stored entries in order, as scipy's CSR product sums it."""
+    n_atoms, n = S.shape
+    out = np.empty((n, n_atoms))
+    kernels().hgdl_csr_product(n, n_atoms, L.indptr, L.indices, L.data,
+                               np.ascontiguousarray(S.T), out)
+    return out
 
 
 def init_dictionary(X, n_atoms, seed):
@@ -268,8 +331,8 @@ def update_codes(X, D, S, delta, alpha, beta):
     sample n's atoms are visited, and the coupling leaves out L_nn, so
     the coupling sum_{r != n} L_nr S_kr of sample n is read once per
     sample from L's row n. delta, the Laplacian L, is a dense ndarray or
-    any scipy sparse matrix and reaches the kernel as _csr's canonical
-    CSR, read as stored: in row n the entry in column n is L_nn and
+    any sparse matrix with tocsr() and reaches the kernel as _csr's
+    canonical CSR, read as stored: in row n the entry in column n is L_nn and
     every other entry is coupled in. delta must be symmetric: the
     objective's coupling runs along L's column n, and a row stands in
     for it. Sample n's running field, the linear term of every atom's
@@ -398,13 +461,14 @@ def update_dictionary(X, S, D, rng=None):
 def train(X, delta, params: DictLearnParams, callback=None):
     """Alternate code and dictionary updates until the objective settles.
 
-    delta, the Laplacian L, is a dense ndarray or any scipy sparse
-    matrix, or None when params.beta == 0. _csr checks it and turns it
+    delta, the Laplacian L, is a dense ndarray or any sparse matrix with
+    tocsr(), or None when params.beta == 0. _csr checks it and turns it
     once per call into a canonical CSR with the kernel's int64 indices,
     never modifying the caller's matrix. Every sweep and objective gets
     that _Laplacian, which they neither check nor convert again, and
-    reads it through its nonzeros. train adds one O(nnz) check: L must
-    be symmetric to np.allclose's tolerance (ParameterError).
+    reads it through its nonzeros. train adds one O(nnz log nnz) check
+    on the CSR arrays: L must be symmetric to np.allclose's tolerance
+    (ParameterError).
 
     Returns (dictionary, codes, objective_trace). The trace holds the
     objective at initialization and after every outer iteration; any
@@ -420,10 +484,7 @@ def train(X, delta, params: DictLearnParams, callback=None):
         raise InputError("training matrix contains non-finite entries")
     if delta is not None:
         delta = _csr(delta, X.shape[1])
-        L = delta.matrix
-        # np.allclose(L, L.T, atol=1e-8) as |L - L^T| - rtol |L^T| <= atol,
-        # which only the stored entries of L and L^T can break
-        if (abs(L - L.T) - 1e-5 * abs(L.T)).max() > 1e-8:
+        if not _is_symmetric(delta):
             raise ParameterError("laplacian must be symmetric")
 
     rng = np.random.default_rng(params.seed)
@@ -619,7 +680,8 @@ def train_pipeline(X_train, train_labels, X_test=None, *,
         delta = None
     else:
         # the dense L is freed here, before the first sweep
-        delta = sp.csr_array(build_laplacian(X, labels, hypergraph_config))
+        delta = _csr(build_laplacian(X, labels, hypergraph_config),
+                     X.shape[1])
     D, S, trace = train(X, delta, params)
 
     if mode == TRANSDUCTIVE:

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._native import kernels
 from .attention import AdmmParams, solve_attention_batch
@@ -37,26 +36,99 @@ LB = "lb"  # label modal
 UNLABELED = -1
 
 
+class Incidence:
+    """A vertices x edges matrix in canonical compressed-column form.
+
+    Column e's entries are data[indptr[e]:indptr[e + 1]], in the rows
+    indices[indptr[e]:indptr[e + 1]], which ascend strictly. Stored zeros
+    stay stored. indptr and indices are int64, data float64, as the
+    compiled kernels read them. Treat all arrays as read-only.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "shape")
+    ndim = 2
+
+    def __init__(self, indptr, indices, data, shape):
+        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.shape = tuple(shape)
+
+    @classmethod
+    def of(cls, matrix) -> Incidence:
+        """A copy of matrix, which is 2-d: an Incidence, an object with
+        tocsc() (a scipy sparse array or matrix, whose own tocsc and
+        sum_duplicates sort its rows and add up duplicate entries), or
+        anything np.asarray takes, whose nonzeros are stored."""
+        if isinstance(matrix, Incidence):
+            return cls(matrix.indptr.copy(), matrix.indices.copy(),
+                       matrix.data.copy(), matrix.shape)
+        if hasattr(matrix, "tocsc"):
+            csc = matrix.tocsc(copy=True)
+            csc.sum_duplicates()  # in place, on the copy
+            H = cls(csc.indptr, csc.indices, csc.data, csc.shape)
+            # the compiled kernels index with these arrays, and a scipy
+            # matrix can hold a row index past its shape
+            n, m = H.shape
+            if (H.indptr.shape != (m + 1,) or H.indptr[0] != 0
+                    or H.indptr[-1] != H.nnz or H.indices.size != H.nnz
+                    or (np.diff(H.indptr) < 0).any()
+                    or (H.nnz and not 0 <= H.indices.min()
+                        <= H.indices.max() < n)):
+                raise ParameterError(
+                    "incidence has indices outside its shape")
+            return H
+        dense = np.asarray(matrix, dtype=float)
+        cols, rows = np.nonzero(dense.T)
+        return cls(_indptr(np.bincount(cols, minlength=dense.shape[1])),
+                   rows, dense[rows, cols], dense.shape)
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def edge_of_entries(self) -> np.ndarray:
+        """The column of each stored entry, in storage order."""
+        return np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+
+    def columns(self, keep) -> Incidence:
+        """The columns where the boolean mask keep is True, in order."""
+        lengths = np.diff(self.indptr)
+        entries = np.repeat(keep, lengths)
+        return Incidence(_indptr(lengths[keep]), self.indices[entries],
+                         self.data[entries],
+                         (self.shape[0], int(np.count_nonzero(keep))))
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.indices, self.edge_of_entries()] = self.data
+        return dense
+
+
+def _indptr(lengths):
+    """The int64 indptr of columns with these numbers of entries."""
+    return np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """Incidence matrix (vertices x edges) with per-edge weights and tags.
 
-    The incidence, given dense or sparse, is kept as a canonical
-    scipy.sparse.csc_array, so the matvecs in degrees() add in ascending
-    index order. Stored entries are nonnegative and finite; weights are
-    positive; tags mark which modal each edge belongs to. Treat all
-    arrays as read-only.
+    The incidence, given dense, sparse or as an Incidence, is kept as a
+    canonical Incidence of its own, so degrees() and laplacian() add in
+    ascending index order. Stored entries are nonnegative and finite;
+    weights are positive; tags mark which modal each edge belongs to.
+    Treat all arrays as read-only.
     """
 
-    incidence: sp.csc_array
+    incidence: Incidence
     edge_weights: np.ndarray
     modal_tags: np.ndarray
 
     def __post_init__(self):
         if np.ndim(self.incidence) != 2:
             raise ParameterError("incidence must be 2-d")
-        H = sp.csc_array(self.incidence, dtype=float, copy=True)
-        H.sum_duplicates()  # in place, on the copy
+        H = Incidence.of(self.incidence)
         w = np.asarray(self.edge_weights, dtype=float)
         tags = np.asarray(self.modal_tags)
         object.__setattr__(self, "incidence", H)
@@ -201,11 +273,14 @@ def build_saf_hypergraph(X, k, attention_params: AdmmParams,
                 RuntimeWarning,
             )
         entries *= np.maximum(sol.q, 0.0)
-    # column c holds center c's k neighbors and c itself: n (k + 1) entries
-    rows = np.column_stack([neighbors, np.arange(n)]).ravel()
-    cols = np.repeat(np.arange(n), k + 1)
-    data = np.column_stack([entries, np.ones(n)]).ravel()
-    H = sp.csc_array((data, (rows, cols)), shape=(n, n))
+    # column c holds center c's k neighbors and c itself, rows ascending:
+    # n (k + 1) entries
+    rows = np.column_stack([neighbors, np.arange(n)])
+    order = np.argsort(rows, axis=1)
+    data = np.column_stack([entries, np.ones(n)])
+    H = Incidence(_indptr(np.full(n, k + 1)),
+                  np.take_along_axis(rows, order, axis=1).ravel(),
+                  np.take_along_axis(data, order, axis=1).ravel(), (n, n))
     return Hypergraph(H, np.ones(n), np.asarray([SAF] * n))
 
 
@@ -226,8 +301,10 @@ def build_lb_hypergraph(labels) -> Hypergraph:
     # the present classes, ascending, numbered 0.. as edges
     classes, edge = np.unique(labels[labeled], return_inverse=True)
     n_edges = classes.size
-    H = sp.csc_array((np.ones(labeled.size), (labeled, edge)),
-                     shape=(labels.size, n_edges))
+    order = np.argsort(edge, kind="stable")  # rows stay ascending
+    H = Incidence(_indptr(np.bincount(edge, minlength=n_edges)),
+                  labeled[order], np.ones(labeled.size),
+                  (labels.size, n_edges))
     return Hypergraph(H, np.ones(n_edges), np.asarray([LB] * n_edges))
 
 
@@ -238,8 +315,13 @@ def fuse(first: Hypergraph, second: Hypergraph) -> Hypergraph:
         raise ParameterError(
             f"vertex counts differ: {first.n_vertices} vs {second.n_vertices}"
         )
+    a, b = first.incidence, second.incidence
+    H = Incidence(np.concatenate([a.indptr, b.indptr[1:] + a.nnz]),
+                  np.concatenate([a.indices, b.indices]),
+                  np.concatenate([a.data, b.data]),
+                  (a.shape[0], a.shape[1] + b.shape[1]))
     return Hypergraph(
-        sp.hstack([first.incidence, second.incidence], format="csc"),
+        H,
         np.concatenate([first.edge_weights, second.edge_weights]),
         np.concatenate([np.asarray(first.modal_tags), np.asarray(second.modal_tags)]),
     )
@@ -249,13 +331,16 @@ def degrees(hg: Hypergraph):
     """Degrees of a hypergraph; zero-degree edges are dropped with a warning.
 
     Returns (hypergraph, DegreePair) where the hypergraph is the input
-    unless edges were dropped. The degrees are the matvecs H^T 1 and H w,
-    which add each column and each row in ascending index order (where
-    .sum(axis=...) would add pairwise), so they agree bit for bit with
-    plain loops. A zero vertex degree cannot arise from the constructors
-    in this module and raises InternalError.
+    unless edges were dropped. np.add.at adds the stored entries in
+    storage order, so each column and each row is summed from 0 in
+    ascending index order (where .sum(axis=...) would add pairwise), and
+    the degrees agree bit for bit with plain loops. A zero vertex degree
+    cannot arise from the constructors in this module and raises
+    InternalError.
     """
-    edge_deg = hg.incidence.T @ np.ones(hg.n_vertices)
+    H = hg.incidence
+    edge_deg = np.zeros(hg.n_edges)
+    np.add.at(edge_deg, H.edge_of_entries(), H.data)
     dead = edge_deg == 0.0
     if dead.any():
         warnings.warn(
@@ -263,10 +348,13 @@ def degrees(hg: Hypergraph):
             RuntimeWarning,
         )
         keep = ~dead
-        hg = Hypergraph(hg.incidence[:, keep], hg.edge_weights[keep],
+        H = H.columns(keep)
+        hg = Hypergraph(H, hg.edge_weights[keep],
                         np.asarray(hg.modal_tags)[keep])
         edge_deg = edge_deg[keep]
-    vertex_deg = hg.incidence @ hg.edge_weights
+    vertex_deg = np.zeros(hg.n_vertices)
+    np.add.at(vertex_deg, H.indices,
+              H.data * hg.edge_weights[H.edge_of_entries()])
     if np.any(vertex_deg <= 0.0):
         bad = int(np.flatnonzero(vertex_deg <= 0.0)[0])
         raise InternalError(
@@ -278,9 +366,10 @@ def degrees(hg: Hypergraph):
 def laplacian(hg: Hypergraph, deg: DegreePair) -> np.ndarray:
     """Normalized hypergraph Laplacian I - Dv^{-1/2} H W De^{-1} H^T Dv^{-1/2}.
 
-    One sparse product G diag(W/De) G^T with G = Dv^{-1/2} H, symmetrized
-    as (L + L^T)/2 and made dense once: a float64 ndarray with L == L^T
-    exactly.
+    One call of the compiled kernel hgdl_laplacian (_kernels.c, built on
+    first use): Theta = G diag(W/De) G^T with G = Dv^{-1/2} H, each entry
+    summed from 0 over ascending edges, then L = I - Theta symmetrized as
+    (L + L^T)/2, all dense: a float64 ndarray with L == L^T exactly.
     """
     n = hg.n_vertices
     dv = np.asarray(deg.vertex_degrees, dtype=float)
@@ -289,10 +378,13 @@ def laplacian(hg: Hypergraph, deg: DegreePair) -> np.ndarray:
         raise ParameterError("degree shapes do not match the hypergraph")
     if np.any(dv <= 0) or np.any(de <= 0):
         raise InternalError("nonpositive degree reached laplacian()")
-    G = sp.diags_array(1.0 / np.sqrt(dv)) @ hg.incidence
-    theta = G @ sp.diags_array(hg.edge_weights / de) @ G.T
-    lap = sp.diags_array(np.ones(n)) - theta
-    return ((lap + lap.T) / 2.0).toarray()
+    H = hg.incidence
+    lap = np.empty((n, n))
+    scratch = np.empty((2, int(np.diff(H.indptr).max(initial=0))))
+    kernels().hgdl_laplacian(n, hg.n_edges, H.indptr, H.indices, H.data,
+                             1.0 / np.sqrt(dv), hg.edge_weights / de, lap,
+                             scratch[0], scratch[1])
+    return lap
 
 
 def build_laplacian(X, labels, config: HypergraphConfig) -> np.ndarray:

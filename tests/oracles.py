@@ -16,7 +16,8 @@ kernels can be held to their bits. The sparse-attention
 incidence is kept the same way, as two loops over neighbor ranks, and
 so is the vectorized numpy ADMM over a batch of attention problems, and
 the dense neighbor search the compiled one replaced: scipy's cdist, then
-a stable argsort of every row.
+a stable argsort of every row, and the degrees and Laplacian as the
+library first computed them, with scipy.sparse products.
 """
 
 import math
@@ -202,6 +203,40 @@ def python_degrees(H, W):
             total += W[e] * H[v, e]
         vertex.append(total)
     return np.asarray(vertex), np.asarray(edge)
+
+
+def scipy_incidence(matrix):
+    """An incidence as the scipy-based Hypergraph kept it: a float64
+    scipy.sparse.csc_array copy with duplicates summed, rows sorted."""
+    H = sp.csc_array(matrix, dtype=float, copy=True)
+    H.sum_duplicates()  # in place, on the copy
+    return H
+
+
+def scipy_degrees(H, W):
+    """degrees() as the library wrote it on scipy.sparse, for a canonical
+    csc_array H and edge weights W: the matvecs H^T 1 and H w, which add
+    each column and each row in ascending index order. Zero-degree edges
+    are dropped. Returns (H, W, vertex degrees, edge degrees)."""
+    edge_deg = H.T @ np.ones(H.shape[0])
+    dead = edge_deg == 0.0
+    if dead.any():
+        keep = ~dead
+        H, W = H[:, keep], W[keep]
+        edge_deg = edge_deg[keep]
+    vertex_deg = H @ W
+    return H, W, vertex_deg, edge_deg
+
+
+def scipy_laplacian(H, W, vertex_deg, edge_deg):
+    """laplacian() as the library wrote it on scipy.sparse: one sparse
+    product G diag(W/De) G^T with G = Dv^{-1/2} H, symmetrized as
+    (L + L^T)/2 and made dense once."""
+    n = H.shape[0]
+    G = sp.diags_array(1.0 / np.sqrt(vertex_deg)) @ H
+    theta = G @ sp.diags_array(W / edge_deg) @ G.T
+    lap = sp.diags_array(np.ones(n)) - theta
+    return ((lap + lap.T) / 2.0).toarray()
 
 
 def normalized_graph_laplacian(n, edges):

@@ -272,6 +272,26 @@ def test_synthetic_validation():
         make_synthetic(2, 5, 5, dim=10, noise_sigma=0.1, seed=-1)
 
 
+@pytest.mark.parametrize("field, flag", [
+    ("n_classes", "--classes"),
+    ("per_class_train", "--per-class-train"),
+    ("per_class_test", "--per-class-test"),
+    ("dim", "--dim"),
+    ("seed", "--seed"),
+])
+def test_synthetic_non_integer_sizes_name_the_flag(field, flag):
+    """A float count, dimension or seed, even an integral one such as
+    3.0, is a ParameterError naming its flag; numpy integers pass."""
+    args = dict(n_classes=3, per_class_train=2, per_class_test=1, dim=8,
+                noise_sigma=0.1, seed=1)
+    want = make_synthetic(**args)
+    for bad in (float(args[field]) + 0.5, float(args[field]), "3"):
+        with pytest.raises(ParameterError, match=f"{flag}.*integer"):
+            make_synthetic(**{**args, field: bad})
+    got = make_synthetic(**{**args, field: np.int64(args[field])})
+    assert np.array_equal(got.train_features, want.train_features)
+
+
 # ---------------------------------------------------------------- masking
 
 

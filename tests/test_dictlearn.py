@@ -37,15 +37,7 @@ from hgdl.errors import (
     NumericalError,
     ParameterError,
 )
-from hgdl.hypergraph import (
-    SAF,
-    UNLABELED,
-    Hypergraph,
-    HypergraphConfig,
-    build_laplacian,
-    degrees,
-    laplacian,
-)
+from hgdl.hypergraph import UNLABELED, HypergraphConfig, build_laplacian
 from oracles import (
     atom_sweep,
     atom_sweep_floats,
@@ -56,14 +48,18 @@ from oracles import (
     literal_manifold_penalty,
     random_hypergraph,
     row_sweep_beta0,
+    scipy_degrees,
+    scipy_incidence,
+    scipy_laplacian,
     sweep_floats,
 )
 
 
 def _laplacian_of(H, W):
-    hg = Hypergraph(H, W, np.asarray([SAF] * H.shape[1]))
-    hg, deg = degrees(hg)
-    return laplacian(hg, deg)
+    """hgdl.hypergraph's Laplacian of (H, W), whose bits
+    test_hypergraph.py holds to these oracles; taken from them, a test
+    L needs no compiled kernel."""
+    return scipy_laplacian(*scipy_degrees(scipy_incidence(H), W))
 
 
 def _random_laplacian(rng, n):
@@ -1387,23 +1383,23 @@ def test_train_runs_one_code_and_one_dictionary_sweep_per_iteration(
 
 def test_train_builds_and_checks_the_laplacian_once(monkeypatch):
     """train converts the caller's L once per call, a dense L and a
-    sparse one alike: one sp.csr_array call per train. Its sweeps and
+    sparse one alike: one _to_csr call per train. Its sweeps and
     objectives get train's checked L, which _csr passes through."""
     rng = np.random.default_rng(54)
     X = rng.normal(size=(6, 9))
     lap, _ = _random_laplacian(rng, 9)
     conversions = []
-    csr_array = sp.csr_array
+    to_csr = dictlearn._to_csr
 
     def counted(arg, *args, **kwargs):
         conversions.append(arg)
-        return csr_array(arg, *args, **kwargs)
+        return to_csr(arg, *args, **kwargs)
 
-    monkeypatch.setattr(sp, "csr_array", counted)
+    monkeypatch.setattr(dictlearn, "_to_csr", counted)
     checks = _count_calls(monkeypatch, "_csr")
     params = DictLearnParams(n_atoms=4, alpha=0.1, beta=0.5,
                              max_outer_iter=5, obj_tol=0.0, seed=0)
-    for form in (lambda L: L, csr_array, sp.coo_array):
+    for form in (lambda L: L, sp.csr_array, sp.coo_array):
         conversions.clear()
         delta = form(lap)
         _, _, trace = train(X, delta, params)
@@ -1517,6 +1513,32 @@ def test_sparse_laplacian_is_left_as_the_caller_gave_it():
     train(X, sparse, DictLearnParams(n_atoms=3, alpha=0.1, beta=1.0,
                                      max_outer_iter=2, seed=0))
     assert all(_same_bits(a, b) for a, b in zip(parts, before))
+
+
+@pytest.mark.parametrize("form", [np.asarray, sp.csr_array, sp.coo_array,
+                                  _non_canonical])
+def test_objective_beta_term_matches_scipy_bitwise(form):
+    """The manifold term is the scipy code's
+    np.sum((sp.csr_array(L) @ S^T) * S^T) bit for bit, whatever form L
+    is given in, and so is L S^T itself: each row is summed from 0 over
+    L's stored entries, in order."""
+    rng = np.random.default_rng(64)
+    alpha, beta = 0.1, 1.7
+    for n, n_atoms in ((12, 5), (40, 16), (90, 30)):
+        lap = _sparse_laplacian(rng, n)
+        X = rng.normal(size=(8, n))
+        D = _normalized_columns(rng, 8, n_atoms)
+        S = rng.normal(size=(n_atoms, n)) * (rng.random((n_atoms, n)) < 0.6)
+        coupled = sp.csr_array(lap) @ S.T
+        assert _same_bits(dictlearn._coupled(dictlearn._csr(form(lap), n), S),
+                          coupled)
+        r = X - D @ S
+        want = np.sum(r * r) + 2.0 * alpha * np.sum(np.abs(S))
+        want = want + beta * np.sum(coupled * S.T)
+        got = objective(X, D, S, form(lap), alpha, beta)
+        assert _same_bits(got, float(want))
+        assert _same_bits(objective(X, D, np.asfortranarray(S), form(lap),
+                                    alpha, beta), got)
 
 
 @pytest.mark.parametrize("form", [np.asarray, sp.csr_array])

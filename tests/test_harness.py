@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -606,6 +609,47 @@ def test_cli_export_laplacian_is_the_one_train_uses(cli_data, monkeypatch):
     assert cli.main(["export-laplacian", "--out", unmasked] + inputs
                     + COMMON + ["--mode", "transductive"]) == 0
     assert bits(load_binmat(unmasked)) != bits(written)
+
+
+# any import of scipy, or of a module in it, raises ImportError
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import hgdl
+from hgdl import cli
+train, test, out = sys.argv[1:]
+inputs = ["--train", train, "--test", test, "--knn", "3", "--dict-size", "8"]
+codes = [
+    cli.main(["export-laplacian", "--out", out, "--mode", "transductive"]
+             + inputs),
+    cli.main(["eval", "--out", out + ".json"] + inputs),
+    cli.main(["eval", "--out", out + "-beta0.json", "--beta", "0"] + inputs),
+]
+assert codes == [0, 0, 0], codes
+"""
+
+
+def test_cli_runs_without_scipy(cli_data, tmp_path):
+    """numpy is the only run-time dependency: with every scipy import
+    blocked, hgdl imports, exports the transductive Laplacian and
+    evaluates at the default beta and at beta = 0. The export is
+    build_laplacian's bit for bit."""
+    _, train_csv, test_csv = cli_data
+    out = str(tmp_path / "laplacian.binmat")
+    done = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, train_csv, test_csv, out],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    for report in (out + ".json", out + "-beta0.json"):
+        assert json.loads(open(report).read())["accuracy"] >= 0.0
+    X_train, y_train = load_csv(train_csv)
+    X_test, _ = load_csv(test_csv)
+    labels = np.concatenate([y_train, np.full(X_test.shape[1], UNLABELED)])
+    config = HypergraphConfig(
+        admm=AdmmParams(epsilon=ExperimentConfig().epsilon), k_nn=3)
+    want = build_laplacian(np.hstack([X_train, X_test]), labels, config)
+    assert bits(load_binmat(out)) == bits(want)
 
 
 def test_cli_export_laplacian_without_labels(cli_data, tmp_path):

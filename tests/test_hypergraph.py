@@ -12,7 +12,9 @@ from scipy.spatial.distance import cdist
 
 from hgdl._native import kernels
 from hgdl.attention import AdmmParams, solve_attention, solve_attention_batch
+from hgdl.data import make_synthetic
 from hgdl.errors import InputError, InternalError, ParameterError
+from hgdl.harness import ExperimentConfig
 from hgdl.hypergraph import (
     LB,
     SAF,
@@ -20,6 +22,7 @@ from hgdl.hypergraph import (
     DegreePair,
     Hypergraph,
     HypergraphConfig,
+    Incidence,
     build_laplacian,
     build_lb_hypergraph,
     build_saf_hypergraph,
@@ -38,6 +41,9 @@ from oracles import (
     python_degrees,
     random_hypergraph,
     saf_incidence_two_loops,
+    scipy_degrees,
+    scipy_incidence,
+    scipy_laplacian,
 )
 
 PARAMS = AdmmParams(epsilon=2.0 ** -6)
@@ -249,6 +255,13 @@ def test_export_laplacian_imports_neither_scipy_spatial_nor_linalg(tmp_path):
 # ---------------------------------------------------------------- saf modal
 
 
+def _canonical(H):
+    """Whether every column's rows ascend strictly, as in a canonical
+    compressed-column matrix: no duplicates, no unsorted entries."""
+    edge = H.edge_of_entries()
+    return bool(np.all(np.diff(edge * H.shape[0] + H.indices) > 0))
+
+
 def test_saf_shape_and_center_entries():
     rng = np.random.default_rng(23)
     X = rng.normal(size=(6, 15))
@@ -269,6 +282,7 @@ def test_saf_entries_without_attention():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(5, 10))
     hg = build_saf_hypergraph(X, 3, PARAMS, use_attention=False)
+    H = hg.incidence.toarray()
     nbrs = brute_force_knn(X, 3)
     for c in range(10):
         dists = [float(np.linalg.norm(X[:, v] - X[:, c])) for v in nbrs[c]]
@@ -276,10 +290,10 @@ def test_saf_entries_without_attention():
         for v, d in zip(nbrs[c], dists):
             if v == c:
                 continue
-            assert hg.incidence[v, c] == pytest.approx(
+            assert H[v, c] == pytest.approx(
                 np.exp(-((d / sigma) ** 2)), abs=1e-12
             )
-        assert hg.incidence[c, c] == 1.0
+        assert H[c, c] == 1.0
 
 
 def test_saf_attention_concentrates_on_duplicate():
@@ -402,11 +416,11 @@ def test_saf_incidence_is_csc_with_k_plus_one_entries_per_edge():
             warnings.simplefilter("ignore", RuntimeWarning)
             hg = build_saf_hypergraph(X, 4, PARAMS, use_attention)
         H = hg.incidence
-        assert isinstance(H, sp.csc_array)
+        assert isinstance(H, Incidence)
         # zero attention weights stay stored: the pattern is the knn one
         assert H.nnz == 20 * 5
         assert np.array_equal(np.diff(H.indptr), np.full(20, 5))
-        assert H.has_canonical_format
+        assert _canonical(H)
 
 
 def test_saf_rejects_k_nn_not_below_vertex_count():
@@ -519,9 +533,18 @@ def test_sparse_input_is_validated_and_canonicalized():
     raw = sp.csc_array((np.array([0.25, 1.0, 0.5]), np.array([1, 0, 1]),
                         np.array([0, 3])), shape=(2, 1))
     hg = Hypergraph(raw, np.ones(1), np.asarray([SAF]))
-    assert hg.incidence.has_canonical_format
+    assert _canonical(hg.incidence)
     assert hg.incidence.toarray().tolist() == [[1.0], [0.75]]
     assert raw.nnz == 3  # the input is left as it was
+
+
+def test_sparse_input_with_a_row_index_past_its_shape_is_refused():
+    """scipy keeps such an index; the compiled Laplacian would write past
+    its (n, n) output with it."""
+    bad = sp.csc_array((np.array([1.0, 0.5]), np.array([0, 5]),
+                        np.array([0, 1, 2])), shape=(2, 2))
+    with pytest.raises(ParameterError, match="indices outside its shape"):
+        Hypergraph(bad, np.ones(2), np.asarray([SAF] * 2))
 
 
 def test_all_unlabeled_label_graph_fuses_and_reduces():
@@ -530,7 +553,7 @@ def test_all_unlabeled_label_graph_fuses_and_reduces():
     saf = build_saf_hypergraph(X, 3, PARAMS)
     lb = build_lb_hypergraph(np.full(12, UNLABELED))
     fused = fuse(saf, lb)
-    assert isinstance(fused.incidence, sp.csc_array)
+    assert isinstance(fused.incidence, Incidence)
     assert fused.incidence.shape == (12, 12)
     assert fused.modal_tags.tolist() == [SAF] * 12
     with warnings.catch_warnings():
@@ -672,6 +695,116 @@ def test_laplacian_rejects_bad_degrees():
         laplacian(hg, DegreePair(np.ones(2), np.ones(2)))
     with pytest.raises(InternalError):
         laplacian(hg, DegreePair(np.zeros(3), np.ones(2)))
+
+
+# ---------------------------------------------------------------- scipy oracle
+
+
+def _same_bits(*pairs):
+    return all(np.asarray(a).shape == np.asarray(b).shape
+               and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+               for a, b in pairs)
+
+
+def _reduced_both_ways(H, W):
+    """degrees() and laplacian() of the incidence H, and the scipy
+    oracles of the same, as (vertex, edge, L) triples."""
+    hg, deg = degrees(Hypergraph(H, W, np.asarray([SAF] * len(W))))
+    got = (deg.vertex_degrees, deg.edge_degrees, laplacian(hg, deg))
+    H, W, vertex, edge = scipy_degrees(scipy_incidence(H), np.asarray(W))
+    return got, (vertex, edge, scipy_laplacian(H, W, vertex, edge))
+
+
+def _with_stored_zeros(rng, H, stored=None):
+    """H as COO triplets, with a stored 0.0 in about a third of the
+    places where H is zero, as zero attention weights are stored, or
+    else in the places where the boolean mask stored is set."""
+    if stored is None:
+        stored = rng.random(H.shape) < 0.3
+    rows, cols = np.nonzero((H != 0) | stored)
+    return sp.coo_array((H[rows, cols], (rows, cols)), shape=H.shape)
+
+
+def test_degrees_and_laplacian_match_scipy_with_stored_zeros():
+    rng = np.random.default_rng(90)
+    for n, m in ((5, 3), (12, 7), (40, 25), (60, 80)):
+        H, W = random_hypergraph(rng, n, m, density=0.3)
+        sparse = _with_stored_zeros(rng, H)
+        assert sparse.nnz > np.count_nonzero(H)
+        hg = Hypergraph(sparse, W, np.asarray([SAF] * m))
+        assert hg.incidence.nnz == sparse.nnz
+        got, want = _reduced_both_ways(sparse, W)
+        assert _same_bits(*zip(got, want))
+
+
+def test_dropped_zero_degree_edges_match_scipy():
+    """An edge of stored zeros and an empty edge are dropped, as the
+    scipy code dropped them, and the rest reduce to its bits."""
+    rng = np.random.default_rng(91)
+    H, W = random_hypergraph(rng, 14, 6, density=0.4)
+    H = np.insert(H, [1, 4], 0.0, axis=1)  # zero columns 1 and 5
+    W = np.insert(W, [1, 4], [2.0, 0.5])
+    stored = rng.random(H.shape) < 0.3
+    stored[:, 1] = True
+    stored[:, 5] = False
+    sparse = _with_stored_zeros(rng, H, stored)
+    with pytest.warns(RuntimeWarning, match="dropping 2 hyperedge"):
+        got, want = _reduced_both_ways(sparse, W)
+    assert _same_bits(*zip(got, want))
+
+
+@pytest.mark.parametrize("form", ["csc", "csr", "coo"])
+def test_scipy_inputs_with_unsorted_rows_and_duplicates_match_scipy(form):
+    """Each entry split into up to three stored parts, in shuffled
+    order: the input's own tocsc and sum_duplicates add them up, as the
+    scipy code's csc_array copy did."""
+    rng = np.random.default_rng(92)
+    H, W = random_hypergraph(rng, 20, 9)
+    rows, cols = np.nonzero(H)
+    parts = rng.integers(1, 4, rows.size)
+    rows, cols = np.repeat(rows, parts), np.repeat(cols, parts)
+    values = H[rows, cols] * rng.random(rows.size)
+    order = rng.permutation(rows.size)
+    rows, cols, values = rows[order], cols[order], values[order]
+    if form == "coo":
+        sparse = sp.coo_array((values, (rows, cols)), shape=H.shape)
+    else:
+        major, minor = (cols, rows) if form == "csc" else (rows, cols)
+        by_major = np.argsort(major, kind="stable")
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(major, minlength=H.shape[
+                1 if form == "csc" else 0]))])
+        make = sp.csc_array if form == "csc" else sp.csr_array
+        sparse = make((values[by_major], minor[by_major], indptr),
+                      shape=H.shape)
+        assert not sparse.has_canonical_format
+    nnz = sparse.nnz
+    got, want = _reduced_both_ways(sparse, W)
+    assert _same_bits(*zip(got, want))
+    assert sparse.nnz == nnz  # the input is left as it was
+
+
+@pytest.mark.parametrize("per_class", [6, 32, 100])
+def test_build_laplacian_matches_the_scipy_oracle_bitwise(per_class):
+    """The fused SAF + label Laplacian of 60, 320 and 1000 synthetic
+    columns, each modal's incidence rebuilt as scipy triplets, reduces to
+    the scipy code's bits."""
+    bundle = make_synthetic(10, per_class, 0, 100, 0.3, 1)
+    X, labels = bundle.train_features, bundle.train_labels
+    config = ExperimentConfig().hypergraph_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = build_laplacian(X, labels, config)
+        modals = [build_saf_hypergraph(X, config.k_nn, config.admm),
+                  build_lb_hypergraph(labels)]
+    triplets = [
+        sp.csc_array((H.data, (H.indices, H.edge_of_entries())), shape=H.shape)
+        for H in (hg.incidence for hg in modals)
+    ]
+    H = sp.hstack(triplets, format="csc")
+    W = np.concatenate([hg.edge_weights for hg in modals])
+    want = scipy_laplacian(*scipy_degrees(scipy_incidence(H), W))
+    assert _same_bits((got, want))
 
 
 # ---------------------------------------------------------------- composition
