@@ -13,11 +13,9 @@ kernels().
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import hashlib
 import os
-import re
 import shlex
 import subprocess
 import sysconfig
@@ -43,14 +41,12 @@ def kernels():
     $XDG_CACHE_HOME/hgdl, by default ~/.cache/hgdl, created with mode
     0700, as kernels-<platform>-<sha256>.so, the hash being that of the
     source, the compile command and the platform, so a warm cache loads
-    with no compiler run. A build removes the platform's other
-    kernels-*.so files, left by an older source or another compiler, and
-    the untagged kernels-<sha256>.so and sweep-<sha256>.so of older
-    versions, and leaves other platforms' files alone. A build that
-    cannot run or fails raises InternalError naming the command and
-    giving its error output; a cached file that cannot be loaded raises
-    InternalError naming the file, unless it was deleted before the
-    load, in which case it is built once more.
+    with no compiler run. A build removes no other file: the cache
+    keeps one library per source, compiler and platform, so versions
+    run in turn each load their own, and the directory may be deleted at
+    any time. A build that cannot run or fails raises InternalError
+    naming the command and giving its error output; a cached file that
+    cannot be loaded raises InternalError naming the file.
     """
     global _library
     if _library is not None:
@@ -65,20 +61,15 @@ def kernels():
     if not os.path.isabs(cache):
         cache = Path.home() / ".cache"
     path = Path(cache) / "hgdl" / f"kernels-{platform}-{key}.so"
-    for retry in (False, True):
-        if not path.exists():
-            _build(compiler, path)
-        try:
-            library = ctypes.CDLL(str(path))
-            break
-        except OSError as exc:
-            # a file deleted since the check above, by hand or by another
-            # build, is built once more
-            if retry or path.exists():
-                raise InternalError(
-                    f"cannot load the compiled kernels {path}: {exc}; "
-                    "the file may be deleted and is rebuilt on the next run"
-                ) from exc
+    if not path.exists():
+        _build(compiler, path)
+    try:
+        library = ctypes.CDLL(str(path))
+    except OSError as exc:
+        raise InternalError(
+            f"cannot load the compiled kernels {path}: {exc}; "
+            "the file may be deleted and is rebuilt on the next run"
+        ) from exc
     real, index = _Array(np.float64), _Array(np.int64)
     out, count = _Array(np.float64, True), _Array(np.int64, True)
     flag = _Array(np.bool_, True)
@@ -139,8 +130,7 @@ class _Array:
 
 def _build(compiler, path):
     """Compile _kernels.c in a temporary directory beside path, then move
-    the result into place, so no process ever loads a partial file, and
-    remove the other files of path's platform and the untagged ones."""
+    the result into place, so no process ever loads a partial file."""
     command = [*compiler, str(_SOURCE), "-o"]
     try:
         path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -160,14 +150,3 @@ def _build(compiler, path):
             f"cannot build the compiled kernels in {path.parent}: "
             f"{shlex.join(command)} failed: {exc}"
         ) from exc
-    prefix = path.name.rsplit("-", 1)[0]  # kernels-<platform>
-    # kernels-<sha256>.so and sweep-<sha256>.so came from versions without
-    # the platform tag, which no version writes any more
-    stale = re.compile(
-        f"(?:{re.escape(prefix)}|kernels|sweep)" + r"-[0-9a-f]{64}\.so")
-    for other in path.parent.iterdir():
-        if other != path and stale.fullmatch(other.name):
-            # another process may be removing it too, or loading it: a
-            # load that finds it gone builds it again
-            with contextlib.suppress(OSError):
-                other.unlink()

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._native import kernels
-from .errors import InputError, NumericalError, ParameterError
+from .errors import InputError, NumericalError, ParameterError, _integer
 
 # augmented-Lagrangian penalty, also the dual step size
 RHO = 1.0
@@ -44,7 +44,7 @@ class AdmmParams:
 
     epsilon is the l1 weight. Iteration stops once both the split
     residual max|z - q| and the dual residual max|q - q_prev| are within
-    TOL, or after max_iter rounds.
+    TOL, or after max_iter rounds; max_iter must be an integer.
     """
 
     epsilon: float
@@ -53,6 +53,7 @@ class AdmmParams:
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ParameterError("epsilon (--epsilon) must be a positive real")
+        self.max_iter = _integer(self.max_iter, "max_iter")
         if self.max_iter < 1:
             raise ParameterError("max_iter must be at least 1")
 

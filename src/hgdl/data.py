@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputError, ParameterError
-from .hypergraph import UNLABELED, _integer
+from .errors import FormatError, InputError, ParameterError, _integer
+from .hypergraph import UNLABELED
 
 BINMAT_MAGIC = b"SAHD"
 BINMAT_VERSION = 1

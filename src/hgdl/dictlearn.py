@@ -16,7 +16,6 @@ by a ridge-fitted linear map on the labeled code columns.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, replace
 
@@ -29,14 +28,9 @@ from .errors import (
     InternalError,
     NumericalError,
     ParameterError,
-)
-from .hypergraph import (
-    UNLABELED,
-    HypergraphConfig,
-    _indptr,
     _integer,
-    build_laplacian,
 )
+from .hypergraph import UNLABELED, HypergraphConfig, Incidence, build_laplacian
 
 # increase in the recorded objective tolerated before declaring a bug
 MONOTONE_SLACK = 1e-9
@@ -154,25 +148,13 @@ def _check_problem(X, D, S, delta, alpha, beta):
     return None if delta is None else _csr(delta, X.shape[1])
 
 
-class _Laplacian:
-    """L after _csr's checks, as its canonical CSR (each row's column
-    indices strictly ascending): int64 indptr and indices and float64
-    data, which objective, train's symmetry check and hgdl_sweep read as
-    stored."""
+class _Laplacian(Incidence):
+    """L after _csr's checks, held as the Incidence of L^T: its columns
+    are L's rows, so indptr, indices and data are L's canonical CSR (each
+    row's column indices strictly ascending), which objective, train's
+    symmetry check and hgdl_sweep read as stored."""
 
-    __slots__ = ("shape", "indptr", "indices", "data")
-
-    def __init__(self, shape, indptr, indices, data):
-        self.shape = shape
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
-
-    def positions(self):
-        """r n + c for each stored entry (r, c), in storage order: strictly
-        ascending exactly when the CSR is canonical."""
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return rows * self.shape[1] + self.indices
+    __slots__ = ()
 
 
 def _csr(delta, n):
@@ -188,32 +170,23 @@ def _csr(delta, n):
 
 
 def _to_csr(delta, n):
-    """The one conversion and check of L. A dense L keeps its nonzeros;
-    a sparse one (any object with tocsr(), such as a scipy sparse array
-    or matrix) is read through its own tocsr(), and, when its rows are
-    not sorted and duplicate-free, through sum_duplicates() on a copy. A
-    canonical CSR goes through without a copy; a caller's matrix is never
-    modified. Checks: (n, n), column indices inside that shape
-    (ParameterError; a scipy matrix can keep an index past it, which
-    would read past the arrays), every stored entry finite (InputError).
+    """The one conversion and check of L: Incidence.of(L^T), which stores
+    a dense L's nonzeros and reads a sparse L (a scipy sparse array or
+    matrix) through its transpose's tocsc(), sorted and summed on that
+    copy, so a caller's matrix is never modified. Checks: (n, n), row
+    and column indices inside that shape (ParameterError; a scipy matrix
+    can keep an index past it, which would read past the arrays), every
+    stored entry finite (InputError).
     """
-    if hasattr(delta, "tocsr"):
-        L = delta.tocsr()
-        _check_square(tuple(L.shape), n)
-        if L.nnz and not 0 <= L.indices.min() <= L.indices.max() < n:
-            raise ParameterError(
-                "laplacian has column indices outside its shape")
-        lap = _Laplacian((n, n), L.indptr, L.indices, L.data)
-        if not (np.diff(lap.positions()) > 0).all():
-            L = L.copy()
-            L.sum_duplicates()
-            lap = _Laplacian((n, n), L.indptr, L.indices, L.data)
-    else:
-        dense = np.asarray(delta, dtype=float)
-        _check_square(dense.shape, n)
-        rows, cols = np.nonzero(dense)
-        lap = _Laplacian((n, n), _indptr(np.bincount(rows, minlength=n)),
-                         cols, dense[rows, cols])
+    if not hasattr(delta, "tocsc"):
+        delta = np.asarray(delta, dtype=float)
+    _check_square(tuple(delta.shape), n)
+    try:
+        lap = _Laplacian.of(delta.T)
+    except ParameterError:
+        raise ParameterError(
+            "laplacian has row or column indices outside its shape"
+        ) from None
     if not np.isfinite(lap.data).all():
         raise InputError("laplacian contains non-finite entries")
     return lap
@@ -229,7 +202,8 @@ def _is_symmetric(L):
     |L_rc - L_cr| - 1e-5 |L_cr| <= 1e-8 for every pair, an entry that is
     not stored reading 0, so only the stored entries can break it."""
     n = L.shape[0]
-    keys = L.positions()  # ascending: the CSR is canonical
+    # r n + c for each stored L_rc, ascending: the CSR is canonical
+    keys = L.edge_of_entries() * n + L.indices
     mirror_keys = L.indices * n + keys // n
     at = np.minimum(np.searchsorted(keys, mirror_keys), max(keys.size - 1, 0))
     mirror = np.where(keys[at] == mirror_keys, L.data[at], 0.0)
@@ -242,8 +216,8 @@ def _is_symmetric(L):
 def objective(X, D, S, delta, alpha, beta):
     """Objective value ||X - DS||_F^2 + 2 alpha ||S||_1 + beta tr(L S^T S).
 
-    delta, the Laplacian L, is a dense ndarray or any sparse matrix with
-    tocsr(), and the manifold term reads it through its nonzeros as
+    delta, the Laplacian L, is a dense ndarray or a scipy sparse array or
+    matrix, and the manifold term reads it through its nonzeros as
     sum_n s_n . (L S^T)_n, L S^T coming from one call of the compiled
     kernel hgdl_csr_product (_kernels.c, built on first use). delta may
     be None when beta == 0; in that case
@@ -331,7 +305,7 @@ def update_codes(X, D, S, delta, alpha, beta):
     sample n's atoms are visited, and the coupling leaves out L_nn, so
     the coupling sum_{r != n} L_nr S_kr of sample n is read once per
     sample from L's row n. delta, the Laplacian L, is a dense ndarray or
-    any sparse matrix with tocsr() and reaches the kernel as _csr's
+    a scipy sparse array or matrix and reaches the kernel as _csr's
     canonical CSR, read as stored: in row n the entry in column n is L_nn and
     every other entry is coupled in. delta must be symmetric: the
     objective's coupling runs along L's column n, and a row stands in
@@ -461,8 +435,8 @@ def update_dictionary(X, S, D, rng=None):
 def train(X, delta, params: DictLearnParams, callback=None):
     """Alternate code and dictionary updates until the objective settles.
 
-    delta, the Laplacian L, is a dense ndarray or any sparse matrix with
-    tocsr(), or None when params.beta == 0. _csr checks it and turns it
+    delta, the Laplacian L, is a dense ndarray or a scipy sparse array or
+    matrix, or None when params.beta == 0. _csr checks it and turns it
     once per call into a canonical CSR with the kernel's int64 indices,
     never modifying the caller's matrix. Every sweep and objective gets
     that _Laplacian, which they neither check nor convert again, and
@@ -534,7 +508,7 @@ def encode_test(Y, D, gamma, max_sweeps=500):
         raise ParameterError("Y must be 2-d with at least one column")
     if not (np.isfinite(gamma) and gamma > 0):
         raise ParameterError("gamma must be a positive real")
-    max_sweeps = operator.index(max_sweeps)
+    max_sweeps = _integer(max_sweeps, "max_sweeps")
     if max_sweeps < 1:
         raise ParameterError("max_sweeps must be at least 1")
     if not np.all(np.isfinite(Y)):

@@ -1,4 +1,5 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and _integer, the check
+of every integer setting.
 
 The CLI maps these onto exit codes: parameter problems exit with 2,
 malformed or invalid input data with 3, numerical failures and internal
@@ -7,6 +8,8 @@ errors with 4. An attention solve (export-laplacian builds one), a
 test encoding on a machine where the compiled kernels cannot be built
 (no C compiler) is an internal error, so it exits with 4.
 """
+
+import operator
 
 
 class ParameterError(ValueError):
@@ -27,3 +30,13 @@ class NumericalError(ArithmeticError):
 
 class InternalError(RuntimeError):
     """An internal invariant was violated; indicates a bug upstream."""
+
+
+def _integer(value, name):
+    """value as an int; a float or other non-integer raises
+    ParameterError naming the setting."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(
+            f"{name} must be an integer, got {value!r}") from None

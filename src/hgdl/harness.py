@@ -27,7 +27,7 @@ from .dictlearn import (
     predict,
     train_pipeline,
 )
-from .errors import ParameterError
+from .errors import ParameterError, _integer
 from .hypergraph import UNLABELED, HypergraphConfig
 
 FULL = "full"
@@ -66,7 +66,9 @@ class ExperimentConfig:
         if not (0.0 <= self.mask_fraction < 1.0):
             raise ParameterError(
                 "mask_fraction (--mask-fraction) must lie in [0, 1)")
-        # DictLearnParams sees seed + 1, so its own check lets -1 through
+        # DictLearnParams sees seed + 1, so its own checks would name the
+        # wrong value and let -1 through
+        self.seed = _integer(self.seed, "seed (--seed)")
         if self.seed < 0:
             raise ParameterError("seed (--seed) must be nonnegative")
         # the component configs check every other field, naming its flag

@@ -21,7 +21,6 @@ holds up to rounding.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from ._native import kernels
 from .attention import AdmmParams, solve_attention_batch
-from .errors import InputError, InternalError, ParameterError
+from .errors import InputError, InternalError, ParameterError, _integer
 
 SAF = "saf"  # sparse-attention feature modal
 LB = "lb"  # label modal
@@ -37,7 +36,9 @@ UNLABELED = -1
 
 
 class Incidence:
-    """A vertices x edges matrix in canonical compressed-column form.
+    """A vertices x edges matrix in canonical compressed-column form, and
+    hgdl's one compressed-sparse type: training holds L as the Incidence
+    of L^T, whose arrays are L's canonical CSR.
 
     Column e's entries are data[indptr[e]:indptr[e + 1]], in the rows
     indices[indptr[e]:indptr[e + 1]], which ascend strictly. Stored zeros
@@ -64,7 +65,16 @@ class Incidence:
             return cls(matrix.indptr.copy(), matrix.indices.copy(),
                        matrix.data.copy(), matrix.shape)
         if hasattr(matrix, "tocsc"):
-            csc = matrix.tocsc(copy=True)
+            try:
+                copy = matrix.copy()
+                # scipy's constructor leaves a csr or csc's indices
+                # unchecked, and its own tocsc() indexes with them
+                if hasattr(copy, "check_format"):
+                    copy.check_format(full_check=True)
+            except ValueError:
+                raise ParameterError(
+                    "incidence has indices outside its shape") from None
+            csc = copy.tocsc()
             csc.sum_duplicates()  # in place, on the copy
             H = cls(csc.indptr, csc.indices, csc.data, csc.shape)
             # the compiled kernels index with these arrays, and a scipy
@@ -177,16 +187,6 @@ class HypergraphConfig:
         self.k_nn = _integer(self.k_nn, "k_nn (--knn)")
         if self.k_nn < 1:
             raise ParameterError("k_nn (--knn) must be at least 1")
-
-
-def _integer(value, name):
-    """value as an int; a float or other non-integer raises
-    ParameterError naming the setting."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(
-            f"{name} must be an integer, got {value!r}") from None
 
 
 def knn_neighbors(X, k):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,20 @@ def test_parameter_validation():
         solve_attention(np.ones(3), np.ones((3, 0)), AdmmParams(epsilon=0.1))
     with pytest.raises(ParameterError):
         solve_attention(np.ones(4), np.ones((3, 2)), AdmmParams(epsilon=0.1))
+
+
+@pytest.mark.parametrize("max_iter", [2.5, np.float64(3.0), "3", None])
+def test_a_non_integer_max_iter_is_a_parameter_error(max_iter):
+    """Not a ctypes ArgumentError from the first solve."""
+    with pytest.raises(ParameterError,
+                       match="max_iter must be an integer, got "
+                             + re.escape(repr(max_iter))):
+        AdmmParams(epsilon=0.1, max_iter=max_iter)
+
+
+def test_a_numpy_integer_max_iter_is_kept_as_an_int():
+    params = AdmmParams(epsilon=0.1, max_iter=np.int32(7))
+    assert type(params.max_iter) is int and params.max_iter == 7
 
 
 # ---------------------------------------------------------------- batches

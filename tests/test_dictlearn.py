@@ -1,7 +1,7 @@
 """Coordinate-descent coding, blockwise dictionary updates, and training."""
 
-import ctypes
 import os
+import re
 import subprocess
 import sys
 import sysconfig
@@ -37,7 +37,12 @@ from hgdl.errors import (
     NumericalError,
     ParameterError,
 )
-from hgdl.hypergraph import UNLABELED, HypergraphConfig, build_laplacian
+from hgdl.hypergraph import (
+    UNLABELED,
+    HypergraphConfig,
+    Incidence,
+    build_laplacian,
+)
 from oracles import (
     atom_sweep,
     atom_sweep_floats,
@@ -690,6 +695,18 @@ def test_laplacian_indices_outside_its_shape_are_rejected():
     assert _same_bits(S, np.zeros((2, 3)))
 
 
+def test_a_csc_laplacian_with_a_row_index_past_its_shape_is_rejected():
+    """L is read through its transpose, a csr here, and scipy's tocsc()
+    of a csr writes through its unchecked column indices: the process
+    crashed before any check of hgdl."""
+    bad = sp.csc_array((np.array([-0.5]), np.array([10 ** 6]),
+                        np.array([0, 1, 1, 1])), shape=(3, 3))
+    X, D, S = np.ones((2, 3)), np.eye(2), np.zeros((2, 3))
+    with pytest.raises(ParameterError, match="column indices"):
+        objective(X, D, S, bad, 0.1, 1.0)
+    assert bad.indices.tolist() == [10 ** 6]
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.9])
 @pytest.mark.parametrize("alpha", [-0.1, np.nan, np.inf])
 def test_update_codes_rejects_bad_alpha_before_touching_codes(alpha, beta):
@@ -1175,70 +1192,34 @@ def test_beta_sweep_cache_key_includes_the_platform(
     assert len(list(empty_build_cache.iterdir())) == 2
 
 
-def test_a_build_prunes_only_its_own_platforms_stale_kernels(
-        empty_build_cache):
-    """A build removes the kernels-<platform>-<sha256>.so files an older
-    source or compiler left for this platform, and the untagged
-    kernels-<sha256>.so and sweep-<sha256>.so that versions before the
-    platform tag wrote, and no other file: not another platform's, not
-    one whose platform merely starts like this one's, and not one whose
-    name only looks like an old build's."""
-    platform = sysconfig.get_platform()
-    empty_build_cache.mkdir(mode=0o700)
-    stale = {empty_build_cache / f"kernels-{platform}-{'0' * 64}.so",
-             empty_build_cache / f"kernels-{'3' * 64}.so",
-             empty_build_cache / f"sweep-{'4' * 64}.so"}
-    kept = {empty_build_cache / f"kernels-hgdl-other-arch-{'1' * 64}.so",
-            empty_build_cache / f"kernels-{platform}-x-{'2' * 64}.so",
-            empty_build_cache / f"sweep-{'5' * 63}.so",
-            empty_build_cache / f"sweep-{'6' * 64}.so.bak",
-            empty_build_cache / f"my-sweep-{'7' * 64}.so"}
-    for path in (*stale, *kept):
-        path.write_bytes(b"an old build")
+def test_a_cache_keeps_the_library_of_each_source(
+        empty_build_cache, monkeypatch, tmp_path):
+    """Two sources built into one cache leave two libraries, and the
+    first loads again with no compiler run: versions run in turn on one
+    cache do not rebuild each other's kernels."""
+    source = _native._SOURCE
+    other = tmp_path / "_kernels.c"
+    other.write_text(source.read_text() + "\n/* another source */\n")
     rng = np.random.default_rng(72)
     X = rng.normal(size=(6, 5))
     D = _normalized_columns(rng, 6, 4)
     lap, _ = _random_laplacian(rng, 5)
-    update_codes(X, D, rng.normal(size=(4, 5)), lap, 0.1, 0.9)
-    (built,) = set(empty_build_cache.iterdir()) - kept
-    assert built.name.startswith(f"kernels-{platform}-")
-    assert built not in stale and not any(path.exists() for path in stale)
-    assert all(path.read_bytes() == b"an old build" for path in kept)
+    S0 = rng.normal(size=(4, 5))
+    want = update_codes(X, D, S0.copy(), lap, 0.1, 0.9)
+    (first,) = empty_build_cache.iterdir()
+    monkeypatch.setattr(_native, "_library", None)
+    monkeypatch.setattr(_native, "_SOURCE", other)
+    assert _same_bits(update_codes(X, D, S0.copy(), lap, 0.1, 0.9), want)
+    assert len(list(empty_build_cache.iterdir())) == 2
 
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran on a warm cache")
 
-def test_a_kernel_deleted_before_its_load_is_rebuilt(
-        empty_build_cache, monkeypatch, tmp_path):
-    """A cached file removed between the check that it exists and its
-    load, by hand or by another process's build, is built once more and
-    loaded, instead of failing the run with exit 4. The warm cache comes
-    from another process, so this one has never loaded that file."""
-    subprocess.run(
-        [sys.executable, "-c",
-         "from hgdl._native import kernels; kernels()"],
-        check=True,
-        env={**os.environ, "XDG_CACHE_HOME": str(tmp_path),
-             "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    (library,) = empty_build_cache.iterdir()
-    load = ctypes.CDLL
-    loads = []
-
-    def deleted_first(name, *args, **kwargs):
-        if not loads:
-            os.unlink(name)
-        loads.append(name)
-        return load(name, *args, **kwargs)
-
-    monkeypatch.setattr(ctypes, "CDLL", deleted_first)
-    rng = np.random.default_rng(73)
-    X = rng.normal(size=(6, 5))
-    D = _normalized_columns(rng, 6, 4)
-    lap, _ = _random_laplacian(rng, 5)
-    S = rng.normal(size=(4, 5))
-    want = sweep_floats(X, D, S, lap, 0.1, 0.9)
-    assert _same_bits(update_codes(X, D, S, lap, 0.1, 0.9), want)
-    assert loads == [str(library)] * 2
-    assert list(empty_build_cache.iterdir()) == [library]
+    monkeypatch.setattr(_native, "_library", None)
+    monkeypatch.setattr(_native, "_SOURCE", source)
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    assert _same_bits(update_codes(X, D, S0.copy(), lap, 0.1, 0.9), want)
+    assert first.exists() and len(list(empty_build_cache.iterdir())) == 2
 
 
 # ---------------------------------------------------------------- dictionary
@@ -1515,6 +1496,41 @@ def test_sparse_laplacian_is_left_as_the_caller_gave_it():
     assert all(_same_bits(a, b) for a, b in zip(parts, before))
 
 
+def _stored_arrays(matrix):
+    """The bytes of every array a dense or scipy sparse matrix stores."""
+    if isinstance(matrix, np.ndarray):
+        return [matrix.tobytes()]
+    if sp.issparse(matrix) and matrix.format == "dok":
+        return sorted(matrix.items())
+    names = ("row", "col", "data") if matrix.format == "coo" else (
+        "indptr", "indices", "data")
+    return [getattr(matrix, name).tobytes() for name in names]
+
+
+@pytest.mark.parametrize("form", [np.asarray, sp.csr_array, sp.csc_array,
+                                  sp.csr_matrix, sp.coo_array, sp.dok_array,
+                                  _non_canonical])
+def test_the_converted_laplacian_is_scipys_canonical_csr(form):
+    """_csr turns every form of L into the arrays of scipy's canonical
+    CSR of it (a copy, duplicates summed, stored zeros kept), with int64
+    indices and float64 data, held in an Incidence, and leaves the
+    caller's matrix as it was."""
+    rng = np.random.default_rng(65)
+    n = 11
+    matrix = form(_sparse_laplacian(rng, n))
+    before = _stored_arrays(matrix)
+    want = sp.csr_array(matrix, copy=True)
+    want.sum_duplicates()
+    got = dictlearn._csr(matrix, n)
+    assert isinstance(got, Incidence) and got.shape == (n, n)
+    assert got.indptr.dtype == got.indices.dtype == np.int64
+    assert got.data.dtype == np.float64
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert _same_bits(got.data, want.data.astype(np.float64))
+    assert _stored_arrays(matrix) == before
+
+
 @pytest.mark.parametrize("form", [np.asarray, sp.csr_array, sp.coo_array,
                                   _non_canonical])
 def test_objective_beta_term_matches_scipy_bitwise(form):
@@ -1681,6 +1697,16 @@ def test_encode_test_warns_once_at_the_sweep_cap():
         encode_test(Y, D, 0.05)
     with pytest.raises(ParameterError):
         encode_test(Y, D, 0.05, max_sweeps=0)
+
+
+@pytest.mark.parametrize("max_sweeps", [2.0, np.float64(3.0), "4", None])
+def test_encode_test_rejects_a_non_integer_max_sweeps_by_name(max_sweeps):
+    rng = np.random.default_rng(45)
+    D = _normalized_columns(rng, 5, 3)
+    with pytest.raises(ParameterError,
+                       match="max_sweeps must be an integer, got "
+                             + re.escape(repr(max_sweeps))):
+        encode_test(rng.normal(size=(5, 4)), D, 0.1, max_sweeps=max_sweeps)
 
 
 def test_encode_test_runs_one_code_sweep_per_sweep():

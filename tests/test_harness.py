@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -135,6 +136,22 @@ def test_config_maps_onto_components():
 def test_config_rejects_bad_values_naming_the_flag(field, value, flag):
     with pytest.raises(ParameterError, match=flag):
         ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "3"])
+def test_config_rejects_a_non_integer_seed_as_given(seed):
+    """The message names the seed the caller gave, not the dictionary
+    stage's seed + 1."""
+    with pytest.raises(ParameterError,
+                       match=f"seed \\(--seed\\) must be an integer, got "
+                             f"{re.escape(repr(seed))}$"):
+        ExperimentConfig(seed=seed)
+
+
+def test_config_keeps_a_numpy_integer_seed_as_an_int():
+    config = ExperimentConfig(seed=np.int64(4))
+    assert type(config.seed) is int
+    assert config.dictlearn_params().seed == 4 + SEED_OFFSET_DICT_INIT
 
 
 # ---------------------------------------------------------------- run/report

@@ -547,6 +547,16 @@ def test_sparse_input_with_a_row_index_past_its_shape_is_refused():
         Hypergraph(bad, np.ones(2), np.asarray([SAF] * 2))
 
 
+def test_a_csr_input_with_a_column_index_past_its_shape_is_refused():
+    """scipy's constructor does not check the index, and its own tocsc()
+    writes through it: the process crashed before any check of hgdl."""
+    bad = sp.csr_array((np.array([1.0, 0.5]), np.array([0, 10 ** 6]),
+                        np.array([0, 1, 2])), shape=(2, 2))
+    with pytest.raises(ParameterError, match="indices outside its shape"):
+        Hypergraph(bad, np.ones(2), np.asarray([SAF] * 2))
+    assert bad.indices.tolist() == [0, 10 ** 6]
+
+
 def test_all_unlabeled_label_graph_fuses_and_reduces():
     rng = np.random.default_rng(71)
     X = rng.normal(size=(5, 12))
