@@ -25,7 +25,11 @@
    either, though its axpy would vectorize: the clones are laid out
    together, so a new one moves the others' code, and an AVX2 clone of
    it there made the hgdl_dictionary sweep 12-23% slower (medians of
-   15 x 20 sweeps at 200 atoms, three processes each, 2-core Xeon). */
+   15 x 20 sweeps at 200 atoms, three processes each, 2-core Xeon).
+
+   hgdl._native types each exported kernel, and only those are named
+   hgdl_, by its _CTYPES from the definition "<ret> hgdl_<name>(<params>)"
+   starting a line, with CLONED, if any, above and the brace below. */
 
 #include <math.h>
 #include <stdint.h>

@@ -1,14 +1,11 @@
-"""The compiled kernels of _kernels.c, built on first use.
+"""The kernels that the header of _kernels.c lists, built on first use.
 
 _FLAGS pin the rounding (no FMA contraction), so each kernel rounds
 every operation as its source is written. The built file is portable
 across the CPUs of its platform: on x86-64 the coordinate-descent
 kernels carry an AVX2 clone beside the baseline one, the dynamic loader
 picks one for the CPU, and both clones give the same bits.
-Importing hgdl compiles and loads nothing: a kNN search (so every
-hypergraph), an attention solve, a Laplacian, a β > 0 code sweep or
-objective, a dictionary sweep (so every train) and a test encoding call
-kernels().
+Importing hgdl compiles and loads nothing; the first kernel call does.
 """
 
 from __future__ import annotations
@@ -16,6 +13,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import shlex
 import subprocess
 import sysconfig
@@ -33,9 +31,8 @@ _library = None
 
 
 def kernels():
-    """The library of _kernels.c, with hgdl_sweep, hgdl_dictionary,
-    hgdl_encode, hgdl_admm, hgdl_knn, hgdl_laplacian and hgdl_csr_product
-    typed, compiled on the first call of the process.
+    """The library of _kernels.c, compiled on the first call of the
+    process, with each kernel its header lists typed by _prototypes.
 
     The build runs sysconfig's CC with _FLAGS. It is cached in
     $XDG_CACHE_HOME/hgdl, by default ~/.cache/hgdl, created with mode
@@ -54,7 +51,8 @@ def kernels():
     compiler = [*shlex.split(sysconfig.get_config_var("CC") or "cc"),
                 *_FLAGS]
     platform = sysconfig.get_platform()
-    key = hashlib.sha256(_SOURCE.read_bytes()
+    source = _SOURCE.read_bytes()
+    key = hashlib.sha256(source
                          + shlex.join(compiler).encode()
                          + platform.encode()).hexdigest()
     cache = os.environ.get("XDG_CACHE_HOME", "")
@@ -70,33 +68,9 @@ def kernels():
             f"cannot load the compiled kernels {path}: {exc}; "
             "the file may be deleted and is rebuilt on the next run"
         ) from exc
-    real, index = _Array(np.float64), _Array(np.int64)
-    out, count = _Array(np.float64, True), _Array(np.int64, True)
-    flag = _Array(np.bool_, True)
-    size, double = ctypes.c_int64, ctypes.c_double
-    library.hgdl_sweep.argtypes = [size, size, real, real, real, index,
-                                   index, real, double, double, double,
-                                   out, out, out]
-    library.hgdl_sweep.restype = size
-    library.hgdl_dictionary.argtypes = [size, size, size, real, real, double,
-                                        out, out]
-    library.hgdl_dictionary.restype = size
-    library.hgdl_encode.argtypes = [size, size, size, real, real, double,
-                                    double, double, size, out, out, out, out,
-                                    out, out, count, out]
-    library.hgdl_encode.restype = size
-    library.hgdl_admm.argtypes = [size, size, real, real, double, double,
-                                  double, size, out, out, out, count, flag,
-                                  out, out]
-    library.hgdl_admm.restype = size
-    library.hgdl_knn.argtypes = [size, size, size, real, count, out]
-    library.hgdl_knn.restype = None
-    library.hgdl_laplacian.argtypes = [size, size, index, index, real, real,
-                                       real, out, out, out]
-    library.hgdl_laplacian.restype = None
-    library.hgdl_csr_product.argtypes = [size, size, index, index, real,
-                                         real, out]
-    library.hgdl_csr_product.restype = None
+    for name, (restype, argtypes) in _prototypes(source.decode()).items():
+        kernel = getattr(library, name)
+        kernel.restype, kernel.argtypes = restype, argtypes
     _library = library
     return library
 
@@ -126,6 +100,33 @@ class _Array:
         if self.writeable and not flags.writeable:
             raise TypeError("expected a writeable array")
         return ctypes.c_void_p(array.ctypes.data)
+
+
+# a const pointer is an input, so may be read-only; numpy bools are bytes
+_CTYPES = {"void": None, "int64_t": ctypes.c_int64, "double": ctypes.c_double,
+           "const int64_t *": _Array(np.int64),
+           "const double *": _Array(np.float64),
+           "int64_t *": _Array(np.int64, True),
+           "double *": _Array(np.float64, True),
+           "unsigned char *": _Array(np.bool_, True)}
+
+
+def _prototypes(source):
+    """{name: (restype, argtypes)} of each kernel the C source text
+    defines in the form the header of _kernels.c states; a C type outside
+    _CTYPES raises InternalError naming the kernel and the type."""
+    kernels = {}
+    for ret, name, params in re.findall(
+            r"^(\w+) (hgdl_\w+)\(([^)]*)\)\n\{", source, re.M):
+        # "const double *values" -> "const double *"
+        types = [" ".join(re.sub(r"\w+\s*$", "", p).split())
+                 for p in params.split(",")]
+        try:
+            kernels[name] = _CTYPES[ret], [_CTYPES[t] for t in types]
+        except KeyError as exc:
+            raise InternalError(f"kernel {name} has the C type {exc}, "
+                                "which hgdl._native does not map") from None
+    return kernels
 
 
 def _build(compiler, path):

@@ -87,7 +87,8 @@ def _parse_label(token, line_num):
     try:
         return int(token)
     except ValueError:
-        raise FormatError(f"line {line_num}: label {token!r} is not an integer")
+        raise FormatError(
+            f"line {line_num}: label {token.strip()!r} is not an integer")
 
 
 def load_csv(path):
@@ -98,18 +99,6 @@ def load_csv(path):
     the (dim, n_samples) feature matrix and the label vector, or None in
     place of labels for feature-only files.
     """
-    rows = []
-    line_nums = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            rows.append([cell.strip() for cell in row])
-            line_nums.append(reader.line_num)
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-
     def _numeric(cell):
         try:
             float(cell)
@@ -117,30 +106,35 @@ def load_csv(path):
         except ValueError:
             return False
 
-    has_header = not all(_numeric(c) for c in rows[0])
-    header = rows[0] if has_header else None
-    data_rows = rows[1:] if has_header else rows
-    data_lines = line_nums[1:] if has_header else line_nums
-    if not data_rows:
-        raise FormatError(f"{path}: header but no data rows")
-    has_labels = has_header and header[-1] == "label"
-
-    width = len(data_rows[0]) if header is None else len(header)
+    # float() and int() accept the whitespace around a cell
+    width = None
     features = []
     labels = []
-    for row, line_num in zip(data_rows, data_lines):
-        if len(row) != width:
-            raise FormatError(
-                f"line {line_num}: expected {width} fields, got {len(row)}"
-            )
-        feature_cells = row[:-1] if has_labels else row
-        try:
-            features.append([float(c) for c in feature_cells])
-        except ValueError:
-            bad = next(c for c in feature_cells if not _numeric(c))
-            raise FormatError(f"line {line_num}: non-numeric value {bad!r}")
-        if has_labels:
-            labels.append(_parse_label(row[-1], line_num))
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            if width is None:
+                width = len(row)
+                has_labels = row[-1].strip() == "label"
+                if not all(_numeric(c) for c in row):
+                    continue
+            if len(row) != width:
+                raise FormatError(f"line {reader.line_num}: expected {width} "
+                                  f"fields, got {len(row)}")
+            feature_cells = row[:-1] if has_labels else row
+            try:
+                features.append([float(c) for c in feature_cells])
+            except ValueError:
+                bad = next(c for c in feature_cells if not _numeric(c))
+                raise FormatError(f"line {reader.line_num}: non-numeric "
+                                  f"value {bad.strip()!r}")
+            if has_labels:
+                labels.append(_parse_label(row[-1], reader.line_num))
+    if not features:
+        empty = "no data rows" if width is None else "header but no data rows"
+        raise FormatError(f"{path}: {empty}")
     X = np.asarray(features, dtype=float).T
     if X.shape[0] < 1:
         raise FormatError(f"{path}: rows carry no feature columns")

@@ -1,12 +1,15 @@
-"""The kernels' array arguments: each kind is checked before its kernel
-runs, and read-only inputs are accepted."""
+"""The kernels' arguments: each is typed from its C prototype, each kind
+of array is checked before its kernel runs, and read-only inputs are
+accepted."""
 
 import ctypes
+import re
 
 import numpy as np
 import pytest
 
-from hgdl._native import kernels
+from hgdl._native import _SOURCE, _Array, _prototypes, kernels
+from hgdl.errors import InternalError
 from hgdl.attention import RHO, TOL
 from hgdl.dictlearn import CURVATURE_FLOOR
 
@@ -99,15 +102,77 @@ def test_a_read_only_input_gives_the_writeable_inputs_bits(kind):
     assert _snapshot(args) == _snapshot(want)
 
 
+# every line of _kernels.c that starts with code, not a space, comment or
+# directive, and names an hgdl_ function: each exported definition,
+# whatever its form, with its return type and parameter list
+LOOSE_DEFINITION = re.compile(
+    r"^(?![\s/*#])(.*?)\b(hgdl_\w+)\s*\(([^)]*)\)", re.M)
+DEFINED = {name: (ret.strip(), params) for ret, name, params
+           in LOOSE_DEFINITION.findall(_SOURCE.read_text())}
+SCALARS = {"void": None, "int64_t": ctypes.c_int64,
+           "double": ctypes.c_double}
+POINTEES = {"int64_t": np.int64, "double": np.float64,
+            "unsigned char": np.bool_}
+
+
+def test_every_kernel_definition_matches_the_parser():
+    """A kernel whose definition the parser does not match would reach its
+    first call untyped."""
+    assert set(_prototypes(_SOURCE.read_text())) == set(DEFINED)
+
+
+@pytest.mark.parametrize("definition", [
+    "CLONED int64_t hgdl_x(int64_t n)\n{",
+    "int64_t\nhgdl_x(int64_t n)\n{",
+    "int64_t  hgdl_x(int64_t n)\n{",
+    "int64_t hgdl_x(int64_t n) {",
+])
+def test_a_definition_in_another_form_is_found_but_not_parsed(definition):
+    assert _prototypes(definition) == {}
+    found = LOOSE_DEFINITION.findall(definition)
+    assert [name for _, name, _ in found] == ["hgdl_x"]
+
+
 def test_every_kernel_array_argument_is_checked():
-    """No kernel takes an array through an unchecked argtype: every
-    argument is a C integer, a C double or one of the checked kinds."""
+    """Every kernel of _kernels.c takes each parameter through its C
+    type: a const pointer as an input that may be read-only, any other
+    pointer as a writeable output, a scalar as a C integer or double;
+    it returns its C return type."""
     library = kernels()
-    checked = {type(t) for n, make, p in KINDS.values()
-               for t in [getattr(library, n).argtypes[p]]}
-    assert len(checked) == 1
-    for name in ("hgdl_sweep", "hgdl_dictionary", "hgdl_encode",
-                 "hgdl_admm", "hgdl_knn"):
-        for argtype in getattr(library, name).argtypes:
-            assert argtype in (ctypes.c_int64, ctypes.c_double) or (
-                type(argtype) in checked)
+    assert DEFINED
+    for name, (ret, params) in DEFINED.items():
+        kernel = getattr(library, name)
+        assert kernel.restype is SCALARS[ret], name
+        params = [" ".join(p.split()[:-1]) for p in
+                  params.replace("*", " * ").split(",")]
+        assert len(kernel.argtypes) == len(params), name
+        for param, argtype in zip(params, kernel.argtypes):
+            pointee = param.removeprefix("const ").removesuffix(" *")
+            if param.endswith("*"):
+                assert type(argtype) is _Array, (name, param)
+                assert argtype.dtype == POINTEES[pointee], (name, param)
+                assert argtype.writeable == (
+                    not param.startswith("const ")), (name, param)
+            else:
+                assert argtype is SCALARS[param], (name, param)
+
+
+def test_every_kernel_called_is_typed():
+    called = {name for path in _SOURCE.parent.glob("*.py")
+              for name in re.findall(r"kernels\(\)\.(hgdl_\w+)",
+                                     path.read_text())}
+    assert called and called <= set(_prototypes(_SOURCE.read_text()))
+
+
+@pytest.mark.parametrize("ret, param, ctype", [
+    ("int64_t", "int32_t *x", "int32_t *"),
+    ("int64_t", "float x", "float"),
+    ("int64_t", "const unsigned char *x", "const unsigned char *"),
+    ("float", "double x", "float"),
+])
+def test_a_c_type_outside_the_map_raises_naming_kernel_and_type(
+        ret, param, ctype):
+    source = f"{ret} hgdl_bad(int64_t n,\n    {param})\n{{\n}}\n"
+    with pytest.raises(InternalError,
+                       match=f"hgdl_bad.*{re.escape(repr(ctype))}"):
+        _prototypes(source)
