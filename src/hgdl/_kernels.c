@@ -1,18 +1,18 @@
 /* The compiled kernels of hgdl, built once per process by hgdl._native:
    hgdl_sweep, the exact beta > 0 Gauss-Seidel code sweep of
-   hgdl.dictlearn.update_codes, hgdl_dictionary, the blockwise atom sweep
-   of hgdl.dictlearn.update_dictionary, hgdl_encode, the lasso coding of
+   hgdl.dictlearn.update_codes, hgdl_dictionary, the blockwise atom sweep of
+   hgdl.dictlearn.update_dictionary, hgdl_encode, the lasso coding of
    held-out columns of hgdl.dictlearn.encode_test, hgdl_admm, the
-   sparse-attention ADMM of hgdl.attention.solve_attention_batch,
-   hgdl_knn, the neighbor search of hgdl.hypergraph.knn_neighbors,
-   hgdl_laplacian, the dense Laplacian of hgdl.hypergraph.laplacian, and
-   hgdl_csr_product, the L S^T of hgdl.dictlearn.objective. The
-   two code kernels share one scalar step, sample_steps, inlined into
-   both. All are compiled without FMA contraction, so each operation
-   rounds as written here, and the test oracles can repeat it in Python
-   floats. The callers reject a non-finite L, codes, test matrix,
-   attention problem or feature matrix, so each kernel only stops where
-   an overflow or a non-finite datum appears.
+   sparse-attention ADMM of hgdl.attention.solve_attention_batch, hgdl_knn,
+   the neighbor search of hgdl.hypergraph.knn_neighbors, hgdl_laplacian, the
+   dense Laplacian of hgdl.hypergraph.laplacian, hgdl_csr_product, the L S^T
+   of hgdl.dictlearn.objective, and hgdl_csv, the CSV parser of
+   hgdl.data.load_csv. The two code kernels share one scalar step,
+   sample_steps, inlined into both. All are compiled without FMA
+   contraction, so each operation rounds as written here, and the test
+   oracles can repeat it in Python floats. The callers reject a non-finite
+   L, codes, test matrix, attention problem or feature matrix, so each
+   kernel only stops where an overflow or a non-finite datum appears.
 
    On x86-64 ELF with glibc, the three coordinate-descent kernels
    (hgdl_sweep, hgdl_dictionary, hgdl_encode) are built twice, for AVX2
@@ -26,12 +26,19 @@
    together, so a new one moves the others' code, and an AVX2 clone of
    it there made the hgdl_dictionary sweep 12-23% slower (medians of
    15 x 20 sweeps at 200 atoms, three processes each, 2-core Xeon).
+   For the same reason a new kernel goes after hgdl_csr_product,
+   uncloned, with its static helpers always inlined, so that none of
+   them lands between the clones, and a C library function it calls is
+   declared noplt, as strtod is: a PLT slot grows .plt, which precedes
+   .text, and moves every clone by 16 bytes. The six clones then stay at
+   their offsets, which `nm` shows.
 
    hgdl._native types each exported kernel, and only those are named
    hgdl_, by its _CTYPES from the definition "<ret> hgdl_<name>(<params>)"
    starting a line, with CLONED, if any, above and the brace below. */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 /* CLONED builds a function once per listed ISA behind an ifunc resolver */
@@ -489,4 +496,402 @@ void hgdl_csr_product(int64_t n, int64_t K, const int64_t *indptr,
                 yi[k] += a * xj[k];
         }
     }
+}
+
+/* CSV reading, for hgdl.data.load_csv. strtod gets its own declaration:
+   with noplt it is called through the GOT, so the library gains no PLT
+   slot, and .plt, which precedes .text, keeps the clones where they
+   were. */
+#if defined(__has_attribute)
+#if __has_attribute(noplt)
+__attribute__((noplt))
+#endif
+#endif
+double strtod(const char *text, char **end);
+
+/* the statuses of hgdl_csv, which hgdl.data reads by these numbers */
+enum { CSV_OK, CSV_RAGGED, CSV_NOT_A_NUMBER, CSV_NOT_A_LABEL, CSV_NOT_UTF8,
+       CSV_UNDECIDED, CSV_FULL };
+
+/* the bytes that float() and int() strip from an ASCII token */
+static inline __attribute__((always_inline)) int
+ascii_space(unsigned char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/* the length of the character at s, of n > 0 UTF-8 bytes, if it is one
+   that str.isspace() accepts, so str.strip() removes: ASCII \t to \r,
+   \x1c to space, U+0085, U+00A0, U+1680, U+2000 to U+200A, U+2028,
+   U+2029, U+202F, U+205F and U+3000; else 0 */
+static inline __attribute__((always_inline)) int64_t
+space_length(const unsigned char *s, int64_t n)
+{
+    if ((s[0] >= '\t' && s[0] <= '\r') || (s[0] >= 0x1c && s[0] <= ' '))
+        return 1;
+    if (n >= 2 && s[0] == 0xc2 && (s[1] == 0x85 || s[1] == 0xa0))
+        return 2;
+    if (n < 3 || s[0] < 0xe1 || s[0] > 0xe3)
+        return 0;
+    unsigned code = (s[0] & 0xfu) << 12 | (s[1] & 0x3fu) << 6
+                    | (s[2] & 0x3fu);
+    return code == 0x1680 || (code >= 0x2000 && code <= 0x200a)
+           || code == 0x2028 || code == 0x2029 || code == 0x202f
+           || code == 0x205f || code == 0x3000 ? 3 : 0;
+}
+
+/* the index past the str.isspace() characters from s[i] on */
+static inline __attribute__((always_inline)) int64_t
+skip_space(const unsigned char *s, int64_t n, int64_t i)
+{
+    int64_t step;
+    while (i < n && (step = space_length(s + i, n - i)) > 0)
+        i += step;
+    return i;
+}
+
+/* 1 if the n bytes at s are UTF-8 as Python's strict decoder reads it:
+   no overlong form, no surrogate, nothing past U+10FFFF */
+static inline __attribute__((always_inline)) int
+utf8(const unsigned char *s, int64_t n)
+{
+    for (int64_t i = 0; i < n;) {
+        unsigned char c = s[i], low = 0x80, high = 0xbf;
+        int64_t tail;
+        if (c < 0x80) {
+            i++;
+            continue;
+        }
+        if (c >= 0xc2 && c <= 0xdf)
+            tail = 1;
+        else if (c >= 0xe0 && c <= 0xef)
+            tail = 2;
+        else if (c >= 0xf0 && c <= 0xf4)
+            tail = 3;
+        else
+            return 0;
+        if (c == 0xe0)
+            low = 0xa0;
+        else if (c == 0xed)
+            high = 0x9f;
+        else if (c == 0xf0)
+            low = 0x90;
+        else if (c == 0xf4)
+            high = 0x8f;
+        if (n - i <= tail || s[i + 1] < low || s[i + 1] > high)
+            return 0;
+        for (int64_t k = 2; k <= tail; k++)
+            if ((s[i + k] & 0xc0) != 0x80)
+                return 0;
+        i += tail + 1;
+    }
+    return 1;
+}
+
+/* copies the digits from s[i] on to *out, dropping each '_' that stands
+   between two digits, as float() and int() do; returns the index past
+   the run, which is at any other '_' */
+static inline __attribute__((always_inline)) int64_t
+digits(const unsigned char *s, int64_t n, int64_t i, char **out)
+{
+    char *p = *out;
+    for (int64_t start = i; i < n; i++) {
+        if (s[i] >= '0' && s[i] <= '9')
+            *p++ = (char)s[i];
+        else if (!(s[i] == '_' && i > start && i + 1 < n
+                   && s[i + 1] >= '0' && s[i + 1] <= '9'))
+            break;
+    }
+    *out = p;
+    return i;
+}
+
+/* 1 if the n bytes at s are the lowercase word w in any case */
+static inline __attribute__((always_inline)) int
+word(const unsigned char *s, int64_t n, const char *w)
+{
+    int64_t k = 0;
+    while (k < n && w[k] != '\0' && (s[k] | 0x20) == w[k])
+        k++;
+    return k == n && w[k] == '\0';
+}
+
+/* float() of the n ASCII bytes at s: returns 1 and sets *value, or 0
+   where float() raises ValueError. The digits go to copy, with the
+   decimal point moved into the exponent, so strtod reads an integer
+   mantissa whatever LC_NUMERIC is, and rounds correctly, as float()
+   does. copy holds n + 24 bytes. */
+static inline __attribute__((always_inline)) int
+read_double(const unsigned char *s, int64_t n, char *copy, double *value)
+{
+    int64_t i = 0;
+    while (i < n && ascii_space(s[i]))
+        i++;
+    while (n > i && ascii_space(s[n - 1]))
+        n--;
+    int negative = i < n && s[i] == '-';
+    if (i < n && (s[i] == '-' || s[i] == '+'))
+        i++;
+    if (i < n && (s[i] | 0x20) >= 'a' && (s[i] | 0x20) <= 'z') {
+        if (word(s + i, n - i, "nan"))
+            *value = negative ? -(double)NAN : (double)NAN;
+        else if (word(s + i, n - i, "inf") || word(s + i, n - i, "infinity"))
+            *value = negative ? -(double)INFINITY : (double)INFINITY;
+        else
+            return 0;
+        return 1;
+    }
+    char *p = copy, *mark;
+    if (negative)
+        *p++ = '-';
+    mark = p;
+    i = digits(s, n, i, &p);
+    int64_t exponent = 0, shift = 0;
+    if (i < n && s[i] == '.') {
+        char *point = p;
+        i = digits(s, n, i + 1, &p);
+        shift = p - point;
+    }
+    if (p == mark)
+        return 0;
+    if (i < n && (s[i] | 0x20) == 'e') {
+        int down = ++i < n && s[i] == '-';
+        if (i < n && (s[i] == '-' || s[i] == '+'))
+            i++;
+        /* the exponent's digits, read from copy and then overwritten;
+           a value past 10^15 is 0 or inf either way */
+        char *e = p, *q = p;
+        i = digits(s, n, i, &q);
+        if (q == e)
+            return 0;
+        for (; e < q; e++)
+            if (exponent < 100000000000000)
+                exponent = exponent * 10 + (*e - '0');
+        if (down)
+            exponent = -exponent;
+    }
+    if (i != n)
+        return 0;
+    exponent -= shift;
+    *p++ = 'e';
+    if (exponent < 0) {
+        *p++ = '-';
+        exponent = -exponent;
+    }
+    char reversed[24];
+    int k = 0;
+    do {
+        reversed[k++] = (char)('0' + exponent % 10);
+        exponent /= 10;
+    } while (exponent > 0);
+    while (k > 0)
+        *p++ = reversed[--k];
+    *p = '\0';
+    *value = strtod(copy, NULL);
+    return 1;
+}
+
+/* int() of the n ASCII bytes at s: returns 1 and sets *value, or 0 where
+   int() raises ValueError or the value lies outside int64 */
+static inline __attribute__((always_inline)) int
+read_label(const unsigned char *s, int64_t n, char *copy, int64_t *value)
+{
+    int64_t i = 0;
+    while (i < n && ascii_space(s[i]))
+        i++;
+    while (n > i && ascii_space(s[n - 1]))
+        n--;
+    int negative = i < n && s[i] == '-';
+    if (i < n && (s[i] == '-' || s[i] == '+'))
+        i++;
+    char *p = copy;
+    if (digits(s, n, i, &p) != n || p == copy)
+        return 0;
+    uint64_t limit = negative ? (uint64_t)1 << 63 : ((uint64_t)1 << 63) - 1;
+    uint64_t magnitude = 0;
+    for (char *d = copy; d < p; d++) {
+        uint64_t digit = (uint64_t)(*d - '0');
+        if (magnitude > (limit - digit) / 10)
+            return 0;
+        magnitude = magnitude * 10 + digit;
+    }
+    *value = negative && magnitude > 0 ? -(int64_t)(magnitude - 1) - 1
+                                       : (int64_t)magnitude;
+    return 1;
+}
+
+/* reads the cell at data[*pos] as csv's excel dialect does: a cell that
+   starts with '"' is quoted up to the next lone '"', with "" for a '"',
+   and any text after that quote is kept; an unquoted cell runs to the
+   next ',' or line end. \n, \r\n and \r each end a line, and add one to
+   *lines, inside quotes too. Copies the cell to cell, returns its
+   length, sets *more to 1 if a cell of the same row follows and *high
+   to 1 if a byte of the cell is not ASCII. */
+static inline __attribute__((always_inline)) int64_t
+read_cell(const unsigned char *data, int64_t size, int64_t *pos,
+          int64_t *lines, unsigned char *cell, int *more, int *high)
+{
+    int64_t p = *pos, length = 0;
+    unsigned char seen = 0;
+    *more = 0;
+    if (p < size && data[p] == '"') {
+        for (p++; p < size; p++) {
+            unsigned char c = data[p];
+            if (c == '"') {
+                if (p + 1 < size && data[p + 1] == '"') {
+                    cell[length++] = '"';
+                    p++;
+                    continue;
+                }
+                p++;
+                break;
+            }
+            if (c == '\n' || (c == '\r' && (p + 1 == size
+                                            || data[p + 1] != '\n')))
+                (*lines)++;
+            seen |= c;
+            cell[length++] = c;
+        }
+    }
+    for (; p < size; p++) {
+        unsigned char c = data[p];
+        if (c == ',') {
+            *more = 1;
+            p++;
+            break;
+        }
+        if (c == '\n' || c == '\r') {
+            p += c == '\r' && p + 1 < size && data[p + 1] == '\n' ? 2 : 1;
+            (*lines)++;
+            break;
+        }
+        seen |= c;
+        cell[length++] = c;
+    }
+    *pos = p;
+    *high = seen >= 0x80;
+    return length;
+}
+
+/* 1 if the n UTF-8 bytes at s, stripped as by str.strip(), are "label" */
+static inline __attribute__((always_inline)) int
+is_label(const unsigned char *s, int64_t n)
+{
+    static const char name[] = "label";
+    int64_t i = skip_space(s, n, 0);
+    for (int k = 0; k < 5; k++, i++)
+        if (i == n || s[i] != name[k])
+            return 0;
+    return skip_space(s, n, i) == n;
+}
+
+/* hgdl_csv: reads the size bytes at data, a CSV file, row by row as
+   hgdl.data.load_csv did with csv.reader and float() and int(), but for
+   ASCII cells only: a cell with a non-ASCII byte is a fault where a
+   number or label is read. A leading UTF-8 byte-order mark is skipped.
+   A row whose cells all strip to nothing, as by str.strip(), is skipped.
+   The first other row is a header where header is 1, or where header is
+   0 and one of its ASCII cells is not a number; a header whose last cell
+   strips to "label" gives a label column. Every later row has that row's
+   width; its feature cells go to values, row-major, which holds capacity
+   doubles, and its label to labels, which holds label_capacity.
+
+   info receives [the rows read, their width, or -1 with no non-blank
+   row, 1 if they end in a label, the line of a fault, the cells of the
+   fault's row, the length of the fault's cell, copied to token]. Lines
+   count as csv's reader.line_num: to the end of the row, with a line
+   end in quotes counted. Returns CSV_OK, or at the first fault: the row
+   is CSV_RAGGED; CSV_NOT_A_NUMBER or CSV_NOT_A_LABEL at its first bad
+   cell; a cell is CSV_NOT_UTF8; CSV_UNDECIDED where header is 0, the
+   first row's ASCII cells are numbers, and one of its other cells is not
+   (that cell); or CSV_FULL where an output would overflow. scratch holds
+   2 size + 64 bytes, token size. */
+int64_t hgdl_csv(int64_t size, const char *data, int64_t header,
+                 int64_t capacity, double *values, int64_t label_capacity,
+                 int64_t *labels, char *scratch, char *token, int64_t *info)
+{
+    const unsigned char *bytes = (const unsigned char *)data;
+    unsigned char *cell = (unsigned char *)scratch;
+    char *copy = scratch + size + 8;
+    int64_t pos = 0, lines = 0, rows = 0, width = -1, dim = 0;
+    int64_t has_labels = 0, status = CSV_OK, fields = 0, length = 0;
+    if (size >= 3 && bytes[0] == 0xef && bytes[1] == 0xbb && bytes[2] == 0xbf)
+        pos = 3;
+    while (pos < size) {
+        int more = 1, nonblank = 0, label = 0, ascii_fault = 0;
+        int64_t base = rows * dim;
+        /* a fault is kept in status until the row is known not blank */
+        for (fields = 0; more; fields++) {
+            int high, read = 0;
+            int64_t fault = CSV_OK;
+            int64_t n = read_cell(bytes, size, &pos, &lines, cell, &more,
+                                  &high);
+            if (high && !utf8(cell, n)) {
+                fault = CSV_NOT_UTF8;
+            } else if (width < 0) {
+                if (fields >= capacity)
+                    fault = CSV_FULL;
+                else if (!(read = !high && read_double(cell, n, copy,
+                                                       values + fields)))
+                    fault = high ? CSV_UNDECIDED : CSV_OK;
+                ascii_fault |= !read && !high;
+                label = is_label(cell, n);
+            } else if (fields < dim) {
+                if (base + fields >= capacity)
+                    fault = CSV_FULL;
+                else if (!(read = !high && read_double(cell, n, copy,
+                                                       values + base
+                                                       + fields)))
+                    fault = CSV_NOT_A_NUMBER;
+            } else if (has_labels && fields == dim) {
+                if (rows >= label_capacity)
+                    fault = CSV_FULL;
+                else if (!(read = !high && read_label(cell, n, copy,
+                                                      labels + rows)))
+                    fault = CSV_NOT_A_LABEL;
+            }
+            int stop = fault == CSV_NOT_UTF8 || fault == CSV_FULL;
+            if (stop || (fault != CSV_OK && status == CSV_OK)) {
+                status = fault;
+                length = n;
+                for (int64_t k = 0; k < n; k++)
+                    token[k] = (char)cell[k];
+            }
+            if (stop)
+                goto done;
+            if (read || skip_space(cell, n, 0) < n)
+                nonblank = 1;
+        }
+        if (!nonblank) {
+            status = CSV_OK;
+        } else if (width < 0) {
+            width = fields;
+            if (header || ascii_fault) {
+                has_labels = label;
+                dim = width - has_labels;
+                status = CSV_OK;
+            } else if (status != CSV_OK) {
+                goto done;
+            } else {
+                dim = width;
+                rows = 1;
+            }
+        } else if (fields != width) {
+            status = CSV_RAGGED;
+            goto done;
+        } else if (status != CSV_OK) {
+            goto done;
+        } else {
+            rows++;
+        }
+    }
+done:
+    info[0] = rows;
+    info[1] = width;
+    info[2] = has_labels;
+    info[3] = lines + !(pos > 0 && (bytes[pos - 1] == '\n'
+                                    || bytes[pos - 1] == '\r'));
+    info[4] = fields;
+    info[5] = length;
+    return status;
 }

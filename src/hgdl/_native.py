@@ -102,13 +102,16 @@ class _Array:
         return ctypes.c_void_p(array.ctypes.data)
 
 
-# a const pointer is an input, so may be read-only; numpy bools are bytes
+# a const pointer is an input, so may be read-only; numpy bools are bytes,
+# and char is a byte of text
 _CTYPES = {"void": None, "int64_t": ctypes.c_int64, "double": ctypes.c_double,
            "const int64_t *": _Array(np.int64),
            "const double *": _Array(np.float64),
+           "const char *": _Array(np.uint8),
            "int64_t *": _Array(np.int64, True),
            "double *": _Array(np.float64, True),
-           "unsigned char *": _Array(np.bool_, True)}
+           "unsigned char *": _Array(np.bool_, True),
+           "char *": _Array(np.uint8, True)}
 
 
 def _prototypes(source):

@@ -24,7 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputError, ParameterError, _integer
+from ._native import kernels
+from .errors import (FormatError, InputError, InternalError,
+                     ParameterError, _integer)
 from .hypergraph import UNLABELED
 
 BINMAT_MAGIC = b"SAHD"
@@ -83,12 +85,30 @@ class DatasetBundle:
                 )
 
 
+# the fault statuses of hgdl_csv, as _kernels.c numbers them
+_RAGGED, _NOT_A_NUMBER, _NOT_A_LABEL, _NOT_UTF8, _UNDECIDED = range(1, 6)
+
+
 def _parse_label(token, line_num):
+    """int(token) as a label; FormatError naming the line where int()
+    rejects it or it lies outside int64."""
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise FormatError(
             f"line {line_num}: label {token.strip()!r} is not an integer")
+    if not -2**63 <= value < 2**63:
+        raise FormatError(f"line {line_num}: label {token.strip()!r} is "
+                          "outside the 64-bit integer range")
+    return value
+
+
+def _numeric(cell):
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
 
 
 def load_csv(path):
@@ -97,48 +117,56 @@ def load_csv(path):
     A header is assumed when the first row has any non-numeric cell; a
     final header column named ``label`` holds integer labels. Returns
     the (dim, n_samples) feature matrix and the label vector, or None in
-    place of labels for feature-only files.
+    place of labels for feature-only files. The file is UTF-8 and is
+    parsed in one call of the compiled hgdl_csv, which the README's
+    "File formats" section describes; a number or label that float() or
+    int() would read only through a non-ASCII character is refused.
     """
-    def _numeric(cell):
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
+    data = Path(path).read_bytes()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    # every cell but a file's last ends at a comma or a line end
+    lines = 1 + sum(int(np.count_nonzero(raw == ord(end))) for end in "\n\r")
+    values = np.empty(int(np.count_nonzero(raw == ord(","))) + lines)
+    labels = np.empty(lines, dtype=np.int64)
+    scratch = np.empty(2 * len(data) + 64, dtype=np.uint8)
+    token = np.empty(len(data), dtype=np.uint8)
+    info = np.empty(6, dtype=np.int64)
 
-    # float() and int() accept the whitespace around a cell
-    width = None
-    features = []
-    labels = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not any(cell.strip() for cell in row):
-                continue
-            if width is None:
-                width = len(row)
-                has_labels = row[-1].strip() == "label"
-                if not all(_numeric(c) for c in row):
-                    continue
-            if len(row) != width:
-                raise FormatError(f"line {reader.line_num}: expected {width} "
-                                  f"fields, got {len(row)}")
-            feature_cells = row[:-1] if has_labels else row
-            try:
-                features.append([float(c) for c in feature_cells])
-            except ValueError:
-                bad = next(c for c in feature_cells if not _numeric(c))
-                raise FormatError(f"line {reader.line_num}: non-numeric "
-                                  f"value {bad.strip()!r}")
-            if has_labels:
-                labels.append(_parse_label(row[-1], reader.line_num))
-    if not features:
-        empty = "no data rows" if width is None else "header but no data rows"
+    def parse(header):
+        status = kernels().hgdl_csv(len(data), raw, header, values.size,
+                                    values, labels.size, labels, scratch,
+                                    token, info)
+        *counts, length = info.tolist()
+        text = token[:length].tobytes().decode("utf-8", "backslashreplace")
+        return status, *counts, text
+
+    status, rows, width, has_labels, line, fields, text = parse(0)
+    if status == _UNDECIDED and not _numeric(text):
+        # a non-ASCII cell that float() rejects makes the first row a header
+        status, rows, width, has_labels, line, fields, text = parse(1)
+    if status == _RAGGED:
+        raise FormatError(
+            f"line {line}: expected {width} fields, got {fields}")
+    if status == _NOT_UTF8:
+        raise FormatError(f"line {line}: value '{text.strip()}' is not UTF-8")
+    if status == _NOT_A_LABEL:
+        _parse_label(text, line)  # returns where int() reads non-ASCII
+    elif status == _NOT_A_NUMBER and not _numeric(text):
+        raise FormatError(
+            f"line {line}: non-numeric value {text.strip()!r}")
+    if status in (_UNDECIDED, _NOT_A_NUMBER, _NOT_A_LABEL):
+        raise FormatError(f"line {line}: numeric value {text!r} "
+                          "is not ASCII")
+    if status != 0:
+        raise InternalError(f"hgdl_csv returned {status} on {path}")
+    if rows == 0:
+        empty = "no data rows" if width < 0 else "header but no data rows"
         raise FormatError(f"{path}: {empty}")
-    X = np.asarray(features, dtype=float).T
-    if X.shape[0] < 1:
+    dim = width - has_labels
+    if dim < 1:
         raise FormatError(f"{path}: rows carry no feature columns")
-    return X, (np.asarray(labels, dtype=int) if has_labels else None)
+    X = values[:rows * dim].reshape(rows, dim).T
+    return X, (labels[:rows] if has_labels else None)
 
 
 def save_csv(path, X, labels=None):
@@ -195,13 +223,16 @@ def load_binmat(path):
 
 
 def load_labels(path):
-    """Read a sidecar label file: one integer per line."""
+    """Read a sidecar label file: one integer per line, in UTF-8."""
     out = []
-    with open(path) as fh:
-        for i, line in enumerate(fh, start=1):
-            token = line.strip()
-            if token:
-                out.append(_parse_label(token, i))
+    for i, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            token = line.decode().strip()
+        except UnicodeDecodeError:
+            text = line.decode(errors="backslashreplace").strip()
+            raise FormatError(f"line {i}: label '{text}' is not UTF-8")
+        if token:
+            out.append(_parse_label(token, i))
     if not out:
         raise FormatError(f"{path}: no labels")
     return np.asarray(out, dtype=int)

@@ -3,10 +3,11 @@ of every integer setting.
 
 The CLI maps these onto exit codes: parameter problems exit with 2,
 malformed or invalid input data with 3, numerical failures and internal
-errors with 4. A kNN search (every hypergraph), an attention solve, a
-Laplacian, a β > 0 code sweep or objective, a dictionary sweep (every
-train, at β = 0 too) or a test encoding where the compiled kernels
-cannot be built (no C compiler) is an internal error, so exits with 4.
+errors with 4. Reading a CSV file, a kNN search (every hypergraph), an
+attention solve, a Laplacian, a β > 0 code sweep or objective, a
+dictionary sweep (every train, at β = 0 too) or a test encoding where
+the compiled kernels cannot be built (no C compiler) is an internal
+error, so exits with 4: every command that reads CSV input does.
 """
 
 import operator

@@ -17,15 +17,21 @@ incidence is kept the same way, as two loops over neighbor ranks, and
 so is the vectorized numpy ADMM over a batch of attention problems, and
 the dense neighbor search the compiled one replaced: scipy's cdist, then
 a stable argsort of every row, and the degrees and Laplacian as the
-library first computed them, with scipy.sparse products.
+library first computed them, with scipy.sparse products. The CSV loader
+is kept as it was before the compiled parser, csv.reader and float()
+and int() per cell, so the parser can be held to its arrays and
+messages.
 """
 
+import csv
 import math
 import warnings
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
+
+from hgdl.errors import FormatError
 
 
 def cd_lasso(x, P, eps, tol=1e-10, max_sweeps=20000):
@@ -586,3 +592,56 @@ def saf_incidence_two_loops(X, neighbors, solve=None):
     for c in range(n):
         H[neighbors[c], c] = entries[c]
     return H
+
+
+def _csv_label(token, line_num):
+    try:
+        return int(token)
+    except ValueError:
+        raise FormatError(
+            f"line {line_num}: label {token.strip()!r} is not an integer")
+
+
+def load_csv_rows(path):
+    """hgdl.data.load_csv as it was before the compiled CSV reader:
+    csv.reader over the text file, then float() and int() per cell."""
+    def _numeric(cell):
+        try:
+            float(cell)
+            return True
+        except ValueError:
+            return False
+
+    # float() and int() accept the whitespace around a cell
+    width = None
+    features = []
+    labels = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            if width is None:
+                width = len(row)
+                has_labels = row[-1].strip() == "label"
+                if not all(_numeric(c) for c in row):
+                    continue
+            if len(row) != width:
+                raise FormatError(f"line {reader.line_num}: expected {width} "
+                                  f"fields, got {len(row)}")
+            feature_cells = row[:-1] if has_labels else row
+            try:
+                features.append([float(c) for c in feature_cells])
+            except ValueError:
+                bad = next(c for c in feature_cells if not _numeric(c))
+                raise FormatError(f"line {reader.line_num}: non-numeric "
+                                  f"value {bad.strip()!r}")
+            if has_labels:
+                labels.append(_csv_label(row[-1], reader.line_num))
+    if not features:
+        empty = "no data rows" if width is None else "header but no data rows"
+        raise FormatError(f"{path}: {empty}")
+    X = np.asarray(features, dtype=float).T
+    if X.shape[0] < 1:
+        raise FormatError(f"{path}: rows carry no feature columns")
+    return X, (np.asarray(labels, dtype=int) if has_labels else None)

@@ -112,7 +112,7 @@ DEFINED = {name: (ret.strip(), params) for ret, name, params
 SCALARS = {"void": None, "int64_t": ctypes.c_int64,
            "double": ctypes.c_double}
 POINTEES = {"int64_t": np.int64, "double": np.float64,
-            "unsigned char": np.bool_}
+            "unsigned char": np.bool_, "char": np.uint8}
 
 
 def test_every_kernel_definition_matches_the_parser():
