@@ -102,6 +102,44 @@ class _Array:
         return ctypes.c_void_p(array.ctypes.data)
 
 
+class Bound:
+    """kernel(*args), its arguments converted and checked once.
+
+    Each argument goes through its argtype's from_param, as in a direct
+    call: an array argument must be an ndarray of the right dtype,
+    C-contiguous and, for an output, writeable, so a bad one raises
+    ctypes.ArgumentError naming it, as a direct call does, before any
+    kernel runs. Calling the binding runs the kernel on those C values,
+    with no conversion, through an untyped twin of the kernel that
+    takes them as they are and keeps its restype. The kernel reads the
+    arrays' memory at each call, so what was written into them in place
+    since is seen; the binding holds them, so their memory lives as
+    long as it does.
+    """
+
+    __slots__ = ("_twin", "_converted", "_arrays")
+
+    def __init__(self, kernel, *args):
+        if len(args) != len(kernel.argtypes):
+            raise TypeError(f"{kernel.__name__} takes {len(kernel.argtypes)}"
+                            f" arguments ({len(args)} given)")
+        converted = []
+        for position, (argtype, arg) in enumerate(
+                zip(kernel.argtypes, args), 1):
+            try:
+                converted.append(argtype.from_param(arg))
+            except TypeError as exc:
+                raise ctypes.ArgumentError(
+                    f"argument {position}: TypeError: {exc}") from None
+        self._twin = kernels()[kernel.__name__]
+        self._twin.restype = kernel.restype
+        self._converted = converted
+        self._arrays = args
+
+    def __call__(self):
+        return self._twin(*self._converted)
+
+
 # a const pointer is an input, so may be read-only; numpy bools are bytes,
 # and char is a byte of text
 _CTYPES = {"void": None, "int64_t": ctypes.c_int64, "double": ctypes.c_double,

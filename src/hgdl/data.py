@@ -284,7 +284,8 @@ def make_synthetic(n_classes, per_class_train, per_class_test, dim,
     noise_sigma/sqrt(dim)), so noise_sigma measures corruption relative
     to the unit-norm centers regardless of dim. Samples are grouped
     class-major. Deterministic for a fixed seed. The counts, dim and
-    seed must be integers (ParameterError naming the flag).
+    seed must be integers, and they and noise_sigma in range
+    (ParameterError naming the flag).
     """
     n_classes = _integer(n_classes, "n_classes (--classes)")
     per_class_train = _integer(per_class_train,
@@ -294,13 +295,18 @@ def make_synthetic(n_classes, per_class_train, per_class_test, dim,
     dim = _integer(dim, "dim (--dim)")
     seed = _integer(seed, "seed (--seed)")
     if n_classes < 2:
-        raise ParameterError("need at least two classes")
-    if per_class_train < 1 or per_class_test < 0:
-        raise ParameterError("per-class sample counts out of range")
+        raise ParameterError("n_classes (--classes) must be at least 2")
+    if per_class_train < 1:
+        raise ParameterError(
+            "per_class_train (--per-class-train) must be at least 1")
+    if per_class_test < 0:
+        raise ParameterError(
+            "per_class_test (--per-class-test) must be nonnegative")
     if dim < 1:
-        raise ParameterError("dim must be at least 1")
+        raise ParameterError("dim (--dim) must be at least 1")
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ParameterError("noise_sigma must be a nonnegative real")
+        raise ParameterError(
+            "noise_sigma (--noise-sigma) must be a nonnegative real")
     if seed < 0:
         raise ParameterError("seed (--seed) must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -311,7 +317,8 @@ def make_synthetic(n_classes, per_class_train, per_class_test, dim,
         if tries > 10_000:
             raise ParameterError(
                 f"could not place {n_classes} centers with 60 degree"
-                f" separation in dimension {dim}"
+                f" separation in dimension {dim}; raise --dim or lower"
+                " --classes"
             )
         v = rng.standard_normal(dim)
         v /= np.linalg.norm(v)

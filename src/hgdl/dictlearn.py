@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._native import kernels
+from ._native import Bound, kernels
 from .attention import soft_threshold
 from .errors import (
     InputError,
@@ -227,24 +227,45 @@ def objective(X, D, S, delta, alpha, beta):
     """
     X = np.asarray(X, dtype=float)
     D = np.asarray(D, dtype=float)
-    S = np.asarray(S, dtype=float)
-    delta = _check_problem(X, D, S, delta, alpha, beta)
-    r = X - D @ S
-    value = np.sum(r * r) + 2.0 * alpha * np.sum(np.abs(S))
-    if beta != 0.0:
-        value = value + beta * np.sum(_coupled(delta, S) * S.T)
-    return float(value)
+    state = _state(S)
+    delta = _check_problem(X, D, state, delta, alpha, beta)
+    return state.step(_evaluation, X.shape[0], delta, alpha, beta)(X, D)
 
 
-def _coupled(L, S):
-    """L S^T as an (n, K) C-ordered array, from one call of
-    hgdl_csr_product on the _Laplacian L: each row summed from 0 over
-    L's stored entries in order, as scipy's CSR product sums it."""
+def _evaluation(S, dim, delta, alpha, beta):
+    """objective on the codes S as a function of (X, D), with its
+    buffers; for beta > 0, L S^T is an (n, K) C-ordered array from
+    _coupling on a C-ordered copy of S^T."""
     n_atoms, n = S.shape
-    out = np.empty((n, n_atoms))
-    kernels().hgdl_csr_product(n, n_atoms, L.indptr, L.indices, L.data,
-                               np.ascontiguousarray(S.T), out)
-    return out
+    residual = np.empty((dim, n))
+    magnitudes = np.empty_like(S)
+    if beta != 0.0:
+        codes, coupled = np.empty((2, n, n_atoms))
+        product = _coupling(delta, codes, coupled)
+
+    def evaluate(X, D):
+        # X - D S, whatever X's layout, is C-ordered, as residual is
+        np.matmul(D, S, out=residual)
+        np.subtract(X, residual, out=residual)
+        value = (np.sum(np.multiply(residual, residual, out=residual))
+                 + 2.0 * alpha * np.sum(np.abs(S, out=magnitudes)))
+        if beta != 0.0:
+            np.copyto(codes, S.T)
+            product()
+            value = value + beta * np.sum(
+                np.multiply(coupled, codes, out=coupled))
+        return float(value)
+
+    return evaluate
+
+
+def _coupling(L, codes, out):
+    """hgdl_csr_product bound to the _Laplacian L: each call writes
+    L codes into out, both (n, K) C-ordered, each row summed from 0 over
+    L's stored entries in order, as scipy's CSR product sums it."""
+    n, n_atoms = codes.shape
+    return Bound(kernels().hgdl_csr_product, n, n_atoms, L.indptr,
+                 L.indices, L.data, codes, out)
 
 
 def init_dictionary(X, n_atoms, seed):
@@ -317,72 +338,105 @@ def update_codes(X, D, S, delta, alpha, beta):
     A step reads its atom's entry of the field, and only a code that
     changes touches the field again, moving it by that atom's column of
     the off-diagonal D^T D.
+
+    Each call forms D^T D and D^T X into buffers made for the codes and
+    the sweep's transposed copies beside them, and the beta > 0 kernel's
+    arguments are converted and checked when those buffers are made:
+    once per call here, once per train call when train passes its
+    _TrainState as S. train's S is finite by construction and is not
+    checked again.
     """
     X = np.asarray(X, dtype=float)
     D = np.asarray(D, dtype=float)
-    if not isinstance(S, np.ndarray) or S.dtype != np.float64:
+    trained = isinstance(S, _TrainState)  # float64 and finite already
+    if not trained and (not isinstance(S, np.ndarray)
+                        or S.dtype != np.float64):
         raise ParameterError("S must be a float64 ndarray (updated in place)")
     delta = _check_problem(X, D, S, delta, alpha, beta)
-    if not np.isfinite(S).all():
+    if not trained and not np.isfinite(S).all():
         raise InputError("codes contain non-finite entries")
-
-    gram = D.T @ D
-    target = D.T @ X
-    n_atoms, n = S.shape
-
-    if beta == 0.0:
-        codes = _aligned_copy(S)
-        gdiag = np.diag(gram).tolist()
-        j_row = np.empty(n)
-        term = np.empty(n)
-        for k in range(n_atoms):
-            row = codes[k]
-            curvature = gdiag[k]
-            np.matmul(gram[k], codes, out=term)
-            np.subtract(target[k], term, out=j_row)
-            np.multiply(curvature, row, out=term)
-            np.add(j_row, term, out=j_row)
-            if curvature <= CURVATURE_FLOOR:
-                row[...] = 0.0
-                step = j_row
-            else:
-                # a non-finite j stays non-finite in the quotient, which
-                # can also overflow on its own
-                step = np.divide(soft_threshold(j_row, alpha), curvature,
-                                 out=row)
-            if not np.isfinite(step).all():
-                raise NumericalError(f"non-finite code update in atom row {k}")
-        S[...] = codes
-        return S
-
-    # a change of atom k's code moves the field by column k; taken as
-    # columns, not rows, since D^T D need not be bitwise symmetric
-    gram_cols = gram.T.copy()
-    np.fill_diagonal(gram_cols, 0.0)
-    codes = S.T.copy()  # row n holds sample n's codes; never a view of S
-    scratch = np.empty((2, n_atoms))
-    failed = kernels().hgdl_sweep(
-        n, n_atoms, target.T.copy(), gram_cols, gram.diagonal().copy(),
-        delta.indptr, delta.indices, delta.data, float(alpha), float(beta),
-        CURVATURE_FLOOR, codes, scratch[0], scratch[1],
-    )
-    if failed >= 0:
-        n_i, k = divmod(failed, n_atoms)
-        raise NumericalError(f"non-finite code update at atom {k}, sample {n_i}")
-    S[...] = codes.T
+    _state(S).step(_code_sweep, delta, alpha, beta)(X, D)
     return S
 
 
-def _aligned_copy(S):
-    """A C-ordered copy of S that starts on a 64-byte boundary. OpenBLAS
-    gave the row products gram[k] @ codes the same bits at every offset
-    tried, but took 1.5-2x as long 16 to 48 bytes past such a boundary,
-    where malloc may put a copy (K = 200, n = 400, 2-core Xeon)."""
-    buffer = np.empty(S.size + 8)
+def _code_sweep(S, delta, alpha, beta):
+    """update_codes' sweep of the codes S as a function of (X, D), with
+    its buffers and, for beta > 0, hgdl_sweep bound to them."""
+    n_atoms, n = S.shape
+    gram = np.empty((n_atoms, n_atoms))
+    target = np.empty((n_atoms, n))
+
+    if beta == 0.0:
+        codes = _aligned_empty(S.shape)
+        j_row = np.empty(n)
+        term = np.empty(n)
+
+        def sweep(X, D):
+            np.matmul(D.T, D, out=gram)
+            np.matmul(D.T, X, out=target)
+            codes[...] = S
+            gdiag = np.diag(gram).tolist()
+            for k in range(n_atoms):
+                row = codes[k]
+                curvature = gdiag[k]
+                np.matmul(gram[k], codes, out=term)
+                np.subtract(target[k], term, out=j_row)
+                np.multiply(curvature, row, out=term)
+                np.add(j_row, term, out=j_row)
+                if curvature <= CURVATURE_FLOOR:
+                    row[...] = 0.0
+                    step = j_row
+                else:
+                    # a non-finite j stays non-finite in the quotient, which
+                    # can also overflow on its own
+                    step = np.divide(soft_threshold(j_row, alpha), curvature,
+                                     out=row)
+                if not np.isfinite(step).all():
+                    raise NumericalError(
+                        f"non-finite code update in atom row {k}")
+            S[...] = codes
+
+        return sweep
+
+    # a change of atom k's code moves the field by column k; taken as
+    # columns, not rows, since D^T D need not be bitwise symmetric
+    gram_cols = np.empty((n_atoms, n_atoms))
+    gdiag = np.empty(n_atoms)
+    target_rows = np.empty((n, n_atoms))
+    codes = np.empty((n, n_atoms))  # row n holds sample n's codes
+    run = Bound(kernels().hgdl_sweep, n, n_atoms, target_rows, gram_cols,
+                gdiag, delta.indptr, delta.indices, delta.data, float(alpha),
+                float(beta), CURVATURE_FLOOR, codes, np.empty(n_atoms),
+                np.empty(n_atoms))
+
+    def sweep(X, D):
+        np.matmul(D.T, D, out=gram)
+        np.matmul(D.T, X, out=target)
+        np.copyto(gram_cols, gram.T)
+        np.fill_diagonal(gram_cols, 0.0)
+        np.copyto(gdiag, gram.diagonal())
+        np.copyto(target_rows, target.T)
+        np.copyto(codes, S.T)
+        failed = run()
+        if failed >= 0:
+            n_i, k = divmod(failed, n_atoms)
+            raise NumericalError(
+                f"non-finite code update at atom {k}, sample {n_i}")
+        S[...] = codes.T
+
+    return sweep
+
+
+def _aligned_empty(shape):
+    """An uninitialized C-ordered float64 array that starts on a 64-byte
+    boundary. OpenBLAS gave the row products gram[k] @ codes of the
+    beta = 0 sweep the same bits at every offset tried, but took 1.5-2x
+    as long 16 to 48 bytes past such a boundary, where malloc may put an
+    array (K = 200, n = 400, 2-core Xeon)."""
+    size = math.prod(shape)
+    buffer = np.empty(size + 8)
     start = -buffer.ctypes.data % 64 // 8
-    codes = buffer[start:start + S.size].reshape(S.shape)
-    codes[...] = S
-    return codes
+    return buffer[start:start + size].reshape(shape)
 
 
 def update_dictionary(X, S, D, rng=None):
@@ -406,30 +460,89 @@ def update_dictionary(X, S, D, rng=None):
     X = np.asarray(X, dtype=float)
     if not isinstance(D, np.ndarray) or D.dtype != np.float64:
         raise ParameterError("D must be a float64 ndarray (updated in place)")
-    S = np.asarray(S, dtype=float)
-    _check_shapes(X, D, S)
+    state = _state(S)
+    _check_shapes(X, D, state)
     if rng is None:
         rng = np.random.default_rng(0)
-
-    dim, n_atoms = D.shape
-    data_corr = X @ S.T  # (dim, n_atoms)
-    code_gram = S @ S.T  # (n_atoms, n_atoms)
-    atoms = D.T.copy()  # row k holds atom k; never a view of D
-    sweep = kernels().hgdl_dictionary
-    args = (data_corr, code_gram, CURVATURE_FLOOR, atoms, np.empty(dim))
-    k = sweep(dim, n_atoms, 0, *args)
-    while 0 <= k < n_atoms:
-        warnings.warn(
-            f"atom {k} went dead; reinitializing from a data column",
-            RuntimeWarning,
-        )
-        atoms[k] = _unit_atom(X[:, int(rng.integers(X.shape[1]))], rng)
-        k = sweep(dim, n_atoms, k + 1, *args)
-    if k >= n_atoms:
-        raise NumericalError(
-            f"non-finite dictionary update at atom {k - n_atoms}")
-    D[...] = atoms.T
+    state.step(_dictionary_sweep, X.shape[0])(X, D, rng)
     return D
+
+
+def _dictionary_sweep(S, dim):
+    """update_dictionary's sweep on the codes S as a function of
+    (X, D, rng), with its buffers and hgdl_dictionary bound to them from
+    atom 0; the sweep resumes after a redrawn atom in a direct call."""
+    n_atoms = S.shape[0]
+    data_corr = np.empty((dim, n_atoms))  # X S^T
+    code_gram = np.empty((n_atoms, n_atoms))  # S S^T
+    atoms = np.empty((n_atoms, dim))  # row k holds atom k; never a view of D
+    args = (data_corr, code_gram, CURVATURE_FLOOR, atoms, np.empty(dim))
+    run = Bound(kernels().hgdl_dictionary, dim, n_atoms, 0, *args)
+
+    def sweep(X, D, rng):
+        np.matmul(X, S.T, out=data_corr)
+        np.matmul(S, S.T, out=code_gram)
+        np.copyto(atoms, D.T)
+        k = run()
+        while 0 <= k < n_atoms:
+            warnings.warn(
+                f"atom {k} went dead; reinitializing from a data column",
+                RuntimeWarning,
+            )
+            atoms[k] = _unit_atom(X[:, int(rng.integers(X.shape[1]))], rng)
+            k = kernels().hgdl_dictionary(dim, n_atoms, k + 1, *args)
+        if k >= n_atoms:
+            raise NumericalError(
+                f"non-finite dictionary update at atom {k - n_atoms}")
+        D[...] = atoms.T
+
+    return sweep
+
+
+class _TrainState:
+    """Codes S with the buffers and bound kernels that steps on them
+    reuse: train makes one per call and passes it where update_codes,
+    update_dictionary and objective take S, whose shape it has.
+
+    Each step's buffers, and its kernel arguments, converted and checked
+    once by Bound, are made on the step's first call and kept while its
+    problem (L, the weights, X's row count) repeats, as it does in every
+    iteration of train. So an iteration allocates no buffer that a step
+    writes and converts no kernel argument. X, D and S are read at every
+    step, and S and D are written in place, so they stay the arrays that
+    train's callback and result see. Only these steps write S, and they
+    leave it finite or raise, so a state's S is not checked again.
+    """
+
+    __slots__ = ("S", "_steps")
+
+    def __init__(self, S):
+        self.S = S
+        self._steps = {}
+
+    @property
+    def shape(self):
+        return self.S.shape
+
+    @property
+    def ndim(self):
+        return self.S.ndim
+
+    def step(self, make, *problem):
+        """make(S, *problem), made on the first call with this problem
+        and reused while it repeats."""
+        made = self._steps.get(make)
+        if made is None or made[0] != problem:
+            made = self._steps[make] = (problem, make(self.S, *problem))
+        return made[1]
+
+
+def _state(S):
+    """S itself if it is a _TrainState, else a state for one step on
+    np.asarray(S, dtype=float)."""
+    if isinstance(S, _TrainState):
+        return S
+    return _TrainState(np.asarray(S, dtype=float))
 
 
 def train(X, delta, params: DictLearnParams, callback=None):
@@ -443,6 +556,14 @@ def train(X, delta, params: DictLearnParams, callback=None):
     reads it through its nonzeros. train adds one O(nnz log nnz) check
     on the CSR arrays: L must be symmetric to np.allclose's tolerance
     (ParameterError).
+
+    Every outer iteration calls update_codes, update_dictionary and
+    objective once each, by their module names, on one _TrainState that
+    stands for S: the kernel-layout copies of S and D, the buffers of
+    D^T D, D^T X, X S^T, S S^T and L S^T, and the three kernels' bound
+    arguments are made at each step's first call and reused in every
+    later one, so an iteration allocates none of them and converts no
+    kernel argument. The arithmetic is that of the public calls, bit for bit.
 
     Returns (dictionary, codes, objective_trace). The trace holds the
     objective at initialization and after every outer iteration; any
@@ -464,13 +585,14 @@ def train(X, delta, params: DictLearnParams, callback=None):
     rng = np.random.default_rng(params.seed)
     D = init_dictionary(X, params.n_atoms, params.seed)
     S = np.zeros((params.n_atoms, X.shape[1]))
-    trace = [objective(X, D, S, delta, params.alpha, params.beta)]
+    state = _TrainState(S)
+    trace = [objective(X, D, state, delta, params.alpha, params.beta)]
     if callback is not None:
         callback(0, D, S, trace[0])
     for it in range(1, params.max_outer_iter + 1):
-        update_codes(X, D, S, delta, params.alpha, params.beta)
-        update_dictionary(X, S, D, rng=rng)
-        value = objective(X, D, S, delta, params.alpha, params.beta)
+        update_codes(X, D, state, delta, params.alpha, params.beta)
+        update_dictionary(X, state, D, rng=rng)
+        value = objective(X, D, state, delta, params.alpha, params.beta)
         previous = trace[-1]
         if value > previous + MONOTONE_SLACK:
             raise InternalError(

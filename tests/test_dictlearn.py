@@ -1353,13 +1353,21 @@ def _count_calls(monkeypatch, *names):
 
 def test_train_runs_one_code_and_one_dictionary_sweep_per_iteration(
         monkeypatch):
-    counts = _count_calls(monkeypatch, "update_codes", "update_dictionary")
+    """T outer iterations call update_codes and update_dictionary T
+    times each and objective T + 1 times, by their module names, for
+    beta = 0 and beta > 0: the counts that perfbench's tracer reads."""
+    names = ("update_codes", "update_dictionary", "objective")
+    counts = _count_calls(monkeypatch, *names)
     X = np.random.default_rng(53).normal(size=(6, 9))
-    params = DictLearnParams(n_atoms=4, alpha=0.1, beta=0.0,
-                             max_outer_iter=4, obj_tol=0.0, seed=0)
-    _, _, trace = train(X, None, params)
-    assert len(trace) == 5
-    assert counts == {"update_codes": 4, "update_dictionary": 4}
+    lap, _ = _random_laplacian(np.random.default_rng(54), 9)
+    for beta, delta in ((0.0, None), (0.5, lap)):
+        counts.update(dict.fromkeys(names, 0))
+        params = DictLearnParams(n_atoms=4, alpha=0.1, beta=beta,
+                                 max_outer_iter=4, obj_tol=0.0, seed=0)
+        _, _, trace = train(X, delta, params)
+        assert len(trace) == 5
+        assert counts == {"update_codes": 4, "update_dictionary": 4,
+                          "objective": 5}
 
 
 def test_train_builds_and_checks_the_laplacian_once(monkeypatch):
@@ -1415,6 +1423,90 @@ def test_train_matches_a_loop_of_the_public_calls_bitwise(form):
     assert _same_bits(D, D_ref)
     assert _same_bits(S, S_ref)
     assert _same_bits(trace, trace_ref)
+
+
+def _public_loop(X, lap, params):
+    """train's loop written with the public update_codes,
+    update_dictionary and objective, run to max_outer_iter."""
+    rng = np.random.default_rng(params.seed)
+    D = init_dictionary(X, params.n_atoms, params.seed)
+    S = np.zeros((params.n_atoms, X.shape[1]))
+    trace = [objective(X, D, S, lap, params.alpha, params.beta)]
+    for _ in range(params.max_outer_iter):
+        update_codes(X, D, S, lap, params.alpha, params.beta)
+        update_dictionary(X, S, D, rng=rng)
+        trace.append(objective(X, D, S, lap, params.alpha, params.beta))
+    return D, S, trace
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+def test_train_matches_the_public_loop_through_dead_atoms(beta):
+    """Duplicate columns and a large alpha kill atoms in more than one
+    iteration: train's state redraws them and resumes its dictionary
+    sweep as the public calls do, with the same bits and warnings."""
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(6, 12))
+    X[:, 6:] = X[:, :6]
+    lap = _random_laplacian(rng, 12)[0] if beta else None
+    params = DictLearnParams(n_atoms=8, alpha=2.0, beta=beta,
+                             max_outer_iter=6, obj_tol=0.0, seed=5)
+    with warnings.catch_warnings(record=True) as looped:
+        warnings.simplefilter("always")
+        want = _public_loop(X, lap, params)
+    with warnings.catch_warnings(record=True) as trained:
+        warnings.simplefilter("always")
+        seen = []
+        got = train(X, lap, params,
+                    callback=lambda *args: seen.append(len(trained)))
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
+    assert ([str(w.message) for w in trained]
+            == [str(w.message) for w in looped])
+    # atoms died in the first iteration and again in a later one
+    assert seen[0] < seen[1] < seen[-1]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+@pytest.mark.parametrize("scale, sweep", [(1e308, "code"),
+                                          (1e200, "dictionary")])
+def test_train_raises_the_public_calls_numerical_error(beta, scale, sweep):
+    """A column of huge entries overflows the first code sweep, or, less
+    huge, the first dictionary sweep: train raises the NumericalError
+    of the public loop, message for message."""
+    rng = np.random.default_rng(0)
+    X = np.abs(rng.normal(size=(6, 12)))
+    X[:, 3] = scale
+    lap = _random_laplacian(rng, 12)[0] if beta else None
+    params = DictLearnParams(n_atoms=5, alpha=0.1, beta=beta,
+                             max_outer_iter=5, obj_tol=0.0, seed=0)
+    with pytest.raises(NumericalError, match=f"non-finite {sweep} update"
+                       ) as looped, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _public_loop(X, lap, params)
+    with pytest.raises(NumericalError) as trained, \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        train(X, lap, params)
+    assert str(trained.value) == str(looped.value)
+
+
+def test_a_train_state_follows_a_change_of_problem():
+    """A state remakes a step whose L or weights changed, so a state gives
+    the bits of one-shot calls on a plain S whatever it is passed with."""
+    rng = np.random.default_rng(57)
+    X = rng.normal(size=(5, 8))
+    D = _normalized_columns(rng, 5, 3)
+    lap = dictlearn._csr(_random_laplacian(rng, 8)[0], 8)
+    other = dictlearn._csr(_random_laplacian(rng, 8)[0], 8)
+    S, want = np.zeros((3, 8)), np.zeros((3, 8))
+    state = dictlearn._TrainState(S)
+    for alpha, beta, delta in ((0.1, 0.5, lap), (0.2, 0.5, lap),
+                               (0.2, 0.9, lap), (0.2, 0.9, other),
+                               (0.2, 0.0, None)):
+        update_codes(X, D, state, delta, alpha, beta)
+        update_codes(X, D, want, delta, alpha, beta)
+        assert _same_bits(S, want)
+        assert _same_bits(objective(X, D, state, delta, alpha, beta),
+                          objective(X, D, want, delta, alpha, beta))
 
 
 def test_a_checked_laplacian_of_another_size_is_refused():
@@ -1546,8 +1638,10 @@ def test_objective_beta_term_matches_scipy_bitwise(form):
         D = _normalized_columns(rng, 8, n_atoms)
         S = rng.normal(size=(n_atoms, n)) * (rng.random((n_atoms, n)) < 0.6)
         coupled = sp.csr_array(lap) @ S.T
-        assert _same_bits(dictlearn._coupled(dictlearn._csr(form(lap), n), S),
-                          coupled)
+        codes = np.ascontiguousarray(S.T)
+        product = np.empty_like(codes)
+        dictlearn._coupling(dictlearn._csr(form(lap), n), codes, product)()
+        assert _same_bits(product, coupled)
         r = X - D @ S
         want = np.sum(r * r) + 2.0 * alpha * np.sum(np.abs(S))
         want = want + beta * np.sum(coupled * S.T)

@@ -483,6 +483,24 @@ def test_cli_knn_too_large_names_the_flag(tmp_path, capsys):
     assert "--knn" in err and "hypergraph vertices (6), got 10" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--classes", "0"], "(--classes) must be at least 2"),
+    (["--per-class-train", "0"], "(--per-class-train) must be at least 1"),
+    (["--per-class-test", "-1"], "(--per-class-test) must be nonnegative"),
+    (["--dim", "0"], "(--dim) must be at least 1"),
+    (["--noise-sigma", "-1"], "(--noise-sigma) must be a nonnegative real"),
+    (["--classes", "100", "--dim", "2"],
+     "in dimension 2; raise --dim or lower --classes"),
+])
+def test_cli_synth_range_errors_name_the_flag(tmp_path, capsys, flags,
+                                              message):
+    prefix = tmp_path / "never"
+    code = cli.main(["synth", "--out", str(prefix), *flags])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_exit_code_2_on_unknown_choice(cli_data):
     _, train_csv, _ = cli_data
     with pytest.raises(SystemExit) as err:

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from hgdl._native import _SOURCE, _Array, _prototypes, kernels
+from hgdl._native import _SOURCE, Bound, _Array, _prototypes, kernels
 from hgdl.errors import InternalError
 from hgdl.attention import RHO, TOL
 from hgdl.dictlearn import CURVATURE_FLOOR
@@ -77,10 +77,12 @@ def _snapshot(args):
 
 
 # an input may be read-only; an output may not
-@pytest.mark.parametrize("kind, fault", [
-    (kind, fault) for kind in KINDS
-    for fault in ("dtype", "strided", "read-only", "list")
-    if fault != "read-only" or kind not in ("real", "index")])
+BAD_ARRAYS = [(kind, fault) for kind in KINDS
+              for fault in ("dtype", "strided", "read-only", "list")
+              if fault != "read-only" or kind not in ("real", "index")]
+
+
+@pytest.mark.parametrize("kind, fault", BAD_ARRAYS)
 def test_a_bad_array_argument_raises_before_the_kernel_runs(kind, fault):
     name, make, position = KINDS[kind]
     args = make()
@@ -90,6 +92,42 @@ def test_a_bad_array_argument_raises_before_the_kernel_runs(kind, fault):
                        match=f"argument {position + 1}: TypeError"):
         getattr(kernels(), name)(*args)
     assert _snapshot(args) == before
+
+
+@pytest.mark.parametrize("kind, fault", BAD_ARRAYS)
+def test_binding_a_bad_array_raises_as_a_direct_call_does(kind, fault):
+    """Bound checks each argument once, as a direct call checks it: the
+    same ArgumentError, before the kernel runs."""
+    name, make, position = KINDS[kind]
+    args = make()
+    args[position] = _faulty(args[position], fault)
+    before = _snapshot(args)
+    kernel = getattr(kernels(), name)
+    with pytest.raises(ctypes.ArgumentError) as direct:
+        kernel(*args)
+    with pytest.raises(ctypes.ArgumentError) as bound:
+        Bound(kernel, *args)
+    assert str(bound.value) == str(direct.value)
+    assert _snapshot(args) == before
+
+
+def test_a_bound_kernel_reads_its_arrays_at_each_call():
+    """A bound call returns what a direct call returns and writes the same
+    bits, and it reads what was written into its arrays in place after
+    it was bound."""
+    want, args = _sweep_args(), _sweep_args()
+    bound = Bound(kernels().hgdl_sweep, *args)
+    for scale in (1.0, 3.0):
+        for target in (want[2], args[2]):
+            target *= scale
+        assert bound() == kernels().hgdl_sweep(*want)
+        assert _snapshot(args) == _snapshot(want)
+
+
+def test_binding_the_wrong_number_of_arguments_raises():
+    args = _sweep_args()
+    with pytest.raises(TypeError, match="hgdl_sweep takes 14 arguments"):
+        Bound(kernels().hgdl_sweep, *args[:-1])
 
 
 @pytest.mark.parametrize("kind", ["real", "index"])
