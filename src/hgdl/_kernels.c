@@ -1,37 +1,45 @@
 /* The compiled kernels of hgdl, built once per process by hgdl._native:
    hgdl_sweep, the exact beta > 0 Gauss-Seidel code sweep of
-   hgdl.dictlearn.update_codes, hgdl_dictionary, the blockwise atom sweep of
+   hgdl.dictlearn.update_codes, hgdl_lasso_sweep, its beta = 0 sweep,
+   hgdl_dictionary, the blockwise atom sweep of
    hgdl.dictlearn.update_dictionary, hgdl_encode, the lasso coding of
    held-out columns of hgdl.dictlearn.encode_test, hgdl_admm, the
    sparse-attention ADMM of hgdl.attention.solve_attention_batch, hgdl_knn,
    the neighbor search of hgdl.hypergraph.knn_neighbors, hgdl_laplacian, the
    dense Laplacian of hgdl.hypergraph.laplacian, hgdl_csr_product, the L S^T
    of hgdl.dictlearn.objective, and hgdl_csv, the CSV parser of
-   hgdl.data.load_csv. The two code kernels share one scalar step,
-   sample_steps, inlined into both. All are compiled without FMA
-   contraction, so each operation rounds as written here, and the test
-   oracles can repeat it in Python floats. The callers reject a non-finite
-   L, codes, test matrix, attention problem or feature matrix, so each
-   kernel only stops where an overflow or a non-finite datum appears.
+   hgdl.data.load_csv. The code sweeps share one scalar step, code_step:
+   hgdl_sweep runs it through sample_steps, one sample at a time, and
+   hgdl_lasso_sweep on blocks of 16 columns, atoms outermost; hgdl_encode
+   runs each of its sweeps as one call of hgdl_lasso_sweep. All are
+   compiled without FMA contraction, so each operation rounds as written
+   here, and the test oracles can repeat it in Python floats. The callers
+   reject a non-finite L, codes, test matrix, attention problem or
+   feature matrix, so each kernel only stops where an overflow or a
+   non-finite datum appears.
 
-   On x86-64 ELF with glibc, the three coordinate-descent kernels
-   (hgdl_sweep, hgdl_dictionary, hgdl_encode) are built twice, for AVX2
-   and for the baseline ISA, and the dynamic loader picks one for the CPU
-   it runs on. Their inner loops are elementwise y += a * x steps, which
-   round the same at every vector width, and no sum is reordered, so
-   both clones give the same bits. hgdl_knn and hgdl_admm are not cloned:
-   their inner loops are sums, which stay scalar either way, and
-   hgdl_laplacian's are scattered adds. hgdl_csr_product is not cloned
-   either, though its axpy would vectorize: the clones are laid out
-   together, so a new one moves the others' code, and an AVX2 clone of
-   it there made the hgdl_dictionary sweep 12-23% slower (medians of
-   15 x 20 sweeps at 200 atoms, three processes each, 2-core Xeon).
-   For the same reason a new kernel goes after hgdl_csr_product,
+   On x86-64 ELF with glibc, the four coordinate-descent kernels
+   (hgdl_sweep, hgdl_lasso_sweep, hgdl_dictionary, hgdl_encode) are built
+   twice, for AVX2 and for the baseline ISA, and the dynamic loader picks
+   one for the CPU it runs on; GCC binds hgdl_encode's call of
+   hgdl_lasso_sweep to the clone of its own ISA. Their inner loops are
+   elementwise y += a * x steps, which round the same at every vector
+   width, and no sum is reordered, so both clones give the same bits.
+   hgdl_knn and hgdl_admm are not cloned: their inner loops are sums,
+   which stay scalar either way, and hgdl_laplacian's are scattered
+   adds. hgdl_csr_product is not cloned either, though its axpy would
+   vectorize: the clones are laid out together, so a new one moves the
+   others' code, and an AVX2 clone of it there made the hgdl_dictionary
+   sweep 12-23% slower (medians of 15 x 20 sweeps at 200 atoms, three
+   processes each, 2-core Xeon). hgdl_lasso_sweep is cloned all the
+   same, since the beta = 0 sweep is the largest stage of its workload;
+   with gcc 12 it moved hgdl_dictionary.avx2 from 0x46e0 to 0x4d00 and
+   hgdl_sweep.avx2 from 0x4e10 to 0x5430, as `nm` shows. A new kernel
+   that is not a coordinate-descent sweep goes after hgdl_csr_product,
    uncloned, with its static helpers always inlined, so that none of
    them lands between the clones, and a C library function it calls is
    declared noplt, as strtod is: a PLT slot grows .plt, which precedes
-   .text, and moves every clone by 16 bytes. The six clones then stay at
-   their offsets, which `nm` shows.
+   .text, and moves every clone by 16 bytes.
 
    hgdl._native types each exported kernel, and only those are named
    hgdl_, by its _CTYPES from the definition "<ret> hgdl_<name>(<params>)"
@@ -58,40 +66,51 @@ static double shrink(double v, double t)
     return v > t ? v - t : (v < -t ? v + t : 0.0);
 }
 
-/* sample_steps: one sample's K scalar steps, atoms in order. field holds
-   the sample's linear terms: (D^T x - beta L_off S^T) - G_off s, G_off
-   being D^T D with its diagonal zeroed. Step k sets the code at
-   s[k * stride] to shrink(field[k], alpha) / (gdiag[k] + shift), or parks
-   it at 0 where that curvature is at or below curvature_floor. Only a
-   code that changes moves the field, by its atom's column of G_off (row
-   k of gram_cols).
+/* code_step: atom k's scalar step on one sample. field holds the
+   sample's linear terms: (D^T x - beta L_off S^T) - G_off s, G_off being
+   D^T D with its diagonal zeroed. The code *s becomes
+   shrink(field[k], alpha) / curvature, or 0 where curvature is at or
+   below curvature_floor. Only a code that changes moves the field, by
+   row k of gram_cols, atom k's share of every linear term as the field
+   was formed.
 
-   Returns -1, or the first atom whose linear term or updated code is not
-   finite; the steps stop there, before that code is written. Always
-   inlined, so each clone of its callers runs it at the clone's width. */
+   Returns 0, or 1 where the linear term or the updated code is not
+   finite; the code is then not written. Always inlined, as sample_steps
+   is, so each clone of a kernel runs it at the clone's width. */
+static inline __attribute__((always_inline)) int
+code_step(int64_t K, int64_t k, const double *gram_cols, double curvature,
+          double alpha, double curvature_floor, double *s, double *field)
+{
+    double linear = field[k];
+    if (!isfinite(linear))
+        return 1;
+    double updated = curvature <= curvature_floor
+                     ? 0.0 : shrink(linear, alpha) / curvature;
+    if (!isfinite(updated))
+        return 1;
+    double old = *s;
+    if (updated != old) {
+        const double *col = gram_cols + k * K;
+        double step = old - updated;
+        for (int64_t m = 0; m < K; m++)
+            field[m] += step * col[m];
+        *s = updated;
+    }
+    return 0;
+}
+
+/* sample_steps: one sample's K scalar steps, atoms in order, the code of
+   atom k at s[k] and its curvature gdiag[k] + shift. Returns -1, or the
+   first atom whose step is not finite; the steps stop there. */
 static inline __attribute__((always_inline)) int64_t
 sample_steps(int64_t K, const double *gram_cols, const double *gdiag,
              double shift, double alpha, double curvature_floor, double *s,
-             int64_t stride, double *field)
+             double *field)
 {
-    for (int64_t k = 0; k < K; k++) {
-        double linear = field[k];
-        if (!isfinite(linear))
+    for (int64_t k = 0; k < K; k++)
+        if (code_step(K, k, gram_cols, gdiag[k] + shift, alpha,
+                      curvature_floor, s + k, field))
             return k;
-        double curvature = gdiag[k] + shift;
-        double updated = curvature <= curvature_floor
-                         ? 0.0 : shrink(linear, alpha) / curvature;
-        if (!isfinite(updated))
-            return k;
-        double old = s[k * stride];
-        if (updated != old) {
-            const double *col = gram_cols + k * K;
-            double step = old - updated;
-            for (int64_t m = 0; m < K; m++)
-                field[m] += step * col[m];
-            s[k * stride] = updated;
-        }
-    }
     return -1;
 }
 
@@ -154,7 +173,7 @@ int64_t hgdl_sweep(int64_t n, int64_t K, const double *target,
             field[k] = (target[i * K + k] - beta * coupling[k]) - field[k];
 
         int64_t k = sample_steps(K, gram_cols, gdiag, beta * lii, alpha,
-                                 curvature_floor, s, 1, field);
+                                 curvature_floor, s, field);
         if (k >= 0)
             return i * K + k;
     }
@@ -208,6 +227,57 @@ int64_t hgdl_dictionary(int64_t dim, int64_t K, int64_t start,
     return -1;
 }
 
+/* the columns that hgdl_lasso_sweep steps together */
+#define BLOCK 16
+
+/* hgdl_lasso_sweep: one beta = 0 code sweep, in which the n columns are
+   independent lasso problems; hgdl_encode runs its sweeps through it
+   too. codes is (K, n) row-major, column i holding sample i's codes,
+   and is updated in place. field is (n, K), row i holding sample i's
+   linear terms D^T x_i - sum_j s_j G_off[j] as the caller formed them,
+   G_off being D^T D with its diagonal zeroed; the steps move it with
+   the codes, by row k of gram_cols, which holds G_off[k], when code k
+   changes. gdiag is the diagonal of D^T D.
+
+   Within a block of BLOCK columns the atoms are the outer loop, so the
+   block's columns share each row of gram_cols while it is in cache.
+   Each column still takes its steps in atom order, each one code_step
+   with curvature gdiag[k] + 0.0, and no column reads another's, so the
+   bits do not depend on the block.
+
+   Returns -1, or i * K + k for the first step (sample i, atom k) in
+   sample-major order whose linear term or updated code is not finite:
+   a column stops at its first such step, the rest of its block runs on,
+   and the sweep stops after the block. */
+CLONED
+int64_t hgdl_lasso_sweep(int64_t n, int64_t K, const double *gram_cols,
+                         const double *gdiag, double alpha,
+                         double curvature_floor, double *codes,
+                         double *field)
+{
+    for (int64_t start = 0; start < n; start += BLOCK) {
+        int64_t width = n - start < BLOCK ? n - start : BLOCK;
+        int64_t failed[BLOCK];
+        for (int64_t c = 0; c < width; c++)
+            failed[c] = -1;
+        for (int64_t k = 0; k < K; k++) {
+            double curvature = gdiag[k] + 0.0;
+            for (int64_t c = 0; c < width; c++) {
+                int64_t i = start + c;
+                if (failed[c] < 0
+                    && code_step(K, k, gram_cols, curvature, alpha,
+                                 curvature_floor, codes + k * n + i,
+                                 field + i * K))
+                    failed[c] = k;
+            }
+        }
+        for (int64_t c = 0; c < width; c++)
+            if (failed[c] >= 0)
+                return (start + c) * K + failed[c];
+    }
+    return -1;
+}
+
 /* hgdl_encode: lasso codes of n held-out columns on a frozen dictionary,
    min_s ||y - D s||^2 + 2 gamma ||s||_1 for each column y of Y, by
    cyclic coordinate descent from s = 0. dictionary is (dim, K) and
@@ -217,10 +287,10 @@ int64_t hgdl_dictionary(int64_t dim, int64_t K, int64_t start,
 
    D^T D and D^T Y are formed once, each entry summed from 0 over
    ascending d, so D^T D is exactly symmetric. Column i keeps one running
-   field f = D^T y - G_off s, which starts as D^T y and which only
-   sample_steps moves; it is never formed again. A sweep runs
-   sample_steps on column 0, 1, ..., n - 1 in turn. After it, the objective is summed column by
-   column in O(K) from the field,
+   field f = D^T y - G_off s, which starts as D^T y and which only its
+   steps move; it is never formed again. A sweep is one call of
+   hgdl_lasso_sweep, the clone of the caller's ISA. After it, the
+   objective is summed column by column in O(K) from the field,
        ||y||^2 + sum_k s_k ((G_kk s_k - (D^T y)_k) - f_k) + 2 gamma |s_k|,
    and the sweeps stop once the relative change of the sum,
    |previous - value| / max(1, |previous|), is below tol, or after
@@ -274,14 +344,11 @@ int64_t hgdl_encode(int64_t dim, int64_t K, int64_t n,
 
     double twice = 2.0 * gamma;
     for (int64_t t = 1; t <= max_sweeps; t++) {
-        for (int64_t i = 0; i < n; i++) {
-            int64_t k = sample_steps(K, gram, gdiag, 0.0, gamma,
-                                     curvature_floor, codes + i, n,
-                                     field + i * K);
-            if (k >= 0) {
-                *sweeps = t;
-                return i * K + k;
-            }
+        int64_t failed = hgdl_lasso_sweep(n, K, gram, gdiag, gamma,
+                                          curvature_floor, codes, field);
+        if (failed >= 0) {
+            *sweeps = t;
+            return failed;
         }
         double value = 0.0;
         for (int64_t i = 0; i < n; i++) {

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._native import Bound, kernels
-from .attention import soft_threshold
 from .errors import (
     InputError,
     InternalError,
@@ -314,21 +313,25 @@ def update_codes(X, D, S, delta, alpha, beta):
     raises leaves S as the caller gave it, and S's memory layout does
     not change the result's bits.
 
-    With beta == 0 the columns decouple, so the sweep runs row-vectorized;
-    the result matches the sequential visiting order because no
-    cross-column terms exist. Atom row k's linear terms
-    j = (D^T X)_k - (D^T D)_k S + (D^T D)_kk S_k are built in two
-    length-n buffers that every row reuses, and the soft threshold of j
-    divided by the curvature is written straight into the copy's row k.
+    Both sweeps run in compiled kernels of _kernels.c, built on first
+    use, so every sweep needs a C compiler. With beta == 0 the columns
+    decouple, each a lasso problem of its own, and the sweep runs in
+    hgdl_lasso_sweep. Every sample's running field, the linear term of
+    every atom's scalar problem, comes from one BLAS product,
+    (D^T X)^T - S^T G_off, G_off being D^T D with its diagonal zeroed;
+    the kernel steps 16 columns at a time with the atoms in the outer
+    loop, so a block shares each row of G_off while it is in cache.
+    Each column still takes its steps in atom order, so the result is
+    that of the sequential visiting order, and an error names the first
+    failing step in that order.
 
-    With beta > 0 the sweep runs in a compiled kernel (hgdl_sweep of
-    _kernels.c, built on first use). Only column n changes while
-    sample n's atoms are visited, and the coupling leaves out L_nn, so
-    the coupling sum_{r != n} L_nr S_kr of sample n is read once per
+    With beta > 0 the sweep runs in hgdl_sweep. Only column n changes
+    while sample n's atoms are visited, and the coupling leaves out L_nn,
+    so the coupling sum_{r != n} L_nr S_kr of sample n is read once per
     sample from L's row n. delta, the Laplacian L, is a dense ndarray or
     a scipy sparse array or matrix and reaches the kernel as _csr's
-    canonical CSR, read as stored: in row n the entry in column n is L_nn and
-    every other entry is coupled in. delta must be symmetric: the
+    canonical CSR, read as stored: in row n the entry in column n is L_nn
+    and every other entry is coupled in. delta must be symmetric: the
     objective's coupling runs along L's column n, and a row stands in
     for it. Sample n's running field, the linear term of every atom's
     scalar problem, is formed once per sample from that coupling, D^T x_n
@@ -337,11 +340,12 @@ def update_codes(X, D, S, delta, alpha, beta):
     non-finite entry: its product with 0 is NaN, and reaches the field.
     A step reads its atom's entry of the field, and only a code that
     changes touches the field again, moving it by that atom's column of
-    the off-diagonal D^T D.
+    the off-diagonal D^T D (with beta == 0, by its row, from which that
+    field was formed).
 
     Each call forms D^T D and D^T X into buffers made for the codes and
-    the sweep's transposed copies beside them, and the beta > 0 kernel's
-    arguments are converted and checked when those buffers are made:
+    the sweep's copies beside them, and the kernel's arguments are
+    converted and checked when those buffers are made:
     once per call here, once per train call when train passes its
     _TrainState as S. train's S is finite by construction and is not
     checked again.
@@ -361,39 +365,34 @@ def update_codes(X, D, S, delta, alpha, beta):
 
 def _code_sweep(S, delta, alpha, beta):
     """update_codes' sweep of the codes S as a function of (X, D), with
-    its buffers and, for beta > 0, hgdl_sweep bound to them."""
+    its buffers and its kernel, hgdl_lasso_sweep for beta == 0 or
+    hgdl_sweep, bound to them."""
     n_atoms, n = S.shape
     gram = np.empty((n_atoms, n_atoms))
     target = np.empty((n_atoms, n))
+    gdiag = np.empty(n_atoms)
 
     if beta == 0.0:
-        codes = _aligned_empty(S.shape)
-        j_row = np.empty(n)
-        term = np.empty(n)
+        codes = np.empty((n_atoms, n))  # column n holds sample n's codes
+        field = np.empty((n, n_atoms))  # row n holds sample n's field
+        run = Bound(kernels().hgdl_lasso_sweep, n, n_atoms, gram, gdiag,
+                    float(alpha), CURVATURE_FLOOR, codes, field)
 
         def sweep(X, D):
+            # the kernel moves the field by rows of G_off, so it is
+            # formed from rows too
             np.matmul(D.T, D, out=gram)
+            np.copyto(gdiag, gram.diagonal())
+            np.fill_diagonal(gram, 0.0)
             np.matmul(D.T, X, out=target)
-            codes[...] = S
-            gdiag = np.diag(gram).tolist()
-            for k in range(n_atoms):
-                row = codes[k]
-                curvature = gdiag[k]
-                np.matmul(gram[k], codes, out=term)
-                np.subtract(target[k], term, out=j_row)
-                np.multiply(curvature, row, out=term)
-                np.add(j_row, term, out=j_row)
-                if curvature <= CURVATURE_FLOOR:
-                    row[...] = 0.0
-                    step = j_row
-                else:
-                    # a non-finite j stays non-finite in the quotient, which
-                    # can also overflow on its own
-                    step = np.divide(soft_threshold(j_row, alpha), curvature,
-                                     out=row)
-                if not np.isfinite(step).all():
-                    raise NumericalError(
-                        f"non-finite code update in atom row {k}")
+            np.copyto(codes, S)
+            np.matmul(codes.T, gram, out=field)
+            np.subtract(target.T, field, out=field)
+            failed = run()
+            if failed >= 0:
+                n_i, k = divmod(failed, n_atoms)
+                raise NumericalError(
+                    f"non-finite code update at atom {k}, sample {n_i}")
             S[...] = codes
 
         return sweep
@@ -401,7 +400,6 @@ def _code_sweep(S, delta, alpha, beta):
     # a change of atom k's code moves the field by column k; taken as
     # columns, not rows, since D^T D need not be bitwise symmetric
     gram_cols = np.empty((n_atoms, n_atoms))
-    gdiag = np.empty(n_atoms)
     target_rows = np.empty((n, n_atoms))
     codes = np.empty((n, n_atoms))  # row n holds sample n's codes
     run = Bound(kernels().hgdl_sweep, n, n_atoms, target_rows, gram_cols,
@@ -425,18 +423,6 @@ def _code_sweep(S, delta, alpha, beta):
         S[...] = codes.T
 
     return sweep
-
-
-def _aligned_empty(shape):
-    """An uninitialized C-ordered float64 array that starts on a 64-byte
-    boundary. OpenBLAS gave the row products gram[k] @ codes of the
-    beta = 0 sweep the same bits at every offset tried, but took 1.5-2x
-    as long 16 to 48 bytes past such a boundary, where malloc may put an
-    array (K = 200, n = 400, 2-core Xeon)."""
-    size = math.prod(shape)
-    buffer = np.empty(size + 8)
-    start = -buffer.ctypes.data % 64 // 8
-    return buffer[start:start + size].reshape(shape)
 
 
 def update_dictionary(X, S, D, rng=None):

@@ -8,19 +8,18 @@ hypergraph-Laplacian formula, the literal pairwise expansion of the
 manifold penalty and a golden-section scalar minimizer. The
 row-by-row beta = 0 code sweep and dictionary sweep are kept as the
 library first wrote them, one fresh array per arithmetic step, so that
-a rewrite of either can be held to the same bits or, where a compiled
-kernel sums in another order, to a stated tolerance. The beta > 0 code
-sweep, the held-out lasso coding and the dictionary sweep are kept in
-Python floats, in their compiled kernels' operation order, so those
-kernels can be held to their bits. The sparse-attention
-incidence is kept the same way, as two loops over neighbor ranks, and
-so is the vectorized numpy ADMM over a batch of attention problems, and
-the dense neighbor search the compiled one replaced: scipy's cdist, then
-a stable argsort of every row, and the degrees and Laplacian as the
-library first computed them, with scipy.sparse products. The CSV loader
-is kept as it was before the compiled parser, csv.reader and float()
-and int() per cell, so the parser can be held to its arrays and
-messages.
+a compiled kernel that sums in another order can be held to them within
+a stated tolerance. The code sweeps, the held-out lasso coding and the
+dictionary sweep are kept in Python floats, in their compiled kernels'
+operation order, so those kernels can be held to their bits. The
+sparse-attention incidence is kept the same way, as two loops over
+neighbor ranks, and so is the vectorized numpy ADMM over a batch of
+attention problems, and the dense neighbor search the compiled one
+replaced: scipy's cdist, then a stable argsort of every row, and the
+degrees and Laplacian as the library first computed them, with
+scipy.sparse products. The CSV loader is kept as it was before the
+compiled parser, csv.reader and float() and int() per cell, so the
+parser can be held to its arrays and messages.
 """
 
 import csv
@@ -427,6 +426,52 @@ def sweep_floats(X, D, S, L, alpha, beta):
                     field[m] += step * gram[m][k]
                 s[k] = new
     return np.asarray(codes, dtype=float).reshape(len(codes), n_atoms).T
+
+
+def lasso_sweep_floats(X, D, S, alpha):
+    """One beta = 0 code sweep with its steps in Python floats, so with no
+    fused multiply-add. Returns the (K, n) codes and leaves S as given.
+
+    D^T D, D^T X and the starting fields are numpy's products, as the
+    library forms them: G = D.T @ D, whose diagonal is the curvature and
+    is then set to 0, giving G_off, and the fields
+    (D.T @ X).T - C.T @ G_off, C being a C-ordered copy of S; row i is
+    sample i's field. Each column is swept on its own, atoms in order:
+    code k becomes shrink(f_k, alpha) / G_kk, or 0 where G_kk <= 1e-12,
+    and a change by step = old - new adds step * G_off[k][m] to every
+    f_m. A non-finite f_k or new code raises ArithmeticError naming the
+    atom and sample, the first in sample-major order.
+    """
+    D = np.asarray(D, dtype=float)
+    gram = D.T @ D
+    curvature = np.diag(gram).tolist()
+    np.fill_diagonal(gram, 0.0)
+    codes = np.ascontiguousarray(S, dtype=float)
+    fields = ((D.T @ np.asarray(X, dtype=float)).T - codes.T @ gram).tolist()
+    rows = gram.tolist()
+    columns = codes.T.tolist()
+    for i, (s, f) in enumerate(zip(columns, fields)):
+        for k, total in enumerate(curvature):
+            linear = f[k]
+            if not math.isfinite(linear):
+                raise ArithmeticError(
+                    f"non-finite code update at atom {k}, sample {i}")
+            if total <= 1e-12:
+                new = 0.0
+            elif linear > alpha:
+                new = (linear - alpha) / total
+            elif linear < -alpha:
+                new = (linear + alpha) / total
+            else:
+                new = 0.0
+            if not math.isfinite(new):
+                raise ArithmeticError(
+                    f"non-finite code update at atom {k}, sample {i}")
+            if new != s[k]:
+                step = s[k] - new
+                f[:] = [fm + step * gm for fm, gm in zip(f, rows[k])]
+                s[k] = new
+    return np.asarray(columns, dtype=float).reshape(codes.shape[::-1]).T
 
 
 def encode_sweeps(Y, D, gamma, t):

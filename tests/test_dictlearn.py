@@ -50,6 +50,7 @@ from oracles import (
     encode_sweeps,
     golden_section,
     lasso_objective,
+    lasso_sweep_floats,
     literal_manifold_penalty,
     random_hypergraph,
     row_sweep_beta0,
@@ -369,7 +370,7 @@ def test_update_codes_fused_graph_matches_reference_sweep():
 
 @pytest.mark.parametrize("beta, message", [
     (0.9, "non-finite code update at atom 0, sample 2"),
-    (0.0, "non-finite code update in atom row 0"),
+    (0.0, "non-finite code update at atom 0, sample 2"),
 ])
 def test_update_codes_non_finite_raises(beta, message):
     """A sweep that fails leaves S as the caller gave it."""
@@ -749,20 +750,35 @@ def test_update_codes_accepts_zero_alpha(beta):
     _assert_sweeps_match_reference(X, D, S0, lap, 0.0, beta)
 
 
+# the row loop forms each atom row's linear terms afresh from
+# (D^T D)_k S, the kernel moves one running field per column that one
+# BLAS product started; the codes of these tests differ by at most
+# 1.4e-14 (K = 200, n = 400, codes up to 10 in magnitude)
+ROW_LOOP_ATOL = 1e-12
+
+
+def _assert_beta_zero_sweep(X, D, S, alpha):
+    """update_codes(beta = 0) on S gives the bits of lasso_sweep_floats,
+    and the row loop's codes within ROW_LOOP_ATOL."""
+    want = lasso_sweep_floats(X, D, S, alpha)
+    close = row_sweep_beta0(X, D, np.array(S), alpha)
+    assert update_codes(X, D, S, None, alpha, 0.0) is S
+    assert _same_bits(S, want)
+    np.testing.assert_allclose(S, close, rtol=0, atol=ROW_LOOP_ATOL)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_beta_zero_sweeps_match_the_row_loops_bitwise(seed):
     """Code sweeps alternating with dictionary sweeps, as train runs
-    them, give the bits of the row-by-row loop they replaced."""
+    them, give the bits of the float oracle, and the codes of the
+    row-by-row loop they replaced within ROW_LOOP_ATOL."""
     rng = np.random.default_rng(seed)
     dim, n, n_atoms = 9, 23, 7
     X = rng.normal(size=(dim, n))
     D = _normalized_columns(rng, dim, n_atoms)
     S = rng.normal(size=(n_atoms, n)) * (rng.random((n_atoms, n)) < 0.5)
-    S_ref = S.copy()
     for _ in range(5):
-        update_codes(X, D, S, None, 0.05, 0.0)
-        row_sweep_beta0(X, D, S_ref, 0.05)
-        assert _same_bits(S, S_ref)
+        _assert_beta_zero_sweep(X, D, S, 0.05)
         update_dictionary(X, S, D, rng=np.random.default_rng(seed))
 
 
@@ -816,16 +832,15 @@ def test_beta_zero_sweep_parks_a_zero_column_bitwise():
     D = _normalized_columns(rng, 6, 4)
     D[:, 2] = 0.0
     S = rng.normal(size=(4, 7))
-    want = row_sweep_beta0(X, D, S.copy(), 0.1)
-    update_codes(X, D, S, None, 0.1, 0.0)
+    _assert_beta_zero_sweep(X, D, S, 0.1)
     assert not S[2].any()
-    assert _same_bits(S, want)
 
 
 def test_beta_zero_sweep_through_a_strided_view_bitwise():
-    """A strided or Fortran-ordered S gives the bits of the row loop on a
-    contiguous copy; at K = 200, n = 400 a product with a strided S
-    rounds differently, so the sweep must not read S in place."""
+    """A strided or Fortran-ordered S gives the bits of the float oracle,
+    which forms the fields from a contiguous copy; at K = 200, n = 400 a
+    product with a strided S rounds differently, so the sweep must not
+    read S in place."""
     rng = np.random.default_rng(50)
     for dim, n_atoms, n in ((6, 4, 5), (30, 200, 400)):
         X = rng.normal(size=(dim, n))
@@ -833,15 +848,55 @@ def test_beta_zero_sweep_through_a_strided_view_bitwise():
         buffer = rng.normal(size=(n_atoms, 2 * n))
         before = buffer.copy()
         for S in (buffer[:, ::2], np.asfortranarray(buffer[:, 1::2])):
-            want = row_sweep_beta0(X, D, S.copy(), 0.1)
-            assert update_codes(X, D, S, None, 0.1, 0.0) is S
-            assert _same_bits(S, want)
+            _assert_beta_zero_sweep(X, D, S, 0.1)
         assert _same_bits(buffer[:, 1::2], before[:, 1::2])
 
 
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
+def test_beta_zero_sweep_at_the_kernel_block_edges_bitwise(n):
+    """The kernel steps 16 columns at a time; a partial block, one whole
+    block, one column past it and two blocks and one give the oracle's
+    bits, sweep after sweep."""
+    rng = np.random.default_rng(52 + n)
+    X = rng.normal(size=(8, n))
+    D = _normalized_columns(rng, 8, 11)
+    S = _sparse_codes(rng, (11, n), 0.5)
+    for _ in range(3):
+        _assert_beta_zero_sweep(X, D, S, 0.05)
+
+
+def _failing_block():
+    """(Y, D): six columns on a dictionary whose atoms 0 and 2 have
+    curvature 9e-12, so a step on a linear term of 3e299 overflows.
+    Column 3 overflows at atom 0 and column 1 at atom 2, later in a
+    block that visits atoms in the outer loop, but first in
+    sample-major order."""
+    D = np.diag([3e-6, 1.0, 3e-6])
+    Y = np.random.default_rng(53).normal(size=(3, 6))
+    Y[:, 1] = [0.0, 0.0, 1e305]
+    Y[:, 3] = [1e305, 0.0, 0.0]
+    return Y, D
+
+
+def test_beta_zero_sweep_reports_the_first_failure_in_sample_order():
+    Y, D = _failing_block()
+    S = np.zeros((3, 6))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ArithmeticError) as want:
+            lasso_sweep_floats(Y, D, S, 0.1)
+        with pytest.raises(NumericalError) as got:
+            update_codes(Y, D, S, None, 0.1, 0.0)
+    assert str(got.value) == str(want.value) \
+        == "non-finite code update at atom 2, sample 1"
+    assert _same_bits(S, np.zeros((3, 6)))
+
+
 def test_beta_zero_sweep_non_finite_later_row_matches_row_loop():
-    """Atoms 1 and 2 coincide and are orthogonal to atom 0, so row 0
-    stays finite and row 1's cross term overflows; S is left as given."""
+    """Atoms 1 and 2 coincide and are orthogonal to atom 0, so atom 0's
+    step stays finite; atom 1's code moves from 1e308 to about -1e308,
+    a change that overflows to inf and so makes atom 2's linear term
+    inf. The sweep stops there, as the float oracle does, and S is left
+    as given."""
     D = np.zeros((3, 3))
     D[0, 0] = D[1, 1] = D[1, 2] = 1.0
     X = np.random.default_rng(51).normal(size=(3, 4))
@@ -850,16 +905,17 @@ def test_beta_zero_sweep_non_finite_later_row_matches_row_loop():
     before = S.copy()
     with np.errstate(over="ignore"):
         with pytest.raises(ArithmeticError) as want:
-            row_sweep_beta0(X, D, S.copy(), 0.1)
+            lasso_sweep_floats(X, D, S, 0.1)
         with pytest.raises(NumericalError,
-                           match="non-finite code update in atom row 1") as got:
+                           match="non-finite code update at atom 2, "
+                                 "sample 0") as got:
             update_codes(X, D, S, None, 0.1, 0.0)
     assert str(got.value) == str(want.value)
     assert _same_bits(S, before)
 
 
 @pytest.mark.parametrize("beta, message", [
-    (0.0, "non-finite code update in atom row 0"),
+    (0.0, "non-finite code update at atom 0, sample 0"),
     (1.0, "non-finite code update at atom 0, sample 0"),
 ])
 def test_update_codes_overflowing_code_raises(beta, message):
@@ -1045,9 +1101,10 @@ def test_beta_sweep_without_a_compiler_is_an_internal_error(
     with pytest.raises(InternalError, match="hgdl-no-such-cc"):
         update_dictionary(X, S, D)
     assert _same_bits(D, D_before)
-    # the beta = 0 code sweep needs no compiler
-    want = row_sweep_beta0(X, D, S.copy(), 0.1)
-    assert _same_bits(update_codes(X, D, S, None, 0.1, 0.0), want)
+    # the beta = 0 code sweep is compiled too
+    with pytest.raises(InternalError, match="hgdl-no-such-cc"):
+        update_codes(X, D, S, None, 0.1, 0.0)
+    assert _same_bits(S, before)
 
     bundle = make_synthetic(3, 4, 3, 8, 0.2, 5)
     train_csv = str(tmp_path / "train.csv")
@@ -1851,6 +1908,28 @@ def test_encode_test_non_finite_dictionary_raises_at_that_atom(value, atom):
                        match=f"non-finite code update at atom {atom}, "
                              "sample 0"):
         encode_test(Y, D, 0.05)
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
+def test_encode_test_at_the_kernel_block_edges_matches_the_oracle(n):
+    """hgdl_encode steps 16 columns at a time, as the training sweep
+    does; each column keeps the bits of the column-by-column oracle."""
+    rng = np.random.default_rng(54 + n)
+    D = _normalized_columns(rng, 8, 11)
+    Y = rng.normal(size=(8, n))
+    with pytest.warns(RuntimeWarning, match=r"max_sweeps \(3\)"):
+        S = encode_test(Y, D, 0.05, max_sweeps=3)
+    assert _same_bits(S, encode_sweeps(Y, D, 0.05, 3))
+
+
+def test_encode_test_reports_the_first_failure_in_sample_order():
+    Y, D = _failing_block()
+    with pytest.raises(ArithmeticError) as want:
+        encode_sweeps(Y, D, 0.1, 1)
+    with pytest.raises(NumericalError) as got:
+        encode_test(Y, D, 0.1)
+    assert str(got.value) == str(want.value) \
+        == "non-finite code update at atom 2, sample 1"
 
 
 def test_encode_test_zero_atom_stays_zero_and_matches_the_oracle():
