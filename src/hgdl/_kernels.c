@@ -10,21 +10,38 @@
    of hgdl.dictlearn.objective, and hgdl_csv, the CSV parser of
    hgdl.data.load_csv. The code sweeps share one scalar step, code_step:
    hgdl_sweep runs it through sample_steps, one sample at a time, and
-   hgdl_lasso_sweep on blocks of 16 columns, atoms outermost; hgdl_encode
-   runs each of its sweeps as one call of hgdl_lasso_sweep. All are
-   compiled without FMA contraction, so each operation rounds as written
-   here, and the test oracles can repeat it in Python floats. The callers
-   reject a non-finite L, codes, test matrix, attention problem or
-   feature matrix, so each kernel only stops where an overflow or a
-   non-finite datum appears.
+   the beta = 0 kernels through lasso_columns, on blocks of 16 columns,
+   atoms outermost: hgdl_lasso_sweep runs one sweep of it, hgdl_encode
+   one per sweep. All are compiled without FMA contraction, so each
+   operation rounds as written here, and the test oracles can repeat it
+   in Python floats. The callers reject a non-finite L, codes, test
+   matrix, attention problem or feature matrix, so each kernel only stops
+   where an overflow or a non-finite datum appears.
+
+   The beta = 0 kernels take a thread count, 1 or 2, which
+   hgdl._native.lasso_threads picks. Their columns are independent lasso
+   problems, so with 2 they split the blocks in two parts, and a second
+   thread, started at lasso_worker, sweeps the second part while the
+   caller sweeps the first: hgdl_lasso_sweep starts it for its one sweep
+   and joins it, and hgdl_encode keeps it for all its sweeps, the two
+   meeting at a pthread barrier after each. No column's steps change,
+   each column's objective is kept apart and all are summed in column
+   order, and the first failure is reported in sample order, so every
+   bit, status and count is that of one thread. The other kernels run on
+   the caller's thread alone.
 
    On x86-64 ELF with glibc, the four coordinate-descent kernels
    (hgdl_sweep, hgdl_lasso_sweep, hgdl_dictionary, hgdl_encode) are built
    twice, for AVX2 and for the baseline ISA, and the dynamic loader picks
-   one for the CPU it runs on; GCC binds hgdl_encode's call of
-   hgdl_lasso_sweep to the clone of its own ISA. Their inner loops are
-   elementwise y += a * x steps, which round the same at every vector
-   width, and no sum is reordered, so both clones give the same bits.
+   one for the CPU it runs on. Their static helpers lasso_columns,
+   encode_sweeps and lasso_worker are cloned too: GCC binds a clone's
+   call of a cloned function to the clone of its own ISA, and
+   lasso_worker, whose address is passed to pthread_create, resolves
+   through its own ifunc, whose resolver is GCC's, as the kernels' are,
+   so the second thread runs the clone of its caller's ISA. Their inner
+   loops are elementwise y += a * x steps, which round the same at every
+   vector width, and no sum is reordered, so both clones give the same
+   bits.
    hgdl_knn and hgdl_admm are not cloned: their inner loops are sums,
    which stay scalar either way, and hgdl_laplacian's are scattered
    adds. hgdl_csr_product is not cloned either, though its axpy would
@@ -38,14 +55,19 @@
    that is not a coordinate-descent sweep goes after hgdl_csr_product,
    uncloned, with its static helpers always inlined, so that none of
    them lands between the clones, and a C library function it calls is
-   declared noplt, as strtod is: a PLT slot grows .plt, which precedes
-   .text, and moves every clone by 16 bytes.
+   declared NOPLT, as strtod and the pthread functions are: a PLT slot
+   grows .plt, which precedes .text, and moves every clone by 16 bytes.
+   lasso_worker's ifunc takes one such slot.
 
    hgdl._native types each exported kernel, and only those are named
    hgdl_, by its _CTYPES from the definition "<ret> hgdl_<name>(<params>)"
    starting a line, with CLONED, if any, above and the brace below. */
 
+/* pthread barriers are POSIX.1-2001 */
+#define _POSIX_C_SOURCE 200112L
+
 #include <math.h>
+#include <pthread.h>
 #include <stddef.h>
 #include <stdint.h>
 
@@ -59,6 +81,27 @@
 #ifndef CLONED
 #define CLONED
 #endif
+
+/* NOPLT calls a C library function through the GOT, so the library gains
+   no PLT slot: .plt precedes .text, and each slot would move every
+   clone by 16 bytes. Each such function is declared again with it. */
+#if defined(__has_attribute)
+#if __has_attribute(noplt)
+#define NOPLT __attribute__((noplt))
+#endif
+#endif
+#ifndef NOPLT
+#define NOPLT
+#endif
+
+NOPLT int pthread_create(pthread_t *thread, const pthread_attr_t *attr,
+                         void *(*entry)(void *), void *arg);
+NOPLT int pthread_join(pthread_t thread, void **result);
+NOPLT int pthread_barrier_init(pthread_barrier_t *barrier,
+                               const pthread_barrierattr_t *attr,
+                               unsigned count);
+NOPLT int pthread_barrier_wait(pthread_barrier_t *barrier);
+NOPLT int pthread_barrier_destroy(pthread_barrier_t *barrier);
 
 /* the soft threshold at t >= 0, the proximal map of t |.| */
 static double shrink(double v, double t)
@@ -230,33 +273,63 @@ int64_t hgdl_dictionary(int64_t dim, int64_t K, int64_t start,
 /* the columns that hgdl_lasso_sweep steps together */
 #define BLOCK 16
 
-/* hgdl_lasso_sweep: one beta = 0 code sweep, in which the n columns are
-   independent lasso problems; hgdl_encode runs its sweeps through it
-   too. codes is (K, n) row-major, column i holding sample i's codes,
-   and is updated in place. field is (n, K), row i holding sample i's
-   linear terms D^T x_i - sum_j s_j G_off[j] as the caller formed them,
-   G_off being D^T D with its diagonal zeroed; the steps move it with
-   the codes, by row k of gram_cols, which holds G_off[k], when code k
-   changes. gdiag is the diagonal of D^T D.
+/* lasso: a beta = 0 problem as hgdl_lasso_sweep and hgdl_encode take it,
+   with what their threads share. codes is (K, n) row-major, column i
+   holding sample i's codes, and field is (n, K), row i holding sample
+   i's linear terms; gram_cols is (K, K), row k holding G_off[k], G_off
+   being D^T D with its diagonal zeroed, and gdiag is the diagonal.
 
-   Within a block of BLOCK columns the atoms are the outer loop, so the
-   block's columns share each row of gram_cols while it is in cache.
-   Each column still takes its steps in atom order, each one code_step
-   with curvature gdiag[k] + 0.0, and no column reads another's, so the
-   bits do not depend on the block.
+   Part 0 is columns 0 to split - 1 and part 1 columns split to n - 1,
+   split being a multiple of BLOCK, so each part runs whole blocks; with
+   one thread, split is n. failed[t % 2][p] holds part p's status in
+   sweep t, hgdl_lasso_sweep's one sweep being sweep 1. The rest is
+   hgdl_encode's: barrier is set while a second thread runs part 1 of
+   every sweep, initial is the objective at s = 0, and sums + (t % 2) n
+   holds the objectives of sweep t's columns. There are two sets of statuses and objectives, so a thread
+   can write sweep t + 1's while the other still reads sweep t's. */
+struct lasso {
+    int64_t n, K, split;
+    const double *gram_cols, *gdiag;
+    double alpha, curvature_floor;
+    double *codes, *field;
+    pthread_barrier_t *barrier;
+    const double *target, *ysq;
+    double tol, initial, *sums;
+    int64_t max_sweeps;
+    int64_t failed[2][2];
+};
+
+/* split_at: the first column of part 1 when threads share n columns:
+   part 0 gets the first half of the blocks, rounded up; n when threads
+   is 1 or there is one block */
+static inline __attribute__((always_inline)) int64_t
+split_at(int64_t n, int64_t threads)
+{
+    int64_t split = ((n + BLOCK - 1) / BLOCK + 1) / 2 * BLOCK;
+    return threads > 1 && split < n ? split : n;
+}
+
+/* lasso_columns: one sweep of job's columns first to last - 1, first a
+   multiple of BLOCK. Within a block of BLOCK columns the atoms are the
+   outer loop, so the block's columns share each row of gram_cols while
+   it is in cache. Each column still takes its steps in atom order, each
+   one code_step with curvature gdiag[k] + 0.0, and no column reads
+   another's, so the bits depend neither on the block nor on the thread.
 
    Returns -1, or i * K + k for the first step (sample i, atom k) in
    sample-major order whose linear term or updated code is not finite:
    a column stops at its first such step, the rest of its block runs on,
    and the sweep stops after the block. */
 CLONED
-int64_t hgdl_lasso_sweep(int64_t n, int64_t K, const double *gram_cols,
-                         const double *gdiag, double alpha,
-                         double curvature_floor, double *codes,
-                         double *field)
+static int64_t lasso_columns(const struct lasso *job, int64_t first,
+                             int64_t last)
 {
-    for (int64_t start = 0; start < n; start += BLOCK) {
-        int64_t width = n - start < BLOCK ? n - start : BLOCK;
+    int64_t n = job->n, K = job->K;
+    const double *gram_cols = job->gram_cols, *gdiag = job->gdiag;
+    double alpha = job->alpha, curvature_floor = job->curvature_floor;
+    double *codes = job->codes, *field = job->field;
+    for (int64_t start = first; start < last; start += BLOCK) {
+        int64_t width = last - start < BLOCK ? last - start : BLOCK;
         int64_t failed[BLOCK];
         for (int64_t c = 0; c < width; c++)
             failed[c] = -1;
@@ -278,23 +351,137 @@ int64_t hgdl_lasso_sweep(int64_t n, int64_t K, const double *gram_cols,
     return -1;
 }
 
+/* encode_sweeps: hgdl_encode's sweeps on part p of job. Each sweep steps
+   the part's columns, then sums each column's objective from its field
+   into sums. With a second thread, each thread runs its part and the
+   two meet at the barrier after every sweep; past it, each reads both
+   parts' statuses and sums all n objectives in column order, so both
+   reach the same value and the same stop, and the bits, statuses and
+   counts are those of one thread. sweeps and change are part 0's. */
+CLONED
+static int64_t encode_sweeps(struct lasso *job, int64_t part,
+                             int64_t *sweeps, double *change)
+{
+    int64_t n = job->n, K = job->K;
+    int64_t first = part ? job->split : 0, last = part ? n : job->split;
+    const double *target = job->target, *ysq = job->ysq;
+    const double *gdiag = job->gdiag, *codes = job->codes;
+    const double *field = job->field;
+    double twice = 2.0 * job->alpha, previous = job->initial;
+    for (int64_t t = 1; t <= job->max_sweeps; t++) {
+        int64_t *failed = job->failed[t % 2];
+        double *sums = job->sums + t % 2 * n;
+        failed[part] = lasso_columns(job, first, last);
+        if (failed[part] < 0)
+            for (int64_t i = first; i < last; i++) {
+                const double *b = target + i * K, *f = field + i * K;
+                double sum = ysq[i];
+                for (int64_t k = 0; k < K; k++) {
+                    double sk = codes[k * n + i];
+                    sum += sk * ((gdiag[k] * sk - b[k]) - f[k])
+                           + twice * fabs(sk);
+                }
+                sums[i] = sum;
+            }
+        if (job->barrier != NULL)
+            pthread_barrier_wait(job->barrier);
+        int64_t status = failed[0] >= 0 ? failed[0] : failed[1];
+        if (status >= 0) {
+            *sweeps = t;
+            return status;
+        }
+        double value = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            value += sums[i];
+        double scale = fmax(1.0, fabs(previous));
+        double moved = fabs(previous - value);
+        *sweeps = t;
+        *change = moved / scale;
+        if (moved < job->tol * scale)
+            return -1;
+        previous = value;
+    }
+    return -2;
+}
+
+/* lasso_worker: the entry of a kernel's second thread, which runs part 1
+   of the job at arg: every sweep for hgdl_encode, which set the barrier,
+   or one for hgdl_lasso_sweep. It is cloned like the kernels, and GCC's
+   resolver, which picks their clones too, picks its clone, so the
+   thread runs at the width of the kernel that started it. */
+CLONED
+static void *lasso_worker(void *arg)
+{
+    struct lasso *job = arg;
+    if (job->barrier != NULL) {
+        int64_t sweeps;
+        double change;
+        encode_sweeps(job, 1, &sweeps, &change);
+    } else {
+        job->failed[1][1] = lasso_columns(job, job->split, job->n);
+    }
+    return NULL;
+}
+
+/* hgdl_lasso_sweep: one beta = 0 code sweep, in which the n columns are
+   independent lasso problems. The arguments are as struct lasso states;
+   codes and field are updated in place, the steps moving a column's
+   field with its codes, by row k of gram_cols when code k changes.
+
+   With threads 2 (a larger count runs as 2), a second thread, started
+   here and joined before the return, sweeps part 1 while the caller
+   sweeps part 0; with threads 1, or one block, the caller sweeps all.
+   Each column's steps are those of lasso_columns either way.
+
+   Returns -1, or i * K + k for the first step (sample i, atom k) in
+   sample-major order whose linear term or updated code is not finite.
+   Each part stops after the block of its own first failure, so part 1
+   may step blocks that one thread would not have reached; the codes of
+   a failed sweep are not used. */
+CLONED
+int64_t hgdl_lasso_sweep(int64_t n, int64_t K, const double *gram_cols,
+                         const double *gdiag, double alpha,
+                         double curvature_floor, double *codes,
+                         double *field, int64_t threads)
+{
+    struct lasso job = {.n = n, .K = K, .split = split_at(n, threads),
+                        .gram_cols = gram_cols, .gdiag = gdiag,
+                        .alpha = alpha, .curvature_floor = curvature_floor,
+                        .codes = codes, .field = field};
+    pthread_t worker;
+    if (job.split < n && pthread_create(&worker, NULL, lasso_worker, &job))
+        job.split = n;
+    int64_t failed = lasso_columns(&job, 0, job.split);
+    if (job.split < n) {
+        pthread_join(worker, NULL);
+        if (failed < 0)
+            failed = job.failed[1][1];
+    }
+    return failed;
+}
+
 /* hgdl_encode: lasso codes of n held-out columns on a frozen dictionary,
    min_s ||y - D s||^2 + 2 gamma ||s||_1 for each column y of Y, by
    cyclic coordinate descent from s = 0. dictionary is (dim, K) and
    test (dim, n), both row-major; codes is the (K, n) row-major output,
    zeroed here. The scratch is target and field, (n, K) each, gram
-   (K, K), gdiag (K) and ysq (n).
+   (K, K), gdiag (K), ysq (n) and sums (2 n).
 
    D^T D and D^T Y are formed once, each entry summed from 0 over
    ascending d, so D^T D is exactly symmetric. Column i keeps one running
    field f = D^T y - G_off s, which starts as D^T y and which only its
-   steps move; it is never formed again. A sweep is one call of
-   hgdl_lasso_sweep, the clone of the caller's ISA. After it, the
-   objective is summed column by column in O(K) from the field,
+   steps move; it is never formed again. A sweep is lasso_columns on
+   each part, the clone of the caller's ISA. After it, the objective is
+   summed column by column in O(K) from the field,
        ||y||^2 + sum_k s_k ((G_kk s_k - (D^T y)_k) - f_k) + 2 gamma |s_k|,
    and the sweeps stop once the relative change of the sum,
    |previous - value| / max(1, |previous|), is below tol, or after
    max_sweeps. The sum at s = 0 is the sum of the ||y||^2.
+
+   With threads 2 (a larger count runs as 2), one second thread runs
+   part 1 of every sweep, as encode_sweeps says, and is joined before the
+   return; with threads 1, or one block, the caller runs all. Either way
+   the result is the same, bit for bit.
 
    sweeps gets the sweeps run and change the last relative change.
    Returns -1 when the stop rule held, -2 when max_sweeps ran without it,
@@ -307,7 +494,8 @@ int64_t hgdl_encode(int64_t dim, int64_t K, int64_t n,
                     double gamma, double curvature_floor, double tol,
                     int64_t max_sweeps, double *codes, double *target,
                     double *field, double *gram, double *gdiag,
-                    double *ysq, int64_t *sweeps, double *change)
+                    double *ysq, double *sums, int64_t *sweeps,
+                    double *change, int64_t threads)
 {
     for (int64_t k = 0; k < K; k++) {
         double *row = gram + k * K;
@@ -342,34 +530,32 @@ int64_t hgdl_encode(int64_t dim, int64_t K, int64_t n,
         }
     }
 
-    double twice = 2.0 * gamma;
-    for (int64_t t = 1; t <= max_sweeps; t++) {
-        int64_t failed = hgdl_lasso_sweep(n, K, gram, gdiag, gamma,
-                                          curvature_floor, codes, field);
-        if (failed >= 0) {
-            *sweeps = t;
-            return failed;
-        }
-        double value = 0.0;
-        for (int64_t i = 0; i < n; i++) {
-            const double *b = target + i * K, *f = field + i * K;
-            double sum = ysq[i];
-            for (int64_t k = 0; k < K; k++) {
-                double sk = codes[k * n + i];
-                sum += sk * ((gdiag[k] * sk - b[k]) - f[k])
-                       + twice * fabs(sk);
+    struct lasso job = {.n = n, .K = K, .split = split_at(n, threads),
+                        .gram_cols = gram, .gdiag = gdiag, .alpha = gamma,
+                        .curvature_floor = curvature_floor, .codes = codes,
+                        .field = field, .target = target, .ysq = ysq,
+                        .tol = tol, .initial = previous, .sums = sums,
+                        .max_sweeps = max_sweeps,
+                        .failed = {{-1, -1}, {-1, -1}}};
+    pthread_t worker;
+    pthread_barrier_t barrier;
+    if (job.split < n) {
+        if (pthread_barrier_init(&barrier, NULL, 2) == 0) {
+            job.barrier = &barrier;
+            if (pthread_create(&worker, NULL, lasso_worker, &job)) {
+                pthread_barrier_destroy(&barrier);
+                job.barrier = NULL;
             }
-            value += sum;
         }
-        double scale = fmax(1.0, fabs(previous));
-        double moved = fabs(previous - value);
-        *sweeps = t;
-        *change = moved / scale;
-        if (moved < tol * scale)
-            return -1;
-        previous = value;
+        if (job.barrier == NULL)
+            job.split = n;
     }
-    return -2;
+    int64_t status = encode_sweeps(&job, 0, sweeps, change);
+    if (job.barrier != NULL) {
+        pthread_join(worker, NULL);
+        pthread_barrier_destroy(&barrier);
+    }
+    return status;
 }
 
 /* before: whether (distance r, index j) comes before (rho, m) in the
@@ -565,16 +751,8 @@ void hgdl_csr_product(int64_t n, int64_t K, const int64_t *indptr,
     }
 }
 
-/* CSV reading, for hgdl.data.load_csv. strtod gets its own declaration:
-   with noplt it is called through the GOT, so the library gains no PLT
-   slot, and .plt, which precedes .text, keeps the clones where they
-   were. */
-#if defined(__has_attribute)
-#if __has_attribute(noplt)
-__attribute__((noplt))
-#endif
-#endif
-double strtod(const char *text, char **end);
+/* CSV reading, for hgdl.data.load_csv; strtod is declared here, NOPLT */
+NOPLT double strtod(const char *text, char **end);
 
 /* the statuses of hgdl_csv, which hgdl.data reads by these numbers */
 enum { CSV_OK, CSV_RAGGED, CSV_NOT_A_NUMBER, CSV_NOT_A_LABEL, CSV_NOT_UTF8,

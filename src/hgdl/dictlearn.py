@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._native import Bound, kernels
+from ._native import Bound, kernels, lasso_threads, one_blas_thread
 from .errors import (
     InputError,
     InternalError,
@@ -212,6 +212,7 @@ def _is_symmetric(L):
                        <= 1e-8))
 
 
+@one_blas_thread
 def objective(X, D, S, delta, alpha, beta):
     """Objective value ||X - DS||_F^2 + 2 alpha ||S||_1 + beta tr(L S^T S).
 
@@ -298,6 +299,7 @@ def _unit_atom(v, rng):
     return v / norm
 
 
+@one_blas_thread
 def update_codes(X, D, S, delta, alpha, beta):
     """One Gauss-Seidel sweep over all code entries, in place.
 
@@ -323,7 +325,11 @@ def update_codes(X, D, S, delta, alpha, beta):
     loop, so a block shares each row of G_off while it is in cache.
     Each column still takes its steps in atom order, so the result is
     that of the sequential visiting order, and an error names the first
-    failing step in that order.
+    failing step in that order. Where _native.lasso_threads gives two
+    threads (two usable CPUs, numpy's BLAS held to one thread, and at
+    least _native.LASSO_THREAD_WORK codes), the kernel starts a second
+    thread for the sweep, which steps the second half of the blocks;
+    the codes, and the error, are those of one thread, bit for bit.
 
     With beta > 0 the sweep runs in hgdl_sweep. Only column n changes
     while sample n's atoms are visited, and the coupling leaves out L_nn,
@@ -342,6 +348,11 @@ def update_codes(X, D, S, delta, alpha, beta):
     changes touches the field again, moving it by that atom's column of
     the off-diagonal D^T D (with beta == 0, by its row, from which that
     field was formed).
+
+    numpy's BLAS runs on one thread while the call runs, as in every
+    dictionary-learning call of this module (_native.one_blas_thread),
+    so its products have the same bits whatever thread count the caller
+    set.
 
     Each call forms D^T D and D^T X into buffers made for the codes and
     the sweep's copies beside them, and the kernel's arguments are
@@ -376,7 +387,8 @@ def _code_sweep(S, delta, alpha, beta):
         codes = np.empty((n_atoms, n))  # column n holds sample n's codes
         field = np.empty((n, n_atoms))  # row n holds sample n's field
         run = Bound(kernels().hgdl_lasso_sweep, n, n_atoms, gram, gdiag,
-                    float(alpha), CURVATURE_FLOOR, codes, field)
+                    float(alpha), CURVATURE_FLOOR, codes, field,
+                    lasso_threads(n, n_atoms))
 
         def sweep(X, D):
             # the kernel moves the field by rows of G_off, so it is
@@ -425,6 +437,7 @@ def _code_sweep(S, delta, alpha, beta):
     return sweep
 
 
+@one_blas_thread
 def update_dictionary(X, S, D, rng=None):
     """One blockwise sweep over dictionary atoms, in place.
 
@@ -531,6 +544,7 @@ def _state(S):
     return _TrainState(np.asarray(S, dtype=float))
 
 
+@one_blas_thread
 def train(X, delta, params: DictLearnParams, callback=None):
     """Alternate code and dictionary updates until the objective settles.
 
@@ -592,6 +606,7 @@ def train(X, delta, params: DictLearnParams, callback=None):
     return D, S, np.asarray(trace)
 
 
+@one_blas_thread
 def encode_test(Y, D, gamma, max_sweeps=500):
     """Code held-out columns on a frozen dictionary.
 
@@ -604,11 +619,16 @@ def encode_test(Y, D, gamma, max_sweeps=500):
     that changes moves. The columns are swept in lockstep, atoms in order
     within a column, and the sweeps stop once the relative change of the
     objective, summed over the columns from their fields, drops below
-    ENCODE_REL_TOL. A call that reaches max_sweeps first keeps its last
-    sweep's codes and emits one RuntimeWarning with the last relative
-    change and the worst column's relative duality gap. A non-finite
-    value in D, or an overflowing code, raises NumericalError naming the
-    atom and sample where it first reaches a step.
+    ENCODE_REL_TOL. Where _native.lasso_threads gives two threads, as
+    update_codes says, one second thread sweeps the second half of the
+    blocks for the whole call, meeting the caller's after each sweep;
+    each column's objective is kept apart and the sum is taken in
+    column order, so the codes, the sweeps run and the warning are
+    those of one thread. A call that reaches max_sweeps first keeps its
+    last sweep's codes and emits one RuntimeWarning with the last
+    relative change and the worst column's relative duality gap. A
+    non-finite value in D, or an overflowing code, raises NumericalError
+    naming the atom and sample where it first reaches a step.
     """
     Y = np.ascontiguousarray(Y, dtype=float)
     D = np.ascontiguousarray(D, dtype=float)
@@ -631,7 +651,7 @@ def encode_test(Y, D, gamma, max_sweeps=500):
         dim, n_atoms, n, D, Y, float(gamma), CURVATURE_FLOOR,
         ENCODE_REL_TOL, max_sweeps, S, target, field,
         np.empty((n_atoms, n_atoms)), np.empty(n_atoms), np.empty(n),
-        sweeps, change,
+        np.empty((2, n)), sweeps, change, lasso_threads(n, n_atoms),
     )
     del target, field
     if status >= 0:
@@ -727,6 +747,7 @@ def corpus(X_train, train_labels, X_test, mode):
     return np.hstack([X_train, X_test]), train_labels
 
 
+@one_blas_thread
 def train_pipeline(X_train, train_labels, X_test=None, *,
                    hypergraph_config: HypergraphConfig,
                    params: DictLearnParams,

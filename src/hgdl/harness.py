@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._native import one_blas_thread
 from .attention import AdmmParams
 from .data import DatasetBundle, apply_mask
 from .dictlearn import (
@@ -142,6 +143,7 @@ def score_predictions(predictions, truth, n_classes):
     return correct / total, per_class
 
 
+@one_blas_thread
 def run(config: ExperimentConfig, bundle: DatasetBundle,
         out_path=None) -> RunReport:
     """Execute one configured run on a dataset bundle.

@@ -20,6 +20,12 @@ degrees and Laplacian as the library first computed them, with
 scipy.sparse products. The CSV loader is kept as it was before the
 compiled parser, csv.reader and float() and int() per cell, so the
 parser can be held to its arrays and messages.
+
+The float oracles form the numpy products they share with the library
+(D^T D, D^T X, the beta = 0 fields, X S^T, S S^T) with numpy's BLAS on
+one thread, through the library's one_blas_thread, as the library forms
+them: OpenBLAS splits a large product over its threads, and the split
+can move its bits.
 """
 
 import csv
@@ -30,6 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
+from hgdl._native import one_blas_thread
 from hgdl.errors import FormatError
 
 
@@ -357,6 +364,7 @@ def row_sweep_beta0(X, D, S, alpha):
     return S
 
 
+@one_blas_thread
 def sweep_floats(X, D, S, L, alpha, beta):
     """One beta > 0 code sweep in Python floats, so with no fused
     multiply-add, and with no code skipped. Returns the (K, n) codes and
@@ -428,6 +436,7 @@ def sweep_floats(X, D, S, L, alpha, beta):
     return np.asarray(codes, dtype=float).reshape(len(codes), n_atoms).T
 
 
+@one_blas_thread
 def lasso_sweep_floats(X, D, S, alpha):
     """One beta = 0 code sweep with its steps in Python floats, so with no
     fused multiply-add. Returns the (K, n) codes and leaves S as given.
@@ -550,6 +559,7 @@ def atom_sweep(X, S, D, rng):
     return D
 
 
+@one_blas_thread
 def atom_sweep_floats(X, S, D, rng):
     """One blockwise dictionary sweep in Python floats, in place, so with
     no fused multiply-add.

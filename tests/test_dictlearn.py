@@ -768,7 +768,7 @@ def _assert_beta_zero_sweep(X, D, S, alpha):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_beta_zero_sweeps_match_the_row_loops_bitwise(seed):
+def test_beta_zero_sweeps_match_the_float_oracle_bitwise(seed):
     """Code sweeps alternating with dictionary sweeps, as train runs
     them, give the bits of the float oracle, and the codes of the
     row-by-row loop they replaced within ROW_LOOP_ATOL."""
@@ -891,7 +891,7 @@ def test_beta_zero_sweep_reports_the_first_failure_in_sample_order():
     assert _same_bits(S, np.zeros((3, 6)))
 
 
-def test_beta_zero_sweep_non_finite_later_row_matches_row_loop():
+def test_beta_zero_sweep_non_finite_later_atom_matches_the_float_oracle():
     """Atoms 1 and 2 coincide and are orthogonal to atom 0, so atom 0's
     step stays finite; atom 1's code moves from 1e308 to about -1e308,
     a change that overflows to inf and so makes atom 2's linear term
