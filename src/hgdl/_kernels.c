@@ -7,12 +7,13 @@
    sparse-attention ADMM of hgdl.attention.solve_attention_batch, hgdl_knn,
    the neighbor search of hgdl.hypergraph.knn_neighbors, hgdl_laplacian, the
    dense Laplacian of hgdl.hypergraph.laplacian, hgdl_csr_product, the L S^T
-   of hgdl.dictlearn.objective, and hgdl_csv, the CSV parser of
-   hgdl.data.load_csv. The code sweeps share one scalar step, code_step:
-   hgdl_sweep runs it through sample_steps, one sample at a time, and
-   the beta = 0 kernels through lasso_columns, on blocks of 16 columns,
-   atoms outermost: hgdl_lasso_sweep runs one sweep of it, hgdl_encode
-   one per sweep. All are compiled without FMA contraction, so each
+   of hgdl.dictlearn.objective, hgdl_saf, the neighbor distances and
+   attention problems of hgdl.hypergraph.build_saf_hypergraph, and
+   hgdl_csv, the CSV parser of hgdl.data.load_csv. The code sweeps share
+   one scalar step, code_step: hgdl_sweep runs it through sample_steps,
+   one sample at a time, and the beta = 0 kernels through lasso_columns,
+   on blocks of 16 columns, atoms outermost: hgdl_lasso_sweep runs one
+   sweep of it, hgdl_encode one per sweep. All are compiled without FMA contraction, so each
    operation rounds as written here, and the test oracles can repeat it
    in Python floats. The callers reject a non-finite L, codes, test
    matrix, attention problem or feature matrix, so each kernel only stops
@@ -31,33 +32,42 @@
    the caller's thread alone.
 
    On x86-64 ELF with glibc, the four coordinate-descent kernels
-   (hgdl_sweep, hgdl_lasso_sweep, hgdl_dictionary, hgdl_encode) are built
-   twice, for AVX2 and for the baseline ISA, and the dynamic loader picks
-   one for the CPU it runs on. Their static helpers lasso_columns,
-   encode_sweeps and lasso_worker are cloned too: GCC binds a clone's
-   call of a cloned function to the clone of its own ISA, and
-   lasso_worker, whose address is passed to pthread_create, resolves
+   (hgdl_sweep, hgdl_lasso_sweep, hgdl_dictionary, hgdl_encode) and
+   hgdl_admm are built twice, for AVX2 and for the baseline ISA, and the
+   dynamic loader picks one for the CPU it runs on. The static helpers
+   lasso_columns, encode_sweeps and lasso_worker are cloned too: GCC
+   binds a clone's call of a cloned function to the clone of its own ISA,
+   and lasso_worker, whose address is passed to pthread_create, resolves
    through its own ifunc, whose resolver is GCC's, as the kernels' are,
-   so the second thread runs the clone of its caller's ISA. Their inner
-   loops are elementwise y += a * x steps, which round the same at every
-   vector width, and no sum is reordered, so both clones give the same
-   bits.
-   hgdl_knn and hgdl_admm are not cloned: their inner loops are sums,
-   which stay scalar either way, and hgdl_laplacian's are scattered
-   adds. hgdl_csr_product is not cloned either, though its axpy would
+   so the second thread runs the clone of its caller's ISA. The sweeps'
+   inner loops are elementwise y += a * x steps, which round the same at
+   every vector width, and no sum is reordered; hgdl_admm steps LANES
+   attention problems side by side, one in each lane of a vector, every
+   step elementwise. So both clones of each give the same bits.
+   hgdl_knn and hgdl_saf are not cloned: their inner loops are sums,
+   which stay scalar either way, so they run independent sums side by
+   side instead, each in its own order: hgdl_knn sums CANDIDATES pairs'
+   distances at once, and hgdl_saf sums in numpy's eight pairwise
+   accumulators. hgdl_laplacian's inner loops are scattered adds.
+   hgdl_csr_product is not cloned either, though its axpy would
    vectorize: the clones are laid out together, so a new one moves the
    others' code, and an AVX2 clone of it there made the hgdl_dictionary
    sweep 12-23% slower (medians of 15 x 20 sweeps at 200 atoms, three
-   processes each, 2-core Xeon). hgdl_lasso_sweep is cloned all the
-   same, since the beta = 0 sweep is the largest stage of its workload;
-   with gcc 12 it moved hgdl_dictionary.avx2 from 0x46e0 to 0x4d00 and
-   hgdl_sweep.avx2 from 0x4e10 to 0x5430, as `nm` shows. A new kernel
-   that is not a coordinate-descent sweep goes after hgdl_csr_product,
+   processes each, 2-core Xeon). hgdl._native._FLAGS start every
+   function on a 64-byte boundary and every loop on a 32-byte one, which
+   CI checks with nm, so such a move shifts code by whole cache lines;
+   whether that ends the rule is yet to be measured. A new kernel that
+   is not a coordinate-descent sweep goes after hgdl_csr_product,
    uncloned, with its static helpers always inlined, so that none of
-   them lands between the clones, and a C library function it calls is
-   declared NOPLT, as strtod and the pthread functions are: a PLT slot
-   grows .plt, which precedes .text, and moves every clone by 16 bytes.
-   lasso_worker's ifunc takes one such slot.
+   them lands between the clones (pairwise_sum, hgdl_saf's sum of more
+   than 128 terms, is recursive, and GCC puts it after the clones), and
+   a C library function it calls is declared NOPLT, as strtod and the
+   pthread functions are: a PLT slot grows .plt, which precedes .text,
+   and moves every clone by 16 bytes. lasso_worker's ifunc takes one such
+   slot. No AVX2 clone calls a static helper that is neither inlined nor
+   cloned itself, which CI checks too: an AVX2 clone of hgdl_knn that
+   called an out-of-line offer took over four times as long as the
+   uncloned kernel.
 
    hgdl._native types each exported kernel, and only those are named
    hgdl_, by its _CTYPES from the definition "<ret> hgdl_<name>(<params>)"
@@ -560,7 +570,8 @@ int64_t hgdl_encode(int64_t dim, int64_t K, int64_t n,
 
 /* before: whether (distance r, index j) comes before (rho, m) in the
    order of the neighbor lists, distance first, then index */
-static int before(double r, int64_t j, double rho, int64_t m)
+static inline __attribute__((always_inline)) int
+before(double r, int64_t j, double rho, int64_t m)
 {
     return r < rho || (r == rho && j < m);
 }
@@ -568,8 +579,8 @@ static int before(double r, int64_t j, double rho, int64_t m)
 /* offer: puts (r, j) into one neighbor list of k (distance, index)
    pairs, sorted by before, unless it comes after the last one, which
    then drops out */
-static void offer(int64_t k, double *dist, int64_t *index, double r,
-                  int64_t j)
+static inline __attribute__((always_inline)) void
+offer(int64_t k, double *dist, int64_t *index, double r, int64_t j)
 {
     int64_t p = k - 1;
     if (!before(r, j, dist[p], index[p]))
@@ -582,6 +593,28 @@ static void offer(int64_t k, double *dist, int64_t *index, double r,
     index[p] = j;
 }
 
+/* the candidate points whose distances to one point hgdl_knn sums side
+   by side */
+#define CANDIDATES 4
+
+/* pair_distances: the distances from the point at a to the width
+   (CANDIDATES at most) points from b on, rows of dim, each the square
+   root of its squared differences summed from 0 over ascending d, in a
+   sum of its own */
+static inline __attribute__((always_inline)) void
+pair_distances(int64_t dim, const double *a, const double *b, int64_t width,
+               double *out)
+{
+    double sum[CANDIDATES] = {0.0, 0.0, 0.0, 0.0};
+    for (int64_t d = 0; d < dim; d++)
+        for (int64_t p = 0; p < width; p++) {
+            double diff = a[d] - b[p * dim + d];
+            sum[p] += diff * diff;
+        }
+    for (int64_t p = 0; p < width; p++)
+        out[p] = sqrt(sum[p]);
+}
+
 /* hgdl_knn: each of n points' k nearest other points, 1 <= k < n.
    points is (n, dim) row-major, row i holding point i, all finite. A
    pair's distance is the square root of its squared differences summed
@@ -589,9 +622,12 @@ static void offer(int64_t k, double *dist, int64_t *index, double r,
    is computed once per unordered pair and offered to both points'
    lists, which keep the k smallest (distance, index) pairs with
    distance first, so equal distances, +inf too, keep ascending index
-   and a list does not depend on the order of its offers. neighbors and
-   dist are the (n, k) row-major outputs: row i holds point i's
-   neighbors and their distances, nearest first. */
+   and a list does not depend on the order of its offers. Point i's
+   distances to the points after it are summed CANDIDATES at a time,
+   each in its own sum, so the sums' adds overlap and none changes its
+   order.
+   neighbors and dist are the (n, k) row-major outputs: row i holds
+   point i's neighbors and their distances, nearest first. */
 void hgdl_knn(int64_t n, int64_t dim, int64_t k, const double *points,
               int64_t *neighbors, double *dist)
 {
@@ -602,85 +638,163 @@ void hgdl_knn(int64_t n, int64_t dim, int64_t k, const double *points,
     }
     for (int64_t i = 0; i < n; i++) {
         const double *a = points + i * dim;
-        for (int64_t j = i + 1; j < n; j++) {
-            const double *b = points + j * dim;
-            double sum = 0.0;
-            for (int64_t d = 0; d < dim; d++) {
-                double diff = a[d] - b[d];
-                sum += diff * diff;
+        for (int64_t j = i + 1; j < n; j += CANDIDATES) {
+            double r[CANDIDATES];
+            int64_t width = n - j < CANDIDATES ? n - j : CANDIDATES;
+            /* a constant width unrolls the sums into registers */
+            if (width == CANDIDATES)
+                pair_distances(dim, a, points + j * dim, CANDIDATES, r);
+            else
+                pair_distances(dim, a, points + j * dim, width, r);
+            for (int64_t p = 0; p < width; p++) {
+                offer(k, dist + i * k, neighbors + i * k, r[p], j + p);
+                offer(k, dist + (j + p) * k, neighbors + (j + p) * k, r[p],
+                      i);
             }
-            double r = sqrt(sum);
-            offer(k, dist + i * k, neighbors + i * k, r, j);
-            offer(k, dist + j * k, neighbors + j * k, r, i);
         }
+    }
+}
+
+/* the attention problems that hgdl_admm steps side by side, LANES in
+   all: value x of lane l is at [x * LANES + l] of a lane array, and the
+   steps run on pairs of lanes, pair being a GCC vector of two doubles,
+   aligned as a double so that it is read from any double, and
+   pair_flags one flag per lane of a pair, -1 for true and 0 for false,
+   as a comparison of pairs gives it. The baseline x86-64 ISA has every
+   operation on a pair, comparisons too; GCC's baseline clone of a
+   kernel on vectors of four doubles compares lane by lane, and holds
+   each such vector in memory, which made hgdl_admm's baseline clone
+   slower than one problem at a time. */
+#define LANES 4
+#define HALVES (LANES / 2)
+typedef double pair __attribute__((vector_size(2 * sizeof(double)),
+                                   aligned(sizeof(double))));
+typedef int64_t pair_flags __attribute__((vector_size(2 * sizeof(int64_t))));
+
+/* admm_lane: puts problem c into lane l of the lane arrays inv, b, q and
+   m, inv holding its inverse transposed; c < 0 leaves the lane idle, all
+   zero, so that its steps stay 0 */
+static inline __attribute__((always_inline)) void
+admm_lane(int64_t k, int64_t l, int64_t c, const double *inverse,
+          const double *ptx, double *inv, double *b, double *q, double *m)
+{
+    for (int64_t i = 0; i < k; i++)
+        for (int64_t j = 0; j < k; j++)
+            inv[(j * k + i) * LANES + l] =
+                c < 0 ? 0.0 : inverse[(c * k + i) * k + j];
+    for (int64_t j = 0; j < k; j++) {
+        b[j * LANES + l] = c < 0 ? 0.0 : ptx[c * k + j];
+        q[j * LANES + l] = 0.0;
+        m[j * LANES + l] = 0.0;
     }
 }
 
 /* hgdl_admm: n attention problems of size k, each solved on its own.
    inverse is (n, k, k), row-major, problem c's inverse of
    P^T P + rho I; ptx is (n, k), row c being P^T x. rho and eps are
-   positive. z, q and m are (n, k) outputs, zeroed here, that hold each
-   problem's iterates and keep those of the iteration at which it
-   stopped: the first at which both max|z - q| and max|q - q_prev| are
-   within tol (converged 1), or max_iter (converged 0 unless that holds
-   there too). iterations gets that count. Nothing is kept per
-   iteration, so a run capped at max_iter = t ends with the t-th
-   iterate of any longer run. An iteration is
+   positive. z, q and m are (n, k) outputs that hold each problem's
+   iterates of the iteration at which it stopped: the first at which both
+   max|z - q| and max|q - q_prev| are within tol (converged 1), or
+   max_iter (converged 0 unless that holds there too). iterations gets
+   that count. Nothing is kept per iteration, so a run capped at
+   max_iter = t ends with the t-th iterate of any longer run. Each
+   problem starts from q = m = 0, and an iteration is
        z = inverse (ptx + rho q - m), summed in ascending j from the
            first product,
        q = shrink(z + m / rho, eps / rho),
        m = m + rho (z - q).
-   v and q_prev are k doubles of scratch.
+   LANES problems run side by side, one in each lane, and every step is
+   taken lane by lane, elementwise, so each lane rounds and stops as its
+   problem would alone. A lane whose problem stops takes the next
+   problem, in order, until none is left. lanes is LANES (k^2 + 5 k)
+   doubles of scratch.
 
    Returns 0, or the first iteration at which some problem's z or m is
-   not finite; that problem stops there, the others run as before. */
+   not finite; that problem stops there, with neither its iterations nor
+   its converged written, and the others run as before. */
+CLONED
 int64_t hgdl_admm(int64_t n, int64_t k, const double *inverse,
                   const double *ptx, double rho, double eps, double tol,
                   int64_t max_iter, double *z, double *q, double *m,
                   int64_t *iterations, unsigned char *converged,
-                  double *v, double *q_prev)
+                  double *lanes)
 {
+    double *inv = lanes, *b = inv + LANES * k * k, *zl = b + LANES * k;
+    double *ql = zl + LANES * k, *ml = ql + LANES * k, *v = ml + LANES * k;
+    const pair *p_inv = (const pair *)inv, *p_b = (const pair *)b;
+    pair *p_z = (pair *)zl, *p_q = (pair *)ql, *p_m = (pair *)ml;
+    pair *p_v = (pair *)v;
     double t = eps / rho;
-    int64_t diverged = 0;
-    for (int64_t c = 0; c < n; c++) {
-        const double *inv = inverse + c * k * k;
-        const double *b = ptx + c * k;
-        double *zc = z + c * k, *qc = q + c * k, *mc = m + c * k;
-        for (int64_t i = 0; i < k; i++) {
-            qc[i] = 0.0;
-            mc[i] = 0.0;
+    int64_t diverged = 0, next = 0, running = 0;
+    int64_t problem[LANES], it[LANES];
+    for (int64_t l = 0; l < LANES; l++) {
+        problem[l] = next < n ? next++ : -1;
+        it[l] = 0;
+        running += problem[l] >= 0;
+        admm_lane(k, l, problem[l], inverse, ptx, inv, b, ql, ml);
+    }
+    while (running > 0) {
+        pair_flags finite[HALVES], done[HALVES];
+        for (int64_t p = 0; p < HALVES * k; p++)
+            p_v[p] = (p_b[p] + rho * p_q[p]) - p_m[p];
+        for (int64_t i = 0; i < k; i++)
+            for (int64_t h = 0; h < HALVES; h++)
+                p_z[i * HALVES + h] = p_inv[i * HALVES + h] * p_v[h];
+        for (int64_t j = 1; j < k; j++)
+            for (int64_t i = 0; i < k; i++)
+                for (int64_t h = 0; h < HALVES; h++)
+                    p_z[i * HALVES + h] += p_inv[(j * k + i) * HALVES + h]
+                                           * p_v[j * HALVES + h];
+        for (int64_t h = 0; h < HALVES; h++) {
+            pair_flags lane_finite = {-1, -1}, lane_done = {-1, -1};
+            for (int64_t i = 0; i < k; i++) {
+                int64_t p = i * HALVES + h;
+                pair zi = p_z[p], mi = p_m[p], q_prev = p_q[p];
+                /* qi = shrink(shifted, t), t being >= 0 */
+                pair shifted = zi + mi / rho;
+                pair_flags above = shifted > t, below = shifted < -t;
+                pair qi = (pair)(((pair_flags)(shifted - t) & above)
+                                 | ((pair_flags)(shifted + t) & below));
+                mi = mi + rho * (zi - qi);
+                p_q[p] = qi;
+                p_m[p] = mi;
+                /* x - x is 0 where x is finite, and |x| <= tol where
+                   x <= tol and x >= -tol */
+                pair split = zi - qi, dual = qi - q_prev;
+                lane_finite &= zi - zi == 0.0;
+                lane_finite &= mi - mi == 0.0;
+                lane_done &= split <= tol;
+                lane_done &= split >= -tol;
+                lane_done &= dual <= tol;
+                lane_done &= dual >= -tol;
+            }
+            finite[h] = lane_finite;
+            done[h] = lane_done;
         }
-        for (int64_t it = 1; it <= max_iter; it++) {
-            for (int64_t j = 0; j < k; j++) {
-                v[j] = (b[j] + rho * qc[j]) - mc[j];
-                q_prev[j] = qc[j];
-            }
+        for (int64_t l = 0; l < LANES; l++) {
+            int64_t c = problem[l];
+            if (c < 0)
+                continue;
+            int ok = finite[l / 2][l % 2] != 0, stop = done[l / 2][l % 2] != 0;
+            it[l]++;
+            if (ok && !stop && it[l] < max_iter)
+                continue;
             for (int64_t i = 0; i < k; i++) {
-                const double *row = inv + i * k;
-                double sum = row[0] * v[0];
-                for (int64_t j = 1; j < k; j++)
-                    sum += row[j] * v[j];
-                zc[i] = sum;
+                z[c * k + i] = zl[i * LANES + l];
+                q[c * k + i] = ql[i * LANES + l];
+                m[c * k + i] = ml[i * LANES + l];
             }
-            int finite = 1, done = 1;
-            for (int64_t i = 0; i < k; i++) {
-                double qi = shrink(zc[i] + mc[i] / rho, t);
-                qc[i] = qi;
-                mc[i] = mc[i] + rho * (zc[i] - qi);
-                finite &= isfinite(zc[i]) && isfinite(mc[i]);
-                done &= fabs(zc[i] - qi) <= tol
-                        && fabs(qi - q_prev[i]) <= tol;
+            if (!ok) {
+                if (diverged == 0 || it[l] < diverged)
+                    diverged = it[l];
+            } else {
+                iterations[c] = it[l];
+                converged[c] = (unsigned char)stop;
             }
-            if (!finite) {
-                if (diverged == 0 || it < diverged)
-                    diverged = it;
-                break;
-            }
-            if (done || it == max_iter) {
-                iterations[c] = it;
-                converged[c] = (unsigned char)done;
-                break;
-            }
+            problem[l] = next < n ? next++ : -1;
+            it[l] = 0;
+            running -= problem[l] < 0;
+            admm_lane(k, l, problem[l], inverse, ptx, inv, b, ql, ml);
         }
     }
     return diverged;
@@ -747,6 +861,105 @@ void hgdl_csr_product(int64_t n, int64_t K, const int64_t *indptr,
             const double *xj = x + indices[p] * K;
             for (int64_t k = 0; k < K; k++)
                 yi[k] += a * xj[k];
+        }
+    }
+}
+
+/* the terms that numpy's pairwise sum adds in one block, and its
+   accumulators in a block */
+#define PAIRWISE_BLOCK 128
+#define ACCUMULATORS 8
+
+/* term: term i of a sum that hgdl_saf forms, a[i] * b[i], or with
+   squares 1, the square of a[i] - b[i] */
+static inline __attribute__((always_inline)) double
+term(const double *a, const double *b, int64_t i, int squares)
+{
+    double diff = a[i] - b[i];
+    return squares ? diff * diff : a[i] * b[i];
+}
+
+/* block_sum: count <= PAIRWISE_BLOCK terms summed as numpy's pairwise
+   sum adds one block: fewer than ACCUMULATORS one by one from 0; else
+   the first ACCUMULATORS terms start the accumulators, each later whole
+   round of them adds one term to each, the accumulators are added as
+   ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the terms
+   left over are added to that one by one */
+static inline __attribute__((always_inline)) double
+block_sum(const double *a, const double *b, int64_t count, int squares)
+{
+    int64_t i;
+    double sum = 0.0;
+    if (count < ACCUMULATORS) {
+        for (i = 0; i < count; i++)
+            sum += term(a, b, i, squares);
+        return sum;
+    }
+    double r[ACCUMULATORS];
+    for (int64_t p = 0; p < ACCUMULATORS; p++)
+        r[p] = term(a, b, p, squares);
+    for (i = ACCUMULATORS; i < count - count % ACCUMULATORS;
+         i += ACCUMULATORS)
+        for (int64_t p = 0; p < ACCUMULATORS; p++)
+            r[p] += term(a, b, i + p, squares);
+    sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < count; i++)
+        sum += term(a, b, i, squares);
+    return sum;
+}
+
+/* pairwise_sum: count terms summed as numpy's pairwise sum adds them:
+   one block, or past PAIRWISE_BLOCK terms the first half, rounded down
+   to a multiple of ACCUMULATORS, and the rest, each summed so, then
+   added */
+static double pairwise_sum(const double *a, const double *b, int64_t count,
+                           int squares)
+{
+    if (count <= PAIRWISE_BLOCK)
+        return block_sum(a, b, count, squares);
+    int64_t half = count / 2 - count / 2 % ACCUMULATORS;
+    return pairwise_sum(a, b, half, squares)
+           + pairwise_sum(a + half, b + half, count - half, squares);
+}
+
+/* row_sum: np.sum(terms, axis=1) of one row of dim terms, which numpy
+   adds to the +0.0 it starts the row's output from */
+static inline __attribute__((always_inline)) double
+row_sum(const double *a, const double *b, int64_t dim, int squares)
+{
+    return 0.0 + (dim <= PAIRWISE_BLOCK ? block_sum(a, b, dim, squares)
+                                        : pairwise_sum(a, b, dim, squares));
+}
+
+/* hgdl_saf: the sums of hgdl.hypergraph.build_saf_hypergraph for n
+   centers of k neighbors each. points is (n, dim) row-major, row c
+   holding point c, and neighbors (n, k), row c holding center c's
+   neighbors. With P_c the rows of center c's neighbors and x_c its own,
+   dist gets the (n, k) distances |P_c[a] - x_c| and, where attention is
+   not 0, ptx the (n, k) P_c x_c and gram the (n, k, k) P_c P_c^T, its
+   entries (a, b) and (b, a) equal; else ptx and gram are not read or
+   written. Each entry is the square root of np.sum of the squared
+   differences, or np.sum of the products, along the contiguous axis
+   of the rows, as numpy sums a row (row_sum), so each bit is that of
+   the numpy row sums of rows gathered by neighbor rank. */
+void hgdl_saf(int64_t n, int64_t dim, int64_t k, const double *points,
+              const int64_t *neighbors, int64_t attention, double *dist,
+              double *ptx, double *gram)
+{
+    for (int64_t c = 0; c < n; c++) {
+        const double *x = points + c * dim;
+        const int64_t *near = neighbors + c * k;
+        for (int64_t a = 0; a < k; a++) {
+            const double *pa = points + near[a] * dim;
+            dist[c * k + a] = sqrt(row_sum(pa, x, dim, 1));
+            if (!attention)
+                continue;
+            ptx[c * k + a] = row_sum(pa, x, dim, 0);
+            for (int64_t b = a; b < k; b++) {
+                double g = row_sum(pa, points + near[b] * dim, dim, 0);
+                gram[(c * k + a) * k + b] = g;
+                gram[(c * k + b) * k + a] = g;
+            }
         }
     }
 }

@@ -36,6 +36,8 @@ from .errors import InputError, NumericalError, ParameterError, _integer
 RHO = 1.0
 # a problem stops once both residuals are within this
 TOL = 1e-6
+# the problems that hgdl_admm steps side by side (LANES in _kernels.c)
+LANES = 4
 
 
 @dataclass
@@ -138,11 +140,10 @@ def solve_attention_batch(gram, ptx, params: AdmmParams) -> AttentionBatch:
     z, q, m = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
     iterations = np.zeros(n, dtype=np.int64)
     converged = np.zeros(n, dtype=bool)
-    scratch = np.empty((2, k))
     diverged = kernels().hgdl_admm(
         n, k, inverse, np.ascontiguousarray(ptx), RHO, params.epsilon, TOL,
-        params.max_iter, z, q, m, iterations, converged, scratch[0],
-        scratch[1],
+        params.max_iter, z, q, m, iterations, converged,
+        np.empty(LANES * (k * k + 5 * k)),
     )
     if diverged:
         raise NumericalError(

@@ -229,37 +229,22 @@ def build_saf_hypergraph(X, k, attention_params: AdmmParams,
     of v clamped at zero. The center's own entry is 1, so every vertex
     has positive degree. All centers' attention problems are solved as
     one batch on P^T P and P^T x, P holding center x's neighbor columns.
-    One pass over the neighbor ranks gathers rank a's columns for the
-    distances and P^T x, and rank b's again for each P^T P entry (a, b)
-    with b >= a: k + k(k+1)/2 gathers of an (n, dim) block with
-    attention on, k without. Gathering every rank once would keep an
-    (n, k, dim) block alive, which raised the peak memory of a Laplacian
-    export. A solve that hits max_iter keeps its last iterate; one
-    warning per call counts them.
+    One call of the compiled kernel hgdl_saf forms the distances, and
+    with attention on P^T x and P^T P, each entry summed as numpy's
+    np.sum(..., axis=1) sums a row of the neighbors' products. A solve
+    that hits max_iter keeps its last iterate; one warning per call
+    counts them.
     """
     X = np.asarray(X, dtype=float)
     neighbors = knn_neighbors(X, k)
-    n = X.shape[1]
+    dim, n = X.shape
     # one C-ordered copy, so that results do not depend on X's layout
     Xt = np.ascontiguousarray(X.T)
     dist = np.empty((n, k))
-    # row sums over the contiguous feature axis: memory stays at a few
-    # (n, dim) arrays, the k x k blocks are exactly symmetric, and no BLAS
-    # product is called (a multithreaded X^T X left OpenBLAS workers
-    # spinning, which made the solve that follows twice as slow on a
-    # 2-core machine)
-    gram = np.empty((n, k, k))
-    ptx = np.empty((n, k))
-    for a in range(k):
-        pa = Xt[neighbors[:, a]]
-        diffs = pa - Xt
-        dist[:, a] = np.sqrt(np.sum(diffs * diffs, axis=1))
-        if not use_attention:
-            continue
-        ptx[:, a] = np.sum(pa * Xt, axis=1)
-        for b in range(a, k):
-            pb = Xt[neighbors[:, b]]
-            gram[:, a, b] = gram[:, b, a] = np.sum(pa * pb, axis=1)
+    gram = np.empty((n, k, k) if use_attention else 0)
+    ptx = np.empty((n, k) if use_attention else 0)
+    kernels().hgdl_saf(n, dim, k, Xt, neighbors, int(use_attention), dist,
+                       ptx, gram)
     sigma = np.mean(dist, axis=1)
     sigma[sigma == 0.0] = 1.0
     entries = np.exp(-((dist / sigma[:, None]) ** 2))

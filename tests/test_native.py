@@ -10,7 +10,7 @@ import pytest
 
 from hgdl._native import _SOURCE, Bound, _Array, _prototypes, kernels
 from hgdl.errors import InternalError
-from hgdl.attention import RHO, TOL
+from hgdl.attention import LANES, RHO, TOL
 from hgdl.dictlearn import CURVATURE_FLOOR
 
 
@@ -25,7 +25,7 @@ def _admm_args():
     z, q, m = np.full((3, 2, 3), 7.0)
     return [2, 3, inverse, ptx, RHO, 0.1, TOL, 50, z, q, m,
             np.full(2, -7, dtype=np.int64), np.ones(2, dtype=bool),
-            np.full(3, 7.0), np.full(3, 7.0)]
+            np.full(LANES * (3 * 3 + 5 * 3), 7.0)]
 
 
 def _sweep_args():
