@@ -1,49 +1,47 @@
 /* The compiled kernels of hgdl, built once per process by hgdl._native:
    hgdl_sweep, the exact beta > 0 Gauss-Seidel code sweep of
-   hgdl.dictlearn.update_codes, hgdl_lasso_sweep, its beta = 0 sweep,
+   hgdl.dictlearn.update_codes, hgdl_lasso, its beta = 0 sweep and the
+   lasso coding of held-out columns of hgdl.dictlearn.encode_test,
    hgdl_dictionary, the blockwise atom sweep of
-   hgdl.dictlearn.update_dictionary, hgdl_encode, the lasso coding of
-   held-out columns of hgdl.dictlearn.encode_test, hgdl_admm, the
-   sparse-attention ADMM of hgdl.attention.solve_attention_batch, hgdl_knn,
-   the neighbor search of hgdl.hypergraph.knn_neighbors, hgdl_laplacian, the
-   dense Laplacian of hgdl.hypergraph.laplacian, hgdl_csr_product, the L S^T
-   of hgdl.dictlearn.objective, hgdl_saf, the neighbor distances and
+   hgdl.dictlearn.update_dictionary, hgdl_admm, the sparse-attention ADMM
+   of hgdl.attention.solve_attention_batch, hgdl_knn, the neighbor search
+   of hgdl.hypergraph.knn_neighbors, hgdl_laplacian, the dense Laplacian
+   of hgdl.hypergraph.laplacian, hgdl_csr_product, the L S^T of
+   hgdl.dictlearn.objective, hgdl_saf, the neighbor distances and
    attention problems of hgdl.hypergraph.build_saf_hypergraph, and
    hgdl_csv, the CSV parser of hgdl.data.load_csv. The code sweeps share
    one scalar step, code_step: hgdl_sweep runs it through sample_steps,
-   one sample at a time, and the beta = 0 kernels through lasso_columns,
-   on blocks of 16 columns, atoms outermost: hgdl_lasso_sweep runs one
-   sweep of it, hgdl_encode one per sweep. All are compiled without FMA contraction, so each
-   operation rounds as written here, and the test oracles can repeat it
-   in Python floats. The callers reject a non-finite L, codes, test
-   matrix, attention problem or feature matrix, so each kernel only stops
-   where an overflow or a non-finite datum appears.
+   one sample at a time, and hgdl_lasso through lasso_columns, on blocks
+   of 16 columns, atoms outermost, once per sweep. All are compiled
+   without FMA contraction, so each operation rounds as written here,
+   and the test oracles can repeat it in Python floats. The callers
+   reject a non-finite L, codes, test matrix, attention problem or
+   feature matrix, so each kernel only stops where an overflow or a
+   non-finite datum appears.
 
-   The beta = 0 kernels take a thread count, 1 or 2, which
-   hgdl._native.lasso_threads picks. Their columns are independent lasso
-   problems, so with 2 they split the blocks in two parts, and a second
+   hgdl_lasso takes a thread count, 1 or 2, which
+   hgdl._native.lasso_threads picks. Its columns are independent lasso
+   problems, so with 2 it splits the blocks in two parts, and a second
    thread, started at lasso_worker, sweeps the second part while the
-   caller sweeps the first: hgdl_lasso_sweep starts it for its one sweep
-   and joins it, and hgdl_encode keeps it for all its sweeps, the two
-   meeting at a pthread barrier after each. No column's steps change,
-   each column's objective is kept apart and all are summed in column
-   order, and the first failure is reported in sample order, so every
-   bit, status and count is that of one thread. The other kernels run on
-   the caller's thread alone.
+   caller sweeps the first, the two meeting at a pthread barrier after
+   each sweep. No column's steps change, each column's objective is kept
+   apart and all are summed in column order, and the first failure is
+   reported in sample order, so every bit, status and count is that of
+   one thread. The other kernels run on the caller's thread alone.
 
-   On x86-64 ELF with glibc, the four coordinate-descent kernels
-   (hgdl_sweep, hgdl_lasso_sweep, hgdl_dictionary, hgdl_encode) and
-   hgdl_admm are built twice, for AVX2 and for the baseline ISA, and the
-   dynamic loader picks one for the CPU it runs on. The static helpers
-   lasso_columns, encode_sweeps and lasso_worker are cloned too: GCC
-   binds a clone's call of a cloned function to the clone of its own ISA,
-   and lasso_worker, whose address is passed to pthread_create, resolves
-   through its own ifunc, whose resolver is GCC's, as the kernels' are,
-   so the second thread runs the clone of its caller's ISA. The sweeps'
-   inner loops are elementwise y += a * x steps, which round the same at
-   every vector width, and no sum is reordered; hgdl_admm steps LANES
-   attention problems side by side, one in each lane of a vector, every
-   step elementwise. So both clones of each give the same bits.
+   On x86-64 ELF with glibc, the three coordinate-descent kernels
+   (hgdl_sweep, hgdl_lasso, hgdl_dictionary) and hgdl_admm are built
+   twice, for AVX2 and for the baseline ISA, and the dynamic loader picks
+   one for the CPU it runs on. The static helpers lasso_columns,
+   lasso_sweeps and lasso_worker are cloned too: GCC binds a clone's call
+   of a cloned function to the clone of its own ISA, and lasso_worker,
+   whose address is passed to pthread_create, resolves through its own
+   ifunc, whose resolver is GCC's, as the kernels' are, so the second
+   thread runs the clone of its caller's ISA. The sweeps' inner loops
+   are elementwise y += a * x steps, which round the same at every vector
+   width, and no sum is reordered; hgdl_admm steps LANES attention
+   problems side by side, one in each lane of a vector, every step
+   elementwise. So both clones of each give the same bits.
    hgdl_knn and hgdl_saf are not cloned: their inner loops are sums,
    which stay scalar either way, so they run independent sums side by
    side instead, each in its own order: hgdl_knn sums CANDIDATES pairs'
@@ -280,32 +278,29 @@ int64_t hgdl_dictionary(int64_t dim, int64_t K, int64_t start,
     return -1;
 }
 
-/* the columns that hgdl_lasso_sweep steps together */
+/* the columns that lasso_columns steps together */
 #define BLOCK 16
 
-/* lasso: a beta = 0 problem as hgdl_lasso_sweep and hgdl_encode take it,
-   with what their threads share. codes is (K, n) row-major, column i
-   holding sample i's codes, and field is (n, K), row i holding sample
-   i's linear terms; gram_cols is (K, K), row k holding G_off[k], G_off
-   being D^T D with its diagonal zeroed, and gdiag is the diagonal.
+/* lasso: a beta = 0 problem as hgdl_lasso takes it, with what its threads
+   share. codes and target are (K, n) row-major, column i holding sample
+   i's codes and D^T x_i, and field is (n, K), row i holding sample i's
+   linear terms; gram_cols is (K, K), row k holding G_off[k], G_off being
+   D^T D with its diagonal zeroed, and gdiag is the diagonal.
 
    Part 0 is columns 0 to split - 1 and part 1 columns split to n - 1,
    split being a multiple of BLOCK, so each part runs whole blocks; with
-   one thread, split is n. failed[t % 2][p] holds part p's status in
-   sweep t, hgdl_lasso_sweep's one sweep being sweep 1. The rest is
-   hgdl_encode's: barrier is set while a second thread runs part 1 of
-   every sweep, initial is the objective at s = 0, and sums + (t % 2) n
-   holds the objectives of sweep t's columns. There are two sets of statuses and objectives, so a thread
-   can write sweep t + 1's while the other still reads sweep t's. */
+   one thread, split is n. barrier is set while a second thread runs part
+   1 of every sweep. failed[t % 2][p] holds part p's status in sweep t,
+   and sums + (t % 2) n the objectives of sweep t's columns, sweep 0
+   being the codes as given. There are two sets of each, so a thread can
+   write sweep t + 1's while the other still reads sweep t's. */
 struct lasso {
     int64_t n, K, split;
-    const double *gram_cols, *gdiag;
-    double alpha, curvature_floor;
-    double *codes, *field;
-    pthread_barrier_t *barrier;
-    const double *target, *ysq;
-    double tol, initial, *sums;
+    const double *gram_cols, *gdiag, *target, *ysq;
+    double alpha, curvature_floor, tol;
     int64_t max_sweeps;
+    double *codes, *field, *sums;
+    pthread_barrier_t *barrier;
     int64_t failed[2][2];
 };
 
@@ -361,191 +356,119 @@ static int64_t lasso_columns(const struct lasso *job, int64_t first,
     return -1;
 }
 
-/* encode_sweeps: hgdl_encode's sweeps on part p of job. Each sweep steps
-   the part's columns, then sums each column's objective from its field
-   into sums. With a second thread, each thread runs its part and the
-   two meet at the barrier after every sweep; past it, each reads both
-   parts' statuses and sums all n objectives in column order, so both
-   reach the same value and the same stop, and the bits, statuses and
-   counts are those of one thread. sweeps and change are part 0's. */
+/* lasso_sweeps: hgdl_lasso's sweeps on part p of job. Each sweep steps
+   the part's columns; where tol > 0 it then sums each column's objective
+   from its field into sums, as it first does for the codes as given.
+   With a second thread, each thread runs its part and the two meet at
+   the barrier after every sweep; past it, each reads both parts'
+   statuses and sums all n objectives in column order, so both reach the
+   same value and the same stop, and the bits, statuses and counts are
+   those of one thread. sweeps and change are part 0's. */
 CLONED
-static int64_t encode_sweeps(struct lasso *job, int64_t part,
-                             int64_t *sweeps, double *change)
+static int64_t lasso_sweeps(struct lasso *job, int64_t part,
+                            int64_t *sweeps, double *change)
 {
     int64_t n = job->n, K = job->K;
     int64_t first = part ? job->split : 0, last = part ? n : job->split;
     const double *target = job->target, *ysq = job->ysq;
     const double *gdiag = job->gdiag, *codes = job->codes;
     const double *field = job->field;
-    double twice = 2.0 * job->alpha, previous = job->initial;
-    for (int64_t t = 1; t <= job->max_sweeps; t++) {
+    double twice = 2.0 * job->alpha, previous = 0.0;
+    int summed = job->tol > 0.0;
+    for (int64_t t = !summed; t <= job->max_sweeps; t++) {
         int64_t *failed = job->failed[t % 2];
         double *sums = job->sums + t % 2 * n;
-        failed[part] = lasso_columns(job, first, last);
-        if (failed[part] < 0)
+        failed[part] = t > 0 ? lasso_columns(job, first, last) : -1;
+        if (summed && failed[part] < 0)
             for (int64_t i = first; i < last; i++) {
-                const double *b = target + i * K, *f = field + i * K;
+                const double *f = field + i * K;
                 double sum = ysq[i];
                 for (int64_t k = 0; k < K; k++) {
                     double sk = codes[k * n + i];
-                    sum += sk * ((gdiag[k] * sk - b[k]) - f[k])
+                    sum += sk * ((gdiag[k] * sk - target[k * n + i]) - f[k])
                            + twice * fabs(sk);
                 }
                 sums[i] = sum;
             }
         if (job->barrier != NULL)
             pthread_barrier_wait(job->barrier);
+        *sweeps = t;
         int64_t status = failed[0] >= 0 ? failed[0] : failed[1];
-        if (status >= 0) {
-            *sweeps = t;
+        if (status >= 0)
             return status;
-        }
+        if (!summed)
+            continue;
         double value = 0.0;
         for (int64_t i = 0; i < n; i++)
             value += sums[i];
-        double scale = fmax(1.0, fabs(previous));
-        double moved = fabs(previous - value);
-        *sweeps = t;
-        *change = moved / scale;
-        if (moved < job->tol * scale)
-            return -1;
+        if (t > 0) {
+            double scale = fmax(1.0, fabs(previous));
+            double moved = fabs(previous - value);
+            *change = moved / scale;
+            if (moved < job->tol * scale)
+                return -1;
+        }
         previous = value;
     }
     return -2;
 }
 
-/* lasso_worker: the entry of a kernel's second thread, which runs part 1
-   of the job at arg: every sweep for hgdl_encode, which set the barrier,
-   or one for hgdl_lasso_sweep. It is cloned like the kernels, and GCC's
-   resolver, which picks their clones too, picks its clone, so the
+/* lasso_worker: the entry of hgdl_lasso's second thread, which runs part
+   1 of every sweep of the job at arg. It is cloned like the kernels, and
+   GCC's resolver, which picks their clones too, picks its clone, so the
    thread runs at the width of the kernel that started it. */
 CLONED
 static void *lasso_worker(void *arg)
 {
-    struct lasso *job = arg;
-    if (job->barrier != NULL) {
-        int64_t sweeps;
-        double change;
-        encode_sweeps(job, 1, &sweeps, &change);
-    } else {
-        job->failed[1][1] = lasso_columns(job, job->split, job->n);
-    }
+    int64_t sweeps;
+    double change;
+    lasso_sweeps(arg, 1, &sweeps, &change);
     return NULL;
 }
 
-/* hgdl_lasso_sweep: one beta = 0 code sweep, in which the n columns are
-   independent lasso problems. The arguments are as struct lasso states;
-   codes and field are updated in place, the steps moving a column's
-   field with its codes, by row k of gram_cols when code k changes.
+/* hgdl_lasso: the beta = 0 coding of n columns, each the lasso problem
+   min_s ||x - D s||^2 + 2 alpha ||s||_1, by cyclic coordinate descent
+   from the codes given. The arguments are as struct lasso states; codes
+   and field are updated in place, field holding D^T x - G_off s for the
+   codes as given, and moving with them, by row k of gram_cols when code
+   k changes. ysq holds ||x||^2 per column and sums is (2, n) scratch.
+
+   Where tol > 0, the objective of each column is summed in O(K) from its
+   field after every sweep, and before the first,
+       ||x||^2 + sum_k s_k ((G_kk s_k - (D^T x)_k) - f_k) + 2 alpha |s_k|,
+   the columns' sums are added in column order, and the sweeps stop once
+   the relative change of that total, |previous - value| /
+   max(1, |previous|), is below tol, or after max_sweeps. Where tol is 0
+   the stop rule cannot hold, so no objective is summed, target, ysq and
+   sums are not read and change is not written: training makes one such
+   sweep per call, warm-started from its codes.
 
    With threads 2 (a larger count runs as 2), a second thread, started
-   here and joined before the return, sweeps part 1 while the caller
-   sweeps part 0; with threads 1, or one block, the caller sweeps all.
-   Each column's steps are those of lasso_columns either way.
-
-   Returns -1, or i * K + k for the first step (sample i, atom k) in
-   sample-major order whose linear term or updated code is not finite.
-   Each part stops after the block of its own first failure, so part 1
-   may step blocks that one thread would not have reached; the codes of
-   a failed sweep are not used. */
-CLONED
-int64_t hgdl_lasso_sweep(int64_t n, int64_t K, const double *gram_cols,
-                         const double *gdiag, double alpha,
-                         double curvature_floor, double *codes,
-                         double *field, int64_t threads)
-{
-    struct lasso job = {.n = n, .K = K, .split = split_at(n, threads),
-                        .gram_cols = gram_cols, .gdiag = gdiag,
-                        .alpha = alpha, .curvature_floor = curvature_floor,
-                        .codes = codes, .field = field};
-    pthread_t worker;
-    if (job.split < n && pthread_create(&worker, NULL, lasso_worker, &job))
-        job.split = n;
-    int64_t failed = lasso_columns(&job, 0, job.split);
-    if (job.split < n) {
-        pthread_join(worker, NULL);
-        if (failed < 0)
-            failed = job.failed[1][1];
-    }
-    return failed;
-}
-
-/* hgdl_encode: lasso codes of n held-out columns on a frozen dictionary,
-   min_s ||y - D s||^2 + 2 gamma ||s||_1 for each column y of Y, by
-   cyclic coordinate descent from s = 0. dictionary is (dim, K) and
-   test (dim, n), both row-major; codes is the (K, n) row-major output,
-   zeroed here. The scratch is target and field, (n, K) each, gram
-   (K, K), gdiag (K), ysq (n) and sums (2 n).
-
-   D^T D and D^T Y are formed once, each entry summed from 0 over
-   ascending d, so D^T D is exactly symmetric. Column i keeps one running
-   field f = D^T y - G_off s, which starts as D^T y and which only its
-   steps move; it is never formed again. A sweep is lasso_columns on
-   each part, the clone of the caller's ISA. After it, the objective is
-   summed column by column in O(K) from the field,
-       ||y||^2 + sum_k s_k ((G_kk s_k - (D^T y)_k) - f_k) + 2 gamma |s_k|,
-   and the sweeps stop once the relative change of the sum,
-   |previous - value| / max(1, |previous|), is below tol, or after
-   max_sweeps. The sum at s = 0 is the sum of the ||y||^2.
-
-   With threads 2 (a larger count runs as 2), one second thread runs
-   part 1 of every sweep, as encode_sweeps says, and is joined before the
-   return; with threads 1, or one block, the caller runs all. Either way
-   the result is the same, bit for bit.
+   here and joined before the return, runs part 1 of every sweep, as
+   lasso_sweeps says; with threads 1, or one block, the caller runs all.
+   Either way the result is the same, bit for bit.
 
    sweeps gets the sweeps run and change the last relative change.
    Returns -1 when the stop rule held, -2 when max_sweeps ran without it,
-   or i * K + k for the first step (sample i, atom k) whose linear term or
-   updated code is not finite; the sweeps stop there, before that code
-   is written. */
+   or i * K + k for the first step (sample i, atom k) in sample-major
+   order whose linear term or updated code is not finite; the sweeps stop
+   there. Each part stops after the block of its own first failure, so
+   part 1 may step blocks that one thread would not have reached; the
+   codes of a failed call are not used. */
 CLONED
-int64_t hgdl_encode(int64_t dim, int64_t K, int64_t n,
-                    const double *dictionary, const double *test,
-                    double gamma, double curvature_floor, double tol,
-                    int64_t max_sweeps, double *codes, double *target,
-                    double *field, double *gram, double *gdiag,
-                    double *ysq, double *sums, int64_t *sweeps,
-                    double *change, int64_t threads)
+int64_t hgdl_lasso(int64_t n, int64_t K, const double *gram_cols,
+                   const double *gdiag, const double *target,
+                   const double *ysq, double alpha, double curvature_floor,
+                   double tol, int64_t max_sweeps, double *codes,
+                   double *field, double *sums, int64_t *sweeps,
+                   double *change, int64_t threads)
 {
-    for (int64_t k = 0; k < K; k++) {
-        double *row = gram + k * K;
-        for (int64_t m = 0; m < K; m++)
-            row[m] = 0.0;
-        for (int64_t d = 0; d < dim; d++) {
-            const double *atoms = dictionary + d * K;
-            for (int64_t m = 0; m < K; m++)
-                row[m] += atoms[k] * atoms[m];
-        }
-        gdiag[k] = row[k];
-        row[k] = 0.0;
-    }
-    double previous = 0.0;
-    for (int64_t i = 0; i < n; i++) {
-        double *b = target + i * K;
-        double norm = 0.0;
-        for (int64_t k = 0; k < K; k++)
-            b[k] = 0.0;
-        for (int64_t d = 0; d < dim; d++) {
-            const double *atoms = dictionary + d * K;
-            double y = test[d * n + i];
-            norm += y * y;
-            for (int64_t k = 0; k < K; k++)
-                b[k] += atoms[k] * y;
-        }
-        ysq[i] = norm;
-        previous += norm;
-        for (int64_t k = 0; k < K; k++) {
-            field[i * K + k] = b[k];
-            codes[k * n + i] = 0.0;
-        }
-    }
-
     struct lasso job = {.n = n, .K = K, .split = split_at(n, threads),
-                        .gram_cols = gram, .gdiag = gdiag, .alpha = gamma,
-                        .curvature_floor = curvature_floor, .codes = codes,
-                        .field = field, .target = target, .ysq = ysq,
-                        .tol = tol, .initial = previous, .sums = sums,
-                        .max_sweeps = max_sweeps,
+                        .gram_cols = gram_cols, .gdiag = gdiag,
+                        .target = target, .ysq = ysq, .alpha = alpha,
+                        .curvature_floor = curvature_floor, .tol = tol,
+                        .max_sweeps = max_sweeps, .codes = codes,
+                        .field = field, .sums = sums,
                         .failed = {{-1, -1}, {-1, -1}}};
     pthread_t worker;
     pthread_barrier_t barrier;
@@ -560,7 +483,7 @@ int64_t hgdl_encode(int64_t dim, int64_t K, int64_t n,
         if (job.barrier == NULL)
             job.split = n;
     }
-    int64_t status = encode_sweeps(&job, 0, sweeps, change);
+    int64_t status = lasso_sweeps(&job, 0, sweeps, change);
     if (job.barrier != NULL) {
         pthread_join(worker, NULL);
         pthread_barrier_destroy(&barrier);

@@ -298,11 +298,11 @@ def _usable_cpus():
 
 
 def lasso_threads(n, n_atoms):
-    """The threads, 1 or 2, of hgdl_lasso_sweep and hgdl_encode on n
-    columns of n_atoms codes: 2 where this process may run on two CPUs or
-    more, numpy's BLAS can be held to one thread (blas_threads) and the
-    sweep has LASSO_THREAD_WORK code entries or more; else 1. The codes
-    are the same bits either way."""
+    """The threads, 1 or 2, of hgdl_lasso on n columns of n_atoms codes,
+    for a training sweep and for test encoding alike: 2 where this
+    process may run on two CPUs or more, numpy's BLAS can be held to one
+    thread (blas_threads) and the call has LASSO_THREAD_WORK code entries
+    or more; else 1. The codes are the same bits either way."""
     if n * n_atoms < LASSO_THREAD_WORK or blas_threads() is None:
         return 1
     return min(2, _usable_cpus())

@@ -37,7 +37,7 @@ MONOTONE_SLACK = 1e-9
 CURVATURE_FLOOR = 1e-12
 # test encoding stops once the relative objective change falls below this
 ENCODE_REL_TOL = 1e-8
-# hgdl_encode's status when max_sweeps ran out before ENCODE_REL_TOL held
+# hgdl_lasso's status when max_sweeps ran out before its tol held
 _ENCODE_CAPPED = -2
 
 INDUCTIVE = "inductive"
@@ -317,8 +317,9 @@ def update_codes(X, D, S, delta, alpha, beta):
 
     Both sweeps run in compiled kernels of _kernels.c, built on first
     use, so every sweep needs a C compiler. With beta == 0 the columns
-    decouple, each a lasso problem of its own, and the sweep runs in
-    hgdl_lasso_sweep. Every sample's running field, the linear term of
+    decouple, each a lasso problem of its own, and the sweep is one
+    warm-started sweep of hgdl_lasso, the kernel that encode_test runs
+    from zero codes. Every sample's running field, the linear term of
     every atom's scalar problem, comes from one BLAS product,
     (D^T X)^T - S^T G_off, G_off being D^T D with its diagonal zeroed;
     the kernel steps 16 columns at a time with the atoms in the outer
@@ -376,8 +377,8 @@ def update_codes(X, D, S, delta, alpha, beta):
 
 def _code_sweep(S, delta, alpha, beta):
     """update_codes' sweep of the codes S as a function of (X, D), with
-    its buffers and its kernel, hgdl_lasso_sweep for beta == 0 or
-    hgdl_sweep, bound to them."""
+    its buffers and its kernel, hgdl_lasso for beta == 0 or hgdl_sweep,
+    bound to them."""
     n_atoms, n = S.shape
     gram = np.empty((n_atoms, n_atoms))
     target = np.empty((n_atoms, n))
@@ -386,9 +387,12 @@ def _code_sweep(S, delta, alpha, beta):
     if beta == 0.0:
         codes = np.empty((n_atoms, n))  # column n holds sample n's codes
         field = np.empty((n, n_atoms))  # row n holds sample n's field
-        run = Bound(kernels().hgdl_lasso_sweep, n, n_atoms, gram, gdiag,
-                    float(alpha), CURVATURE_FLOOR, codes, field,
-                    lasso_threads(n, n_atoms))
+        # one sweep with tol 0, which sums no objective: the kernel reads
+        # neither ||x||^2 nor the sums' scratch
+        run = Bound(kernels().hgdl_lasso, n, n_atoms, gram, gdiag, target,
+                    np.empty(n), float(alpha), CURVATURE_FLOOR, 0.0, 1, codes,
+                    field, np.empty((2, n)), np.zeros(1, dtype=np.int64),
+                    np.zeros(1), lasso_threads(n, n_atoms))
 
         def sweep(X, D):
             # the kernel moves the field by rows of G_off, so it is
@@ -612,13 +616,17 @@ def encode_test(Y, D, gamma, max_sweeps=500):
 
     Solves min_S ||Y - D S||_F^2 + 2 gamma ||S||_1 with the exact scalar
     steps of update_codes (no manifold coupling), in one call of the
-    compiled kernel hgdl_encode (_kernels.c, built on first use, so test
-    encoding needs a C compiler). D^T D and D^T Y are formed once per
-    call. Each column keeps a running field, the linear terms of its
-    atoms' scalar problems, which starts as D^T y and which only a code
-    that changes moves. The columns are swept in lockstep, atoms in order
-    within a column, and the sweeps stop once the relative change of the
-    objective, summed over the columns from their fields, drops below
+    compiled kernel hgdl_lasso (_kernels.c, built on first use, so test
+    encoding needs a C compiler), the kernel of update_codes' beta = 0
+    sweep, from zero codes. D^T D and D^T Y are numpy products formed once
+    per call, as update_codes forms them, and ||y||^2 is summed over
+    ascending d. Each column keeps a running field, the linear terms of
+    its atoms' scalar problems, which starts as D^T y and which only a
+    code that changes moves. The columns are swept in lockstep, atoms in
+    order within a column, so max_sweeps=1 gives the bits of one
+    update_codes sweep from zero codes with alpha = gamma and beta = 0,
+    and the sweeps stop once the relative change of the objective,
+    summed over the columns from their fields, drops below
     ENCODE_REL_TOL. Where _native.lasso_threads gives two threads, as
     update_codes says, one second thread sweeps the second half of the
     blocks for the whole call, meeting the caller's after each sweep;
@@ -642,18 +650,24 @@ def encode_test(Y, D, gamma, max_sweeps=500):
     if not np.all(np.isfinite(Y)):
         raise InputError("test matrix contains non-finite entries")
     _check_shapes(Y, D)
-    (dim, n), n_atoms = Y.shape, D.shape[1]
-    S = np.empty((n_atoms, n))
-    target, field = np.empty((2, n, n_atoms))
+    n, n_atoms = Y.shape[1], D.shape[1]
+    gram = D.T @ D
+    gdiag = gram.diagonal().copy()
+    np.fill_diagonal(gram, 0.0)
+    target = D.T @ Y  # column n holds D^T y_n, as S holds its codes
+    field = np.ascontiguousarray(target.T)  # row n holds sample n's field
+    ysq = np.zeros(n)
+    for row in Y:  # ascending d; numpy's sum of one column is pairwise
+        ysq += row * row
+    S = np.zeros((n_atoms, n))
     sweeps = np.zeros(1, dtype=np.int64)
     change = np.zeros(1)
-    status = kernels().hgdl_encode(
-        dim, n_atoms, n, D, Y, float(gamma), CURVATURE_FLOOR,
-        ENCODE_REL_TOL, max_sweeps, S, target, field,
-        np.empty((n_atoms, n_atoms)), np.empty(n_atoms), np.empty(n),
-        np.empty((2, n)), sweeps, change, lasso_threads(n, n_atoms),
+    status = kernels().hgdl_lasso(
+        n, n_atoms, gram, gdiag, target, ysq,
+        float(gamma), CURVATURE_FLOOR, ENCODE_REL_TOL, max_sweeps, S,
+        field, np.empty((2, n)), sweeps, change, lasso_threads(n, n_atoms),
     )
-    del target, field
+    del gram, target, field
     if status >= 0:
         n_i, k = divmod(status, n_atoms)
         raise NumericalError(f"non-finite code update at atom {k}, sample {n_i}")

@@ -22,7 +22,7 @@ compiled parser, csv.reader and float() and int() per cell, so the
 parser can be held to its arrays and messages.
 
 The float oracles form the numpy products they share with the library
-(D^T D, D^T X, the beta = 0 fields, X S^T, S S^T) with numpy's BLAS on
+(D^T D, D^T X, D^T Y, the beta = 0 fields, X S^T, S S^T) with numpy's BLAS on
 one thread, through the library's one_blas_thread, as the library forms
 them: OpenBLAS splits a large product over its threads, and the split
 can move its bits.
@@ -483,34 +483,30 @@ def lasso_sweep_floats(X, D, S, alpha):
     return np.asarray(columns, dtype=float).reshape(codes.shape[::-1]).T
 
 
+@one_blas_thread
 def encode_sweeps(Y, D, gamma, t):
     """The codes after t lockstep sweeps of the held-out lasso coding, in
     Python floats, so with no fused multiply-add.
 
-    D^T D and D^T Y are summed from 0 over ascending d. Column i's field
-    starts as D^T y_i with all codes at zero. A sweep visits column 0,
+    D^T D and D^T Y are numpy's products, as the library forms them from
+    C-ordered copies of D and Y: G = D.T @ D, whose diagonal is the
+    curvature and is then set to 0, and column i's field starts as
+    (D.T @ Y)[:, i] with all codes at zero. A sweep visits column 0,
     1, ... in turn and, in each, atom 0, 1, ...: code k becomes
     shrink(f_k, gamma) / G_kk, or 0 where G_kk <= 1e-12, and a change by
-    step = old - new adds step * G_km to every f_m, with G_kk read as 0. A non-finite f_k or new code raises ArithmeticError
-    naming the atom and sample. Returns the (K, n) codes.
+    step = old - new adds step * G_km to every f_m, with G_kk read as 0.
+    A non-finite f_k or new code raises ArithmeticError naming the atom
+    and sample. Returns the (K, n) codes.
     """
-    dim, n_atoms = np.shape(D)
-    D = np.asarray(D, dtype=float).tolist()
-    Y = np.asarray(Y, dtype=float).T.tolist()
-
-    def summed(a, b):
-        total = 0.0
-        for d in range(dim):
-            total += a[d] * b[d]
-        return total
-
-    atoms = [[D[d][k] for d in range(dim)] for k in range(n_atoms)]
-    gram = [[summed(a, b) for b in atoms] for a in atoms]
-    curvature = [gram[k][k] for k in range(n_atoms)]
-    for k in range(n_atoms):
-        gram[k][k] = 0.0
-    fields = [[summed(a, y) for a in atoms] for y in Y]
-    codes = [[0.0] * n_atoms for _ in Y]
+    D = np.ascontiguousarray(D, dtype=float)
+    Y = np.ascontiguousarray(Y, dtype=float)
+    n_atoms = D.shape[1]
+    gram = D.T @ D
+    curvature = np.diag(gram).tolist()
+    np.fill_diagonal(gram, 0.0)
+    gram = gram.tolist()
+    fields = (D.T @ Y).T.tolist()
+    codes = [[0.0] * n_atoms for _ in fields]
     for _ in range(t):
         for i, (s, f) in enumerate(zip(codes, fields)):
             for k in range(n_atoms):

@@ -1875,6 +1875,19 @@ def test_encode_test_runs_one_code_sweep_per_sweep():
         assert not np.array_equal(before, after)
 
 
+def test_encode_test_one_sweep_is_one_beta_zero_update_codes_sweep():
+    """Test encoding and training's beta = 0 sweep run one kernel on the
+    same numpy products, so a call capped at one sweep gives the bits of
+    one update_codes sweep from zero codes."""
+    rng = np.random.default_rng(48)
+    D = _normalized_columns(rng, 100, 40)
+    Y = D[:, rng.integers(40, size=50)] + 0.3 * rng.normal(size=(100, 50))
+    with pytest.warns(RuntimeWarning, match=r"max_sweeps \(1\)"):
+        encoded = encode_test(Y, D, 0.05, max_sweeps=1)
+    swept = update_codes(Y, D, np.zeros((40, 50)), None, 0.05, 0.0)
+    assert _same_bits(encoded, swept)
+
+
 def test_encode_test_cap_warning_names_the_worst_relative_duality_gap():
     rng = np.random.default_rng(45)
     D = _normalized_columns(rng, 12, 9)
@@ -1912,8 +1925,9 @@ def test_encode_test_non_finite_dictionary_raises_at_that_atom(value, atom):
 
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
 def test_encode_test_at_the_kernel_block_edges_matches_the_oracle(n):
-    """hgdl_encode steps 16 columns at a time, as the training sweep
-    does; each column keeps the bits of the column-by-column oracle."""
+    """hgdl_lasso steps 16 columns at a time, for test encoding as for
+    the training sweep; each column keeps the bits of the
+    column-by-column oracle."""
     rng = np.random.default_rng(54 + n)
     D = _normalized_columns(rng, 8, 11)
     Y = rng.normal(size=(8, n))

@@ -1,7 +1,7 @@
-"""The threads of the beta = 0 kernels and numpy's BLAS: hgdl_lasso_sweep
-and hgdl_encode give one thread's bits, statuses and counts on two, and
-hgdl's calls hold numpy's BLAS to one thread while they run, then put
-the caller's count back."""
+"""The threads of the beta = 0 kernel and numpy's BLAS: hgdl_lasso gives
+one thread's bits, statuses and counts on two, for a training sweep and
+for test encoding, and hgdl's calls hold numpy's BLAS to one thread
+while they run, then put the caller's count back."""
 
 import os
 import subprocess
@@ -35,33 +35,26 @@ def _dictionary(rng, dim, n_atoms):
     return D / np.linalg.norm(D, axis=0)
 
 
-def _sweep(D, X, S, alpha, threads):
-    """(status, codes, field) of one hgdl_lasso_sweep from the codes S,
-    with the field formed as update_codes forms it."""
+def _lasso(D, X, S, alpha, max_sweeps, threads):
+    """(status, codes, field, sweeps, change) of one hgdl_lasso call from
+    the codes S, with G_off, D^T X and the field formed as update_codes
+    forms them. max_sweeps None is a training sweep, one sweep with tol
+    0; else the call stops at ENCODE_REL_TOL, as encode_test's does."""
     gram = D.T @ D
     gdiag = gram.diagonal().copy()
     np.fill_diagonal(gram, 0.0)
+    target = D.T @ X
     codes = np.array(S, order="C")
-    field = np.ascontiguousarray((D.T @ X).T - codes.T @ gram)
-    status = kernels().hgdl_lasso_sweep(
-        X.shape[1], D.shape[1], gram, gdiag, alpha, CURVATURE_FLOOR, codes,
-        field, threads)
-    return status, codes, field
-
-
-def _encode(D, Y, gamma, max_sweeps, threads):
-    """(status, codes, sweeps, change) of one hgdl_encode call."""
-    (dim, n), n_atoms = Y.shape, D.shape[1]
-    codes = np.empty((n_atoms, n))
+    field = np.ascontiguousarray(target.T - codes.T @ gram)
     sweeps = np.zeros(1, dtype=np.int64)
     change = np.zeros(1)
-    status = kernels().hgdl_encode(
-        dim, n_atoms, n, np.ascontiguousarray(D), np.ascontiguousarray(Y),
-        gamma, CURVATURE_FLOOR, ENCODE_REL_TOL, max_sweeps, codes,
-        np.empty((n, n_atoms)), np.empty((n, n_atoms)),
-        np.empty((n_atoms, n_atoms)), np.empty(n_atoms), np.empty(n),
-        np.empty((2, n)), sweeps, change, threads)
-    return status, codes, int(sweeps[0]), change
+    tol, max_sweeps = ((0.0, 1) if max_sweeps is None
+                       else (ENCODE_REL_TOL, max_sweeps))
+    status = kernels().hgdl_lasso(
+        X.shape[1], D.shape[1], gram, gdiag, target, np.sum(X * X, axis=0),
+        alpha, CURVATURE_FLOOR, tol, max_sweeps, codes, field,
+        np.empty((2, X.shape[1])), sweeps, change, threads)
+    return status, codes, field, int(sweeps[0]), change
 
 
 # a partial block, one block, one column past it, two blocks and one,
@@ -77,11 +70,11 @@ def test_two_thread_lasso_sweeps_give_one_threads_bits(n, n_atoms):
     X = rng.normal(size=(30, n))
     S = rng.normal(size=(n_atoms, n)) * (rng.random((n_atoms, n)) < 0.3)
     for _ in range(3):
-        status, codes, field = _sweep(D, X, S, 0.05, 1)
-        assert status == -1
+        status, codes, field, sweeps, _ = _lasso(D, X, S, 0.05, None, 1)
+        assert (status, sweeps) == (-2, 1)
         for threads in (2, 3):
-            got = _sweep(D, X, S, 0.05, threads)
-            assert got[0] == status
+            got = _lasso(D, X, S, 0.05, None, threads)
+            assert got[0] == status and got[3] == sweeps
             assert _same_bits(got[1], codes) and _same_bits(got[2], field)
         S = codes
 
@@ -95,13 +88,15 @@ def test_two_thread_encoding_gives_one_threads_bits(n, n_atoms, max_sweeps):
     rng = np.random.default_rng(n + n_atoms)
     D = _dictionary(rng, 30, n_atoms)
     Y = D[:, rng.integers(n_atoms, size=n)] + 0.3 * rng.normal(size=(30, n))
-    status, codes, sweeps, change = _encode(D, Y, 0.05, max_sweeps, 1)
+    zeros = np.zeros((n_atoms, n))
+    status, codes, _, sweeps, change = _lasso(D, Y, zeros, 0.05, max_sweeps,
+                                              1)
     if max_sweeps == 3:
         assert (status, sweeps) == (-2, 3)
     for threads in (2, 3):
-        got = _encode(D, Y, 0.05, max_sweeps, threads)
-        assert got[0] == status and got[2] == sweeps
-        assert _same_bits(got[1], codes) and _same_bits(got[3], change)
+        got = _lasso(D, Y, zeros, 0.05, max_sweeps, threads)
+        assert got[0] == status and got[3] == sweeps
+        assert _same_bits(got[1], codes) and _same_bits(got[4], change)
 
 
 def _failing_columns(failing):
@@ -127,9 +122,10 @@ def test_a_failure_in_either_part_is_reported_in_sample_order(failing, first):
     want = first[0] * 3 + first[1]
     with np.errstate(over="ignore"):
         for threads in (1, 2):
-            assert _sweep(D, Y, np.zeros((3, 40)), 0.1, threads)[0] == want
-            status, _, sweeps, _ = _encode(D, Y, 0.1, 500, threads)
-            assert (status, sweeps) == (want, 1)
+            for max_sweeps in (None, 500):
+                status, _, _, sweeps, _ = _lasso(D, Y, np.zeros((3, 40)), 0.1,
+                                                 max_sweeps, threads)
+                assert (status, sweeps) == (want, 1)
 
 
 def _in_threads(work, count):
@@ -155,17 +151,18 @@ def test_concurrent_two_thread_encodings_give_one_threads_bits():
     rng = np.random.default_rng(55)
     D = _dictionary(rng, 30, 11)
     Y = D[:, rng.integers(11, size=40)] + 0.3 * rng.normal(size=(30, 40))
-    want = _encode(D, Y, 0.05, 200, 1)
+    zeros = np.zeros((11, 40))
+    want = _lasso(D, Y, zeros, 0.05, 200, 1)
     got = [None] * 4
 
     def work(i):
-        got[i] = [_encode(D, Y, 0.05, 200, 2) for _ in range(5)]
+        got[i] = [_lasso(D, Y, zeros, 0.05, 200, 2) for _ in range(5)]
 
     _in_threads(work, 4)
     for results in got:
-        for status, codes, sweeps, change in results:
-            assert (status, sweeps) == want[::2]
-            assert _same_bits(codes, want[1]) and _same_bits(change, want[3])
+        for status, codes, _, sweeps, change in results:
+            assert (status, sweeps) == (want[0], want[3])
+            assert _same_bits(codes, want[1]) and _same_bits(change, want[4])
 
 
 def test_the_work_floor_keeps_small_sweeps_on_one_thread():
